@@ -19,8 +19,9 @@ vet:
 
 # fuzz-seeds replays every checked-in fuzz seed corpus as plain tests (no
 # fuzzing engine) under the race detector, catching trace-format,
-# batch-decoder, submit-decoder, flat-page-table, traceparent-parser,
-# pangloss-delta-cache and vamp-region-map regressions deterministically.
+# batch-decoder, submit-decoder, traceparent-parser, pangloss-delta-cache and
+# vamp-region-map regressions deterministically; the page-table seeds replay
+# mapping scripts against the map-backed reference table.
 fuzz-seeds:
 	$(GO) test -race -run=Fuzz ./internal/trace/ ./internal/service/ ./internal/vm/ ./internal/dtrace/ ./internal/prefetch/pangloss/ ./internal/prefetch/vamp/
 
@@ -45,8 +46,10 @@ bench-smoke:
 	$(GO) run ./cmd/pbench -smoke -out BENCH_smoke.json \
 		-compare BENCH_2026-08-07_smoke.json -max-allocs-ratio 2
 
-# golden-update regenerates the checked-in figure snapshots after an
-# intentional figure change. Inspect the diff before committing.
+# golden-update regenerates the checked-in figure snapshots and the
+# full-stats digest golden (TestGoldenStatsDigest) after an intentional
+# behaviour change. Inspect the diff before committing: a digest line names
+# the job whose results moved.
 golden-update:
 	$(GO) test ./internal/experiments -run TestGolden -update
 

@@ -9,71 +9,89 @@ import (
 )
 
 // memoPair constructs two identically configured caches over independent
-// recording next levels: one built with the fused path (line-hit memo and
-// packed partial-tag probe armed) and one legacy. mem.FusedPath is restored
-// before returning, so the pair can be built inside property iterations.
-func memoPair(sets, ways int) (fused, legacy *Cache, fn, ln *fixedPort) {
-	saved := mem.FusedPath
-	defer func() { mem.FusedPath = saved }()
-	fn, ln = &fixedPort{latency: 40}, &fixedPort{latency: 40}
+// recording next levels: one bare, so the line-hit memo arms, and one whose
+// memo is disarmed by an OnAccess-consuming no-op observer.
+func memoPair(sets, ways int) (armed, disarmed *Cache, an, dn *fixedPort) {
+	an, dn = &fixedPort{latency: 40}, &fixedPort{latency: 40}
 	cfg := Config{Name: "c", Sets: sets, Ways: ways, Latency: 4, MSHREntries: 4}
-	mem.FusedPath = true
-	fused = New(cfg, fn)
-	mem.FusedPath = false
-	legacy = New(cfg, ln)
+	armed, disarmed = New(cfg, an), New(cfg, dn)
+	disarmed.SetObserver(NopObserver{})
 	return
 }
 
-// TestMemoDifferentialProperty drives random mixed-type request sequences —
-// heavy set conflict (2 sets × 2 ways over 32 blocks), repeated same-cycle
-// accesses, stores, prefetches and writebacks — through a fused cache and a
-// legacy cache in lockstep. Completion cycles, the full stats block, and the
-// request stream reaching the next level must be identical at every step: the
-// memo, the packed probe and the miss-memoization are optimisations, never
-// semantic changes.
-func TestMemoDifferentialProperty(t *testing.T) {
-	types := [4]mem.AccessType{mem.Load, mem.Store, mem.Prefetch, mem.Writeback}
-	f := func(seq []uint16) bool {
-		fused, legacy, fn, ln := memoPair(2, 2)
-		at := mem.Cycle(0)
-		for _, raw := range seq {
-			addr := mem.Addr(raw&0x1F) << mem.BlockBits
-			typ := types[(raw>>5)&3]
-			// Advance time by 0..31 cycles: zero keeps repeat accesses on
-			// the same cycle, small steps land inside in-flight fills.
-			at += mem.Cycle(raw >> 11)
-			df := fused.Access(&mem.Request{PAddr: addr, Type: typ}, at)
-			dl := legacy.Access(&mem.Request{PAddr: addr, Type: typ}, at)
-			if df != dl {
-				t.Logf("addr=%#x type=%v at=%d: fused done %d, legacy done %d",
-					addr, typ, at, df, dl)
-				return false
-			}
-			if fused.Stats != legacy.Stats {
-				t.Logf("stats diverged after addr=%#x type=%v at=%d:\nfused  %+v\nlegacy %+v",
-					addr, typ, at, fused.Stats, legacy.Stats)
-				return false
-			}
+// scanIdx is the reference lookup: a linear scan of set si's tag array.
+func scanIdx(c *Cache, si int, block mem.Addr) int {
+	base := si * c.cfg.Ways
+	for i, tg := range c.tags[base : base+c.cfg.Ways] {
+		if tg == block {
+			return base + i
 		}
-		if !reflect.DeepEqual(fn.reqs, ln.reqs) {
-			t.Logf("next-level traffic diverged:\nfused  %d reqs\nlegacy %d reqs",
-				len(fn.reqs), len(ln.reqs))
-			return false
-		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	return -1
+}
+
+// TestMemoDifferentialProperty drives random mixed-type request sequences —
+// heavy set conflict over 32 blocks, repeated same-cycle accesses, stores,
+// prefetches and writebacks — through a memo-armed cache and a memo-disarmed
+// one in lockstep. Completion cycles, the full stats block, and the request
+// stream reaching the next level must be identical at every step, and after
+// every step findIdx must agree with a linear tag scan for every block: the
+// memo, the packed partial-tag probe and the miss memoization are
+// optimisations, never semantic changes. The 1×12 geometry spans two packed
+// partial-tag words per set.
+func TestMemoDifferentialProperty(t *testing.T) {
+	t.Parallel()
+	types := [4]mem.AccessType{mem.Load, mem.Store, mem.Prefetch, mem.Writeback}
+	for _, geom := range [][2]int{{2, 2}, {1, 12}} {
+		f := func(seq []uint16) bool {
+			armed, disarmed, an, dn := memoPair(geom[0], geom[1])
+			at := mem.Cycle(0)
+			for _, raw := range seq {
+				addr := mem.Addr(raw&0x1F) << mem.BlockBits
+				typ := types[(raw>>5)&3]
+				// Advance time by 0..31 cycles: zero keeps repeat accesses on
+				// the same cycle, small steps land inside in-flight fills.
+				at += mem.Cycle(raw >> 11)
+				da := armed.Access(&mem.Request{PAddr: addr, Type: typ}, at)
+				dd := disarmed.Access(&mem.Request{PAddr: addr, Type: typ}, at)
+				if da != dd {
+					t.Logf("%v addr=%#x type=%v at=%d: armed done %d, disarmed done %d",
+						geom, addr, typ, at, da, dd)
+					return false
+				}
+				if armed.Stats != disarmed.Stats {
+					t.Logf("%v stats diverged after addr=%#x type=%v at=%d:\narmed    %+v\ndisarmed %+v",
+						geom, addr, typ, at, armed.Stats, disarmed.Stats)
+					return false
+				}
+				for _, c := range []*Cache{armed, disarmed} {
+					for b := mem.Addr(0); b < 32; b++ {
+						block := b << mem.BlockBits
+						si := c.SetIndex(block)
+						if got, want := c.findIdx(si, block), scanIdx(c, si, block); got != want {
+							t.Logf("%v findIdx(%#x) = %d, linear scan %d", geom, block, got, want)
+							return false
+						}
+					}
+				}
+			}
+			if !reflect.DeepEqual(an.reqs, dn.reqs) {
+				t.Logf("%v next-level traffic diverged:\narmed    %d reqs\ndisarmed %d reqs",
+					geom, len(an.reqs), len(dn.reqs))
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("%v: %v", geom, err)
+		}
 	}
 }
 
-// memoCache builds a single-set fused cache so every access conflicts, with a
-// slow next level so fills and misses are clearly distinguishable.
+// memoCache builds a single-set cache so every access conflicts, with a slow
+// next level so fills and misses are clearly distinguishable.
 func memoCache(t *testing.T, ways int) (*Cache, *fixedPort) {
 	t.Helper()
-	saved := mem.FusedPath
-	mem.FusedPath = true
-	t.Cleanup(func() { mem.FusedPath = saved })
 	next := &fixedPort{latency: 100}
 	c := New(Config{Name: "c", Sets: 1, Ways: ways, Latency: 10, MSHREntries: 8}, next)
 	return c, next

@@ -421,7 +421,7 @@ func (e *Engine) operate(p prefetch.Prefetcher, id uint8, ctx prefetch.Context, 
 	// prefetcher (ppf's perceptron, spp's confidence tables), and the next
 	// candidate in the same lookahead burst must be classified against those
 	// updated weights. Deferring the drain reorders that feedback loop and
-	// changes simulation results (caught by TestFusedPathEquivalence).
+	// changes simulation results (caught by TestGoldenStatsDigest).
 	p.Operate(ctx, e.issueFn)
 }
 
@@ -591,7 +591,7 @@ type LLCFeedback struct {
 
 // WantsOnAccess implements cache.AccessSink: the embedded no-op OnAccess
 // consumes nothing, so the LLC can skip per-access dispatch entirely (and
-// arm its line-hit memo on the fused path).
+// arm its line-hit memo).
 func (f *LLCFeedback) WantsOnAccess() bool { return false }
 
 // OnPrefetchUseful implements cache.Observer. LLC outcomes train the

@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // detJobs builds a small cross-prefetcher batch over a reduced workload set.
@@ -80,112 +78,6 @@ func TestRunBatchDeterminism(t *testing.T) {
 	}
 	if a, b := mustJSON(t, parallel), mustJSON(t, again); !bytes.Equal(a, b) {
 		t.Error("two identical-seed runs diverged")
-	}
-}
-
-// TestRunBatchPoolingEquivalence: the pooled request path (the default) and
-// fresh per-access allocation must be observationally identical — the
-// zero-allocation overhaul is an optimisation, never a semantic change. A
-// divergence here means some component retained a pooled *mem.Request beyond
-// its synchronous Access call.
-func TestRunBatchPoolingEquivalence(t *testing.T) {
-	o := tinyOptions(t)
-	o.Workloads = o.Workloads[:3]
-	o.Warmup = 20_000
-	o.Instructions = 80_000
-	jobs := detJobs(t, o)
-
-	pooled, err := runBatch(o, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mem.FreshRequests = true
-	defer func() { mem.FreshRequests = false }()
-	fresh, err := runBatch(o, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pb, fb := mustJSON(t, pooled), mustJSON(t, fresh); !bytes.Equal(pb, fb) {
-		t.Errorf("pooled and fresh-allocation runs diverged:\npooled %s\nfresh  %s", pb, fb)
-	}
-}
-
-// TestRunBatchFlatVMEquivalence: the dense-array translation structures (flat
-// page table, parallel-array TLB and walk cache) and the pointer-radix
-// originals must be observationally identical — the vm flattening is an
-// optimisation, never a semantic change. The batch runs a quick
-// workload×prefetcher matrix at full parallelism under both settings; any
-// walk-reference, TLB-replacement or page-size divergence shows up as a
-// byte-level result diff.
-func TestRunBatchFlatVMEquivalence(t *testing.T) {
-	o := tinyOptions(t)
-	o.Workloads = o.Workloads[:3]
-	o.Warmup = 20_000
-	o.Instructions = 80_000
-	o.Parallelism = runtime.GOMAXPROCS(0)
-	jobs := detJobs(t, o)
-
-	if !vm.FlatVM {
-		t.Fatal("FlatVM must default to true")
-	}
-	flat, err := runBatch(o, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	vm.FlatVM = false
-	defer func() { vm.FlatVM = true }()
-	radix, err := runBatch(o, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb, rb := mustJSON(t, flat), mustJSON(t, radix); !bytes.Equal(fb, rb) {
-		t.Errorf("flat and radix vm runs diverged:\nflat  %s\nradix %s", fb, rb)
-	}
-}
-
-// TestFusedPathEquivalence: the devirtualized hierarchy descent (direct
-// *cache.Cache calls core→L1D→L2→LLC→DRAM, line-hit memo, packed partial-tag
-// probe, batched prefetch drain, MSHR-saturation prefetch drop) must be
-// observationally identical to the legacy mem.Port dispatch chain — the fused
-// path is an optimisation, never a semantic change. The batch runs the quick
-// workload×prefetcher matrix, widened with the remaining engine families
-// (ppf, vldp) and an L1-prefetching row, at full parallelism under both
-// settings; any hit/miss, replacement, MSHR, stats or timing divergence shows
-// up as a byte-level result diff.
-func TestFusedPathEquivalence(t *testing.T) {
-	o := tinyOptions(t)
-	o.Warmup = 20_000
-	o.Instructions = 80_000
-	o.Parallelism = runtime.GOMAXPROCS(0)
-	jobs := detJobs(t, o)
-	for _, w := range o.Workloads[:2] {
-		jobs = append(jobs,
-			Job{Workload: w, Spec: sim.PrefSpec{Base: "ppf", Variant: core.PSA}},
-			Job{Workload: w, Spec: sim.PrefSpec{Base: "vldp", Variant: core.Original}},
-			Job{Workload: w, Spec: sim.PrefSpec{Base: "spp", Variant: core.PSA2MB, L1: sim.L1IPCPPP}},
-			Job{Workload: w, Spec: sim.PrefSpec{Base: "pangloss", Variant: core.PSA2MB}},
-			Job{Workload: w, Spec: sim.PrefSpec{Base: "vamp", Variant: core.PSASD}},
-		)
-	}
-
-	if !mem.FusedPath {
-		t.Fatal("FusedPath must default to true")
-	}
-	fused, err := runBatch(o, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mem.FusedPath = false
-	defer func() { mem.FusedPath = true }()
-	legacy, err := runBatch(o, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb, lb := mustJSON(t, fused), mustJSON(t, legacy); !bytes.Equal(fb, lb) {
-		t.Errorf("fused and legacy descent runs diverged:\nfused  %s\nlegacy %s", fb, lb)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // update rewrites the golden files instead of comparing against them:
 //
 //	go test ./internal/experiments -run TestGolden -update
-var update = flag.Bool("update", false, "rewrite golden figure files")
+var update = flag.Bool("update", false, "rewrite the golden figure and stats-digest files")
 
 // goldenOptions pins every input that feeds a figure: scale, seed,
 // workloads. Parallelism is deliberately above 1 — determinism across worker

@@ -9,11 +9,6 @@ package mem
 // wraps. One arena is shared by every MMU of a simulated system: walker
 // scratch is per-simulation state, not per-core, exactly like the allocator
 // the walks ultimately describe.
-//
-// Like RequestPool, the arena honours FreshRequests: the differential
-// determinism tests run the ring against per-request heap allocation and
-// require byte-identical results, proving slot recycling leaks no state
-// between walks.
 type RequestArena struct {
 	ring []Request
 	next int
@@ -36,9 +31,6 @@ func NewRequestArena(n int) *RequestArena {
 // Get returns a zeroed *Request valid until the ring wraps back around to its
 // slot (at least len(ring)-1 Gets later).
 func (a *RequestArena) Get() *Request {
-	if FreshRequests {
-		return &Request{}
-	}
 	if a.next == len(a.ring) {
 		a.next = 0
 	}

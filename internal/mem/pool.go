@@ -1,14 +1,5 @@
 package mem
 
-// FreshRequests, when true, makes every RequestPool.Get return a newly
-// allocated Request instead of reusing the pool's scratch entry. It exists
-// for the differential determinism tests, which run pooled against
-// fresh-allocation paths and require byte-identical results — proving reuse
-// leaks no state between requests. It is a package variable rather than a
-// sim.Config field so the content-addressed result cache (which marshals
-// Config into its keys) is unaffected.
-var FreshRequests bool
-
 // RequestPool is a single-entry scratch pool for Request values. The
 // simulator's access path is synchronous — Port.Access(req, at) returns
 // before its caller issues another request, and no component retains *Request
@@ -23,9 +14,6 @@ type RequestPool struct{ scratch Request }
 // Get returns a zeroed *Request for the caller to fill and pass down the
 // hierarchy. The pointer is valid until the pool's next Get.
 func (p *RequestPool) Get() *Request {
-	if FreshRequests {
-		return &Request{}
-	}
 	p.scratch = Request{}
 	return &p.scratch
 }
@@ -33,11 +21,7 @@ func (p *RequestPool) Get() *Request {
 // GetDirty returns the scratch entry without zeroing it. Callers must
 // overwrite it with a full composite-literal assignment (*req = Request{...}),
 // which zeroes every unmentioned field itself — the result is byte-identical
-// to Get plus field writes, minus the redundant clear. Under FreshRequests it
-// still allocates, so the pooled-vs-fresh differential covers these sites too.
+// to Get plus field writes, minus the redundant clear.
 func (p *RequestPool) GetDirty() *Request {
-	if FreshRequests {
-		return &Request{}
-	}
 	return &p.scratch
 }

@@ -247,6 +247,42 @@ func TestTLBAndWalksExercised(t *testing.T) {
 	}
 }
 
+// TestNoWalkCache: WalkCacheEntries 0 is a valid, client-suppliable config
+// meaning "no MMU caches": runs complete, and with TLB prefetch off every walk
+// fetches each of its radix levels from memory — four references per 4KB
+// walk, three per 2MB walk, two per 1GB walk.
+func TestNoWalkCache(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MMU.WalkCacheEntries = 0
+	cfg.MMU.TLBPrefetch = false
+	for _, name := range []string{"soplex", "milc"} {
+		w, err := trace.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Run(cfg, PrefSpec{Base: "spp", Variant: core.PSA}, w, testOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Walks == 0 {
+			t.Fatalf("%s: no page walks", name)
+		}
+		// WalkRefs is not part of Result, so the identity is checked on a
+		// system assembled the way Run assembles it.
+		sys, err := newSystem(cfg, PrefSpec{Base: "spp", Variant: core.PSA}, []trace.Workload{w}, testOpt.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := sys.nodes[0]
+		n.cpu.Run(n.reader, testOpt.Warmup+testOpt.Instructions)
+		m := n.mmu
+		want := 4*m.WalksBy[mem.Page4K] + 3*m.WalksBy[mem.Page2M] + 2*m.WalksBy[mem.Page1G]
+		if m.Walks == 0 || m.WalkRefs != want {
+			t.Errorf("%s: WalkRefs = %d over walks %v, want %d", name, m.WalkRefs, m.WalksBy, want)
+		}
+	}
+}
+
 func TestExtendedBasesRun(t *testing.T) {
 	for _, base := range []string{"sms", "ampm", "temporal"} {
 		r := mustRun(t, PrefSpec{Base: base, Variant: core.PSA}, "bwaves")

@@ -21,14 +21,13 @@ type coreNode struct {
 	l1d       *cache.Cache
 	l2        *cache.Cache
 	llc       *cache.Cache
-	// desc is the fused descent over this core's private levels and the
-	// shared LLC: the single entry point demand accesses and page-walk
-	// references take into the hierarchy (direct calls all the way to DRAM
-	// when mem.FusedPath linked the chain).
-	desc *cache.Descent
-	engine    *core.Engine
-	cpu       *cpu.Core
-	reader    trace.Reader
+	// desc is the descent over this core's private levels and the shared
+	// LLC: the single entry point demand accesses and page-walk references
+	// take into the hierarchy (direct calls all the way to DRAM).
+	desc   *cache.Descent
+	engine *core.Engine
+	cpu    *cpu.Core
+	reader trace.Reader
 
 	l1Kind  L1Pref
 	l1pf    *ipcp.Prefetcher
@@ -109,8 +108,8 @@ func newSystem(cfg Config, spec PrefSpec, workloads []trace.Workload, seed uint6
 		n.codeSpace = vm.NewAddressSpace(s.alloc, vm.FractionTHP{Frac: 0})
 		n.llc = s.llc
 		n.desc = cache.NewDescent(n.l1d, n.l2, s.llc)
-		// The walker's references descend through the same fused chain as
-		// demand accesses (they enter at the L1D, exactly as before).
+		// The walker's references descend through the same chain as demand
+		// accesses, entering at the L1D.
 		n.mmu = vm.NewMMU(n.space, cfg.MMU, i, n.desc)
 		n.mmu.SetWalkArena(walkArena)
 		n.reader = w.New(seed + uint64(i)*997)

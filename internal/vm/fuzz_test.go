@@ -49,7 +49,7 @@ func FuzzFlatLeafWord(f *testing.F) {
 		if !valid {
 			t.Fatalf("encode(%#x, %v) accepted invalid input: %#x", frame, size, w)
 		}
-		if w&flatPresent == 0 || w&flatLeaf == 0 {
+		if w&ptePresent == 0 || w&pteLeaf == 0 {
 			t.Fatalf("encoded word %#x missing present/leaf bits", w)
 		}
 		pte := decodeLeafWord(w)
@@ -60,22 +60,17 @@ func FuzzFlatLeafWord(f *testing.F) {
 }
 
 // FuzzFlatTableOps interprets fuzz bytes as a mapping script and applies it to
-// a flat and a radix page table in lockstep: identical frames in, identical
-// walks out. This is the randomized radix-vs-flat differential in fuzzable
-// form — new table-corruption bugs become crashes or divergences.
+// the dense-slab page table and the map-backed reference model in lockstep:
+// identical frames in, identical walks out. New table-corruption bugs become
+// crashes or divergences.
 func FuzzFlatTableOps(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09})
 	f.Add([]byte("\x00\x00\x00\x10\x20\x30\x40\x50\x61\x72\x83\x94\xa5\xb6"))
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0x80, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		saved := FlatVM
-		defer func() { FlatVM = saved }()
 		fa, ra := NewAllocator(8<<30, 5), NewAllocator(8<<30, 5)
-		FlatVM = true
-		flat := NewPageTable(fa)
-		FlatVM = false
-		radix := NewPageTable(ra)
+		pt, ref := NewPageTable(fa), newRefPageTable(ra)
 
 		has4K := map[mem.Addr]bool{}
 		var mapped []mem.Addr
@@ -89,7 +84,7 @@ func FuzzFlatTableOps(f *testing.F) {
 			if size == mem.Page2M && has4K[v>>mem.PageBits2M] {
 				continue
 			}
-			if _, ok := flat.Lookup(v); ok {
+			if _, ok := pt.Lookup(v); ok {
 				continue
 			}
 			var frame mem.Addr
@@ -101,21 +96,17 @@ func FuzzFlatTableOps(f *testing.F) {
 				ra.Alloc4K()
 				has4K[v>>mem.PageBits2M] = true
 			}
-			flat.Map(v, PTE{Frame: frame, Size: size, Valid: true})
-			radix.Map(v, PTE{Frame: frame, Size: size, Valid: true})
+			pt.Map(v, PTE{Frame: frame, Size: size, Valid: true})
+			ref.Map(v, PTE{Frame: frame, Size: size, Valid: true})
 			mapped = append(mapped, v)
 		}
 		for _, v := range mapped {
 			for _, probe := range []mem.Addr{v, v + 0x333, v + mem.PageSize4K} {
-				fw, fok := flat.Walk(probe)
-				rw, rok := radix.Walk(probe)
-				if fok != rok || fw != rw {
-					t.Fatalf("walk diverged at %#x: %v %+v vs %v %+v", probe, fok, fw, rok, rw)
-				}
+				checkWalk(t, pt, ref, probe)
 			}
 		}
-		if flat.Pages() != radix.Pages() {
-			t.Fatalf("page counts diverged: %d vs %d", flat.Pages(), radix.Pages())
+		if pt.Pages() != ref.Pages() {
+			t.Fatalf("page counts diverged: %d vs reference %d", pt.Pages(), ref.Pages())
 		}
 	})
 }

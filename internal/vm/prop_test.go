@@ -7,25 +7,10 @@ import (
 	"repro/internal/mem"
 )
 
-// Property and differential tests for the dense-array translation structures
-// (FlatVM): the flat page table, TLB and walk cache must be observationally
-// identical to the original pointer-radix and struct-slice implementations,
-// and the whole walk path must stay allocation-free in steady state.
-
-// withFlatVM runs f twice, once per FlatVM setting, restoring the default.
-func withFlatVM(t *testing.T, f func(t *testing.T)) {
-	t.Helper()
-	saved := FlatVM
-	defer func() { FlatVM = saved }()
-	for _, flat := range []bool{true, false} {
-		FlatVM = flat
-		name := "radix"
-		if flat {
-			name = "flat"
-		}
-		t.Run(name, f)
-	}
-}
+// Property tests for the translation structures: the page table, TLB and
+// walk cache must be observationally identical to the naive reference models
+// in refmodel_test.go, and the whole walk path must stay allocation-free in
+// steady state.
 
 // gigaSome claims a single 1GB region for an explicit 1GB page (the allocator
 // reserves exactly one 1GB frame), so a single address space mixes all three
@@ -36,57 +21,43 @@ func (gigaSome) Use1GB(r mem.Addr) bool { return r>>30 == 3 }
 
 // TestPropTranslationRoundTrip: under a randomized mix of 4KB, 2MB and 1GB
 // mappings, translations preserve page-offset bits, are stable, agree with the
-// page table, and report walk depths matching the page size — in both table
-// representations.
+// page table, and report walk depths matching the page size.
 func TestPropTranslationRoundTrip(t *testing.T) {
-	withFlatVM(t, func(t *testing.T) {
-		as := NewAddressSpace(NewAllocator(8<<30, 21), gigaSome{FractionTHP{Frac: 0.5, Seed: 23}})
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 2000; i++ {
-			v := mem.Addr(rng.Int63n(1 << 33))
-			tr := as.Translate(v)
-			if tr.PAddr&(tr.Size.Bytes()-1) != v&(tr.Size.Bytes()-1) {
-				t.Fatalf("offset bits lost: v=%#x tr=%+v", v, tr)
-			}
-			if tr2 := as.Translate(v); tr2 != tr {
-				t.Fatalf("translation unstable: v=%#x %+v vs %+v", v, tr, tr2)
-			}
-			pte, ok := as.PageTable().Lookup(v)
-			if !ok || pte.Size != tr.Size || pte.Frame != mem.PageBase(tr.PAddr, tr.Size) {
-				t.Fatalf("Lookup disagrees with Translate: v=%#x pte=%+v tr=%+v", v, pte, tr)
-			}
-			walk, wtr := as.WalkFor(v)
-			if wtr != tr {
-				t.Fatalf("WalkFor translation mismatch: v=%#x %+v vs %+v", v, wtr, tr)
-			}
-			wantLevels := map[mem.PageSize]int{mem.Page4K: 4, mem.Page2M: 3, mem.Page1G: 2}[tr.Size]
-			if walk.Levels != wantLevels {
-				t.Fatalf("walk levels = %d for %v page", walk.Levels, tr.Size)
-			}
+	t.Parallel()
+	as := NewAddressSpace(NewAllocator(8<<30, 21), gigaSome{FractionTHP{Frac: 0.5, Seed: 23}})
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 2000; i++ {
+		v := mem.Addr(rng.Int63n(1 << 33))
+		tr := as.Translate(v)
+		if tr.PAddr&(tr.Size.Bytes()-1) != v&(tr.Size.Bytes()-1) {
+			t.Fatalf("offset bits lost: v=%#x tr=%+v", v, tr)
 		}
-	})
+		if tr2 := as.Translate(v); tr2 != tr {
+			t.Fatalf("translation unstable: v=%#x %+v vs %+v", v, tr, tr2)
+		}
+		pte, ok := as.PageTable().Lookup(v)
+		if !ok || pte.Size != tr.Size || pte.Frame != mem.PageBase(tr.PAddr, tr.Size) {
+			t.Fatalf("Lookup disagrees with Translate: v=%#x pte=%+v tr=%+v", v, pte, tr)
+		}
+		walk, wtr := as.WalkFor(v)
+		if wtr != tr {
+			t.Fatalf("WalkFor translation mismatch: v=%#x %+v vs %+v", v, wtr, tr)
+		}
+		wantLevels := map[mem.PageSize]int{mem.Page4K: 4, mem.Page2M: 3, mem.Page1G: 2}[tr.Size]
+		if walk.Levels != wantLevels {
+			t.Fatalf("walk levels = %d for %v page", walk.Levels, tr.Size)
+		}
+	}
 }
 
-// mkPageTables builds one flat and one radix page table over allocators with
-// identical seeds, so matched Map sequences produce identical frames.
-func mkPageTables(t *testing.T, seed uint64) (flat, radix *PageTable, fa, ra *Allocator) {
-	t.Helper()
-	saved := FlatVM
-	defer func() { FlatVM = saved }()
-	fa, ra = NewAllocator(8<<30, seed), NewAllocator(8<<30, seed)
-	FlatVM = true
-	flat = NewPageTable(fa)
-	FlatVM = false
-	radix = NewPageTable(ra)
-	return
-}
-
-// TestPropRadixFlatWalkEquivalence: randomized mapping sequences produce
-// byte-identical Walk and Lookup results (references, levels, leaf PTEs) from
-// the flat and radix representations.
-func TestPropRadixFlatWalkEquivalence(t *testing.T) {
+// TestPropPageTableMatchesReference: randomized mapping sequences produce
+// identical Walk and Lookup results (references, levels, leaf PTEs) from the
+// page table and the map-backed reference over same-seeded allocators.
+func TestPropPageTableMatchesReference(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []uint64{1, 7, 1234} {
-		flat, radix, fa, ra := mkPageTables(t, seed)
+		fa, ra := NewAllocator(8<<30, seed), NewAllocator(8<<30, seed)
+		pt, ref := NewPageTable(fa), newRefPageTable(ra)
 		rng := rand.New(rand.NewSource(int64(seed) * 31))
 		sizes := []mem.PageSize{mem.Page4K, mem.Page4K, mem.Page4K, mem.Page2M, mem.Page2M}
 		var mapped []mem.Addr
@@ -95,11 +66,11 @@ func TestPropRadixFlatWalkEquivalence(t *testing.T) {
 		g := mem.Addr(7) << 30
 		gf := fa.Alloc1G()
 		ra.Alloc1G()
-		flat.Map(g, PTE{Frame: gf, Size: mem.Page1G, Valid: true})
-		radix.Map(g, PTE{Frame: gf, Size: mem.Page1G, Valid: true})
+		pt.Map(g, PTE{Frame: gf, Size: mem.Page1G, Valid: true})
+		ref.Map(g, PTE{Frame: gf, Size: mem.Page1G, Valid: true})
 		mapped = append(mapped, g, g+512<<20)
 		// Like AddressSpace, each 2MB region holds either one 2MB leaf or
-		// scattered 4KB pages — never a mix (the tables reject shadowing).
+		// scattered 4KB pages — never a mix (the table rejects shadowing).
 		has4K := map[mem.Addr]bool{}
 		for i := 0; i < 600; i++ {
 			size := sizes[rng.Intn(len(sizes))]
@@ -110,100 +81,91 @@ func TestPropRadixFlatWalkEquivalence(t *testing.T) {
 			if size == mem.Page2M && has4K[v>>mem.PageBits2M] {
 				continue
 			}
-			// Skip addresses already covered by either table (the address
-			// space owns dedup; both tables panic on overlap).
-			if _, ok := flat.Lookup(v); ok {
+			// Skip addresses already covered (the address space owns dedup;
+			// both tables panic on overlap).
+			if _, ok := pt.Lookup(v); ok {
 				continue
 			}
 			if size == mem.Page4K {
 				has4K[v>>mem.PageBits2M] = true
 			}
 			var frame mem.Addr
-			switch size {
-			case mem.Page1G:
-				frame = fa.Alloc1G()
-				ra.Alloc1G()
-			case mem.Page2M:
+			if size == mem.Page2M {
 				frame = fa.Alloc2M()
 				ra.Alloc2M()
-			default:
+			} else {
 				frame = fa.Alloc4K()
 				ra.Alloc4K()
 			}
-			flat.Map(v, PTE{Frame: frame, Size: size, Valid: true})
-			radix.Map(v, PTE{Frame: frame, Size: size, Valid: true})
+			pt.Map(v, PTE{Frame: frame, Size: size, Valid: true})
+			ref.Map(v, PTE{Frame: frame, Size: size, Valid: true})
 			mapped = append(mapped, v)
 		}
-		probe := func(v mem.Addr) {
-			fw, fok := flat.Walk(v)
-			rw, rok := radix.Walk(v)
-			if fok != rok || fw != rw {
-				t.Fatalf("seed %d: walk diverged at %#x:\nflat  %v %+v\nradix %v %+v", seed, v, fok, fw, rok, rw)
-			}
-			fp, fok2 := flat.Lookup(v)
-			rp, rok2 := radix.Lookup(v)
-			if fok2 != rok2 || fp != rp {
-				t.Fatalf("seed %d: lookup diverged at %#x: %v %+v vs %v %+v", seed, v, fok2, fp, rok2, rp)
-			}
-		}
 		for _, v := range mapped {
-			probe(v)
-			probe(v + mem.Addr(rng.Int63n(int64(mem.PageSize4K))))
+			checkWalk(t, pt, ref, v)
+			checkWalk(t, pt, ref, v+mem.Addr(rng.Int63n(int64(mem.PageSize4K))))
 		}
 		for i := 0; i < 500; i++ {
-			probe(mem.Addr(rng.Int63n(1 << 39))) // mostly unmapped
+			checkWalk(t, pt, ref, mem.Addr(rng.Int63n(1<<39))) // mostly unmapped
 		}
-		if flat.Pages() != radix.Pages() {
-			t.Fatalf("page counts diverged: %d vs %d", flat.Pages(), radix.Pages())
+		if pt.Pages() != ref.Pages() {
+			t.Fatalf("seed %d: page counts diverged: %d vs reference %d", seed, pt.Pages(), ref.Pages())
 		}
 	}
 }
 
-// mkTLBs builds one flat and one legacy TLB with the same geometry.
-func mkTLBs(t *testing.T, entries, ways int) (flat, legacy *TLB) {
+// checkWalk compares Walk and Lookup at v against the reference.
+func checkWalk(t *testing.T, pt *PageTable, ref *refPageTable, v mem.Addr) {
 	t.Helper()
-	saved := FlatVM
-	defer func() { FlatVM = saved }()
-	FlatVM = true
-	flat = NewTLB(entries, ways)
-	FlatVM = false
-	legacy = NewTLB(entries, ways)
-	return
+	w, ok := pt.Walk(v)
+	rw, rok := ref.Walk(v)
+	if ok != rok || w != rw {
+		t.Fatalf("walk diverged at %#x:\ntable     %v %+v\nreference %v %+v", v, ok, w, rok, rw)
+	}
+	p, pok := pt.Lookup(v)
+	if pok != rok || p != rw.PTE {
+		t.Fatalf("lookup diverged at %#x: %v %+v vs reference %v %+v", v, pok, p, rok, rw.PTE)
+	}
 }
 
-// TestPropTLBFlatLegacyEquivalence: a randomized lookup/insert/flush sequence
-// drives both layouts; every return value and every statistic must match.
-func TestPropTLBFlatLegacyEquivalence(t *testing.T) {
+// TestPropTLBMatchesReference: a randomized lookup/insert/flush sequence
+// drives the TLB and the reference model; every return value and every
+// statistic must match.
+func TestPropTLBMatchesReference(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{3, 17, 404} {
-		flat, legacy := mkTLBs(t, 64, 4)
-		rng := rand.New(rand.NewSource(seed))
-		sizes := []mem.PageSize{mem.Page4K, mem.Page4K, mem.Page2M, mem.Page1G}
-		for i := 0; i < 8000; i++ {
-			// A small vpn pool forces set conflicts, duplicate inserts and
-			// evictions — the interesting transitions.
-			v := mem.Addr(rng.Intn(96)) << mem.PageBits4K
-			switch rng.Intn(4) {
-			case 0, 1:
-				ft, fok := flat.Lookup(v)
-				lt, lok := legacy.Lookup(v)
-				if fok != lok || ft != lt {
-					t.Fatalf("seed %d op %d: lookup(%#x) diverged: %v %+v vs %v %+v", seed, i, v, fok, ft, lok, lt)
-				}
-			case 2:
-				size := sizes[rng.Intn(len(sizes))]
-				tr := Translation{PAddr: mem.PageBase(mem.Addr(rng.Intn(1<<20))<<mem.PageBits4K, size), Size: size}
-				flat.Insert(v, tr)
-				legacy.Insert(v, tr)
-			case 3:
-				if rng.Intn(50) == 0 {
-					flat.Flush()
-					legacy.Flush()
+		for _, geom := range [][2]int{{64, 4}, {48, 4}} { // masked and modulo set selection
+			tlb, ref := NewTLB(geom[0], geom[1]), newRefTLB(geom[0], geom[1])
+			rng := rand.New(rand.NewSource(seed))
+			sizes := []mem.PageSize{mem.Page4K, mem.Page4K, mem.Page2M, mem.Page1G}
+			for i := 0; i < 8000; i++ {
+				// A small vpn pool forces set conflicts, duplicate inserts and
+				// evictions — the interesting transitions.
+				v := mem.Addr(rng.Intn(96)) << mem.PageBits4K
+				switch rng.Intn(4) {
+				case 0, 1:
+					tr, ok := tlb.Lookup(v)
+					rt, rok := ref.Lookup(v)
+					if ok != rok || tr != rt {
+						t.Fatalf("seed %d %v op %d: lookup(%#x) diverged: %v %+v vs reference %v %+v",
+							seed, geom, i, v, ok, tr, rok, rt)
+					}
+				case 2:
+					size := sizes[rng.Intn(len(sizes))]
+					tr := Translation{PAddr: mem.PageBase(mem.Addr(rng.Intn(1<<20))<<mem.PageBits4K, size), Size: size}
+					tlb.Insert(v, tr)
+					ref.Insert(v, tr)
+				case 3:
+					if rng.Intn(50) == 0 {
+						tlb.Flush()
+						ref.Flush()
+					}
 				}
 			}
-		}
-		if flat.Hits != legacy.Hits || flat.Misses != legacy.Misses || flat.HitsBy != legacy.HitsBy {
-			t.Fatalf("seed %d: stats diverged: flat %d/%d/%v legacy %d/%d/%v",
-				seed, flat.Hits, flat.Misses, flat.HitsBy, legacy.Hits, legacy.Misses, legacy.HitsBy)
+			if tlb.Hits != ref.hits || tlb.Misses != ref.misses || tlb.HitsBy != ref.hitsBy {
+				t.Fatalf("seed %d %v: stats diverged: %d/%d/%v vs reference %d/%d/%v",
+					seed, geom, tlb.Hits, tlb.Misses, tlb.HitsBy, ref.hits, ref.misses, ref.hitsBy)
+			}
 		}
 	}
 }
@@ -214,9 +176,7 @@ func TestPropTLBFlatLegacyEquivalence(t *testing.T) {
 // well-defined), and an entry survives exactly ways-1 subsequent distinct
 // inserts into its set without a touch.
 func TestPropTLBDenseInvariants(t *testing.T) {
-	saved := FlatVM
-	defer func() { FlatVM = saved }()
-	FlatVM = true
+	t.Parallel()
 	tlb := NewTLB(32, 4)
 	rng := rand.New(rand.NewSource(8))
 	check := func() {
@@ -267,30 +227,32 @@ func TestPropTLBDenseInvariants(t *testing.T) {
 	}
 }
 
-// TestPropWalkCacheFlatLegacyEquivalence drives both walk-cache layouts with a
-// randomized contains/insert sequence.
-func TestPropWalkCacheFlatLegacyEquivalence(t *testing.T) {
-	saved := FlatVM
-	defer func() { FlatVM = saved }()
-	FlatVM = true
-	flat := NewWalkCache(8)
-	FlatVM = false
-	legacy := NewWalkCache(8)
-	rng := rand.New(rand.NewSource(77))
-	for i := 0; i < 5000; i++ {
-		level := rng.Intn(3)
-		key := mem.Addr(rng.Intn(40))
-		if rng.Intn(2) == 0 {
-			if f, l := flat.contains(level, key), legacy.contains(level, key); f != l {
-				t.Fatalf("op %d: contains(%d,%#x) diverged: %v vs %v", i, level, key, f, l)
+// TestPropWalkCacheMatchesReference drives the walk cache and the reference
+// model with randomized probes, inserting on a miss as the walker does, across
+// sizes including the zero-entry cache.
+func TestPropWalkCacheMatchesReference(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{0, 1, 8} {
+		wc, ref := NewWalkCache(n), newRefWalkCache(n)
+		rng := rand.New(rand.NewSource(77))
+		for i := 0; i < 5000; i++ {
+			level := rng.Intn(3)
+			key := mem.Addr(rng.Intn(40))
+			hit, rhit := wc.contains(level, key), ref.contains(level, key)
+			if hit != rhit {
+				t.Fatalf("n=%d op %d: contains(%d,%#x) = %v, reference %v", n, i, level, key, hit, rhit)
 			}
-		} else {
-			flat.insert(level, key)
-			legacy.insert(level, key)
+			if !hit && rng.Intn(4) != 0 {
+				wc.insert(level, key)
+				ref.insert(level, key)
+			}
 		}
-	}
-	if flat.Hits != legacy.Hits || flat.Lookups != legacy.Lookups {
-		t.Fatalf("stats diverged: %d/%d vs %d/%d", flat.Hits, flat.Lookups, legacy.Hits, legacy.Lookups)
+		if wc.Hits != ref.hits || wc.Lookups != ref.lookups {
+			t.Fatalf("n=%d: stats diverged: %d/%d vs reference %d/%d", n, wc.Hits, wc.Lookups, ref.hits, ref.lookups)
+		}
+		if n > 0 && wc.Hits == 0 {
+			t.Fatalf("n=%d: sequence never hit", n)
+		}
 	}
 }
 

@@ -428,6 +428,28 @@ func TestWalkCacheAccounting(t *testing.T) {
 	}
 }
 
+// TestWalkCacheZeroEntries: a zero-entry walk cache means "no walk cache" —
+// inserts are no-ops and every probe misses — so every walk fetches each of
+// its levels from memory.
+func TestWalkCacheZeroEntries(t *testing.T) {
+	w := NewWalkCache(0)
+	w.insert(0, 0x1)
+	if w.contains(0, 0x1) {
+		t.Error("zero-entry walk cache hit")
+	}
+
+	as := NewAddressSpace(newTestAllocator(), FractionTHP{Frac: 0})
+	cfg := DefaultMMUConfig()
+	cfg.WalkCacheEntries = 0
+	m := NewMMU(as, cfg, 0, nil)
+	for i := 0; i < 4; i++ {
+		m.Translate(0x7f0000000000+mem.Addr(i)<<mem.PageBits4K, 0)
+	}
+	if m.Walks != 4 || m.WalkRefs != 16 {
+		t.Errorf("walks/refs = %d/%d, want 4/16 (four levels per 4KB walk)", m.Walks, m.WalkRefs)
+	}
+}
+
 // TestAddressSpace2MBPromotionUnderFragmentation: a heavily fragmented
 // small-frame pool must not break 2MB promotion. The huge region is separate
 // by construction, so a region the policy promotes still gets an aligned,
