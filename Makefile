@@ -14,8 +14,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# vet also covers the nested perfbench module: the root ./... pattern stops
+# at its go.mod, yet it imports internal/service and would otherwise break
+# unseen when a service API changes.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # fuzz-seeds replays every checked-in fuzz seed corpus as plain tests (no
 # fuzzing engine) under the race detector, catching trace-format,

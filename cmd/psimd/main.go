@@ -12,7 +12,8 @@
 //
 // Cluster mode gangs several daemons into one logical service: each
 // simulation key has a single owning node on a consistent-hash ring, cache
-// entries flow between nodes on demand, and idle nodes steal queued work:
+// entries flow between nodes on demand, and a non-owner proxies cold
+// simulations to the owner (computing locally if the owner is down):
 //
 //	psimd -addr :8080 -cluster -node-id a -peers b=http://h2:8080,c=http://h3:8080
 //	pexp -fig 8 -server http://h1:8080,http://h2:8080,http://h3:8080
@@ -35,9 +36,9 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
-	"net/url"
 	"path/filepath"
 	"runtime"
 	"strings"

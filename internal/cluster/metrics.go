@@ -69,7 +69,6 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "psimd_cluster_peers{state=\"alive\"} %d\n", alive)
 	fmt.Fprintf(w, "psimd_cluster_peers{state=\"dead\"} %d\n", dead)
 	fmt.Fprintf(w, "# HELP psimd_cluster_ring_nodes Members on the routing ring (self included).\n# TYPE psimd_cluster_ring_nodes gauge\npsimd_cluster_ring_nodes %d\n", n.mem.Ring().Len())
-	fmt.Fprintf(w, "# HELP psimd_cluster_stealable Simulations currently exposed to thieves.\n# TYPE psimd_cluster_stealable gauge\npsimd_cluster_stealable %d\n", n.pending.Len())
 
 	st := n.Stats()
 	counter := func(name, help string, v uint64) {
@@ -79,9 +78,6 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	counter("psimd_cluster_proxied_total", "Simulations executed remotely on their owning node.", st.ProxiedSims)
 	counter("psimd_cluster_failovers_total", "Remote attempts abandoned for local execution.", st.Failovers)
 	counter("psimd_cluster_entries_served_total", "Cache entries served to peers.", st.EntriesServed)
-	fmt.Fprintf(w, "# HELP psimd_cluster_steals_total Work items moved by stealing, by this node's role.\n# TYPE psimd_cluster_steals_total counter\n")
-	fmt.Fprintf(w, "psimd_cluster_steals_total{role=\"thief\"} %d\n", st.StolenByUs)
-	fmt.Fprintf(w, "psimd_cluster_steals_total{role=\"victim\"} %d\n", st.StolenFromUs)
 
 	n.proxyLatency.Write(w, "psimd_cluster_proxy_latency_seconds",
 		"Round-trip seconds of remote cache fetches and proxied simulations.")

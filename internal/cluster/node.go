@@ -28,12 +28,6 @@ type Options struct {
 	// FailThreshold is how many consecutive missed heartbeats rule a peer
 	// dead (default 3). Proxy failures kill immediately regardless.
 	FailThreshold int
-	// StealInterval between idle-node steal rounds (default 500ms; < 0
-	// disables the background loop — tests drive StealOnce directly).
-	StealInterval time.Duration
-	// StealTimeout bounds how long a victim waits for a thief's result
-	// before reclaiming the work and computing locally (default 60s).
-	StealTimeout time.Duration
 	// Transport defaults to a fresh Transport over http.DefaultClient.
 	Transport *Transport
 	// Flight, when non-nil, records spans for the cluster protocol's server
@@ -52,54 +46,35 @@ func (o Options) withDefaults() Options {
 	if o.FailThreshold <= 0 {
 		o.FailThreshold = 3
 	}
-	if o.StealInterval == 0 {
-		o.StealInterval = 500 * time.Millisecond
-	}
-	if o.StealTimeout <= 0 {
-		o.StealTimeout = 60 * time.Second
-	}
 	if o.Transport == nil {
 		o.Transport = &Transport{}
 	}
 	return o
 }
 
-// Hooks is how the owning subsystem (psimd's service layer) plugs storage
-// and execution into the cluster protocol. All hooks must be safe for
-// concurrent use; any may be nil, which disables the behavior it backs.
+// Hooks is how the owning subsystem (psimd's service layer) plugs its store
+// and lifecycle into the cluster protocol. Both hooks must be safe for
+// concurrent use; either may be nil, which disables the behavior it backs.
 type Hooks struct {
 	// FetchLocal returns the locally stored serialized entry for key, if
 	// present. Backs GET /v1/cache/{key}.
 	FetchLocal func(key string) ([]byte, bool)
-	// StoreEntry persists a serialized entry delivered by a peer (PUT
-	// /v1/cache/{key}, checksum already verified) and wakes any local
-	// waiter on that key. Backs cross-node cache fill and steal delivery.
-	StoreEntry func(key string, body []byte) error
-	// Execute runs one stolen work item locally and returns its serialized
-	// result. Backs the thief side of StealOnce.
-	Execute func(ctx context.Context, item StealItem) ([]byte, error)
-	// IdleSlots reports how many local execution slots are currently free;
-	// the steal loop only asks peers for work when it is positive.
-	IdleSlots func() int
 	// Draining reports whether the owning server has stopped accepting
-	// work; a draining node neither steals nor serves steal requests.
+	// work; heartbeats carry it so peers route around a draining node.
 	Draining func() bool
 }
 
-// Node is one member's cluster runtime: membership + routing + the steal
-// and heartbeat loops + the protocol's server side.
+// Node is one member's cluster runtime: membership + routing + the
+// heartbeat loop + the protocol's server side.
 type Node struct {
-	opts    Options
-	mem     *Membership
-	tr      *Transport
-	pending *PendingTable
+	opts Options
+	mem  *Membership
+	tr   *Transport
 
 	// Cluster traffic counters (see StatsView / WriteMetrics).
 	remoteHits    atomic.Uint64 // results obtained from a peer (fetch or proxy hit)
 	proxiedSims   atomic.Uint64 // sims executed remotely on their owner
 	failovers     atomic.Uint64 // remote attempts abandoned for local execution
-	stolenByUs    atomic.Uint64 // items this node stole and completed
-	stolenFromUs  atomic.Uint64 // items peers claimed from this node
 	entriesServed atomic.Uint64 // cache entries served to peers
 	proxyLatency  Histogram     // seconds per remote fetch/exec round-trip
 
@@ -112,8 +87,7 @@ type Node struct {
 }
 
 // NewNode builds a node from options and hooks; call Start to launch the
-// heartbeat and steal loops (tests may instead drive HeartbeatOnce and
-// StealOnce manually).
+// heartbeat loop (tests may instead drive HeartbeatOnce manually).
 func NewNode(opts Options, hooks Hooks) *Node {
 	opts = opts.withDefaults()
 	ctx, stop := context.WithCancel(context.Background())
@@ -121,7 +95,6 @@ func NewNode(opts Options, hooks Hooks) *Node {
 		opts:         opts,
 		mem:          NewMembership(opts.Self, opts.Seeds, opts.VirtualNodes),
 		tr:           opts.Transport,
-		pending:      NewPendingTable(),
 		proxyLatency: NewLatencyHistogram(),
 		loopCtx:      ctx,
 		loopStop:     stop,
@@ -134,13 +107,6 @@ func (n *Node) Self() NodeInfo { return n.mem.Self() }
 
 // Membership exposes the peer table (for state endpoints and tests).
 func (n *Node) Membership() *Membership { return n.mem }
-
-// Pending exposes the stealable-work table the service registers into.
-func (n *Node) Pending() *PendingTable { return n.pending }
-
-// StealTimeout is how long a victim should wait on a claimed key before
-// falling back to local execution.
-func (n *Node) StealTimeout() time.Duration { return n.opts.StealTimeout }
 
 // Owner resolves the key's owning member. self reports whether that is this
 // node (also true for an empty ring, so callers degrade to local execution).
@@ -173,7 +139,7 @@ func (n *Node) CountRemoteHit() { n.remoteHits.Add(1) }
 func (n *Node) CountProxied()   { n.proxiedSims.Add(1) }
 func (n *Node) CountFailover()  { n.failovers.Add(1) }
 
-// Start launches the heartbeat and steal loops.
+// Start launches the heartbeat loop.
 func (n *Node) Start() {
 	if !n.started.CompareAndSwap(false, true) {
 		return
@@ -182,13 +148,9 @@ func (n *Node) Start() {
 		n.wg.Add(1)
 		go n.loop(n.opts.HeartbeatInterval, n.HeartbeatOnce)
 	}
-	if n.opts.StealInterval > 0 && n.hooks.Execute != nil {
-		n.wg.Add(1)
-		go n.loop(n.opts.StealInterval, func(ctx context.Context) { n.StealOnce(ctx) })
-	}
 }
 
-// Close stops the background loops (in-flight exchanges are canceled).
+// Close stops the heartbeat loop (an in-flight exchange is canceled).
 func (n *Node) Close() {
 	n.loopStop()
 	n.wg.Wait()
@@ -244,65 +206,13 @@ func (n *Node) draining() bool {
 	return n.hooks.Draining != nil && n.hooks.Draining()
 }
 
-// StealOnce runs one thief round: if this node has idle execution slots, it
-// asks alive peers (in ID order) for queued work, executes what it gets,
-// and delivers the results back to the victims. It returns how many items
-// it completed.
-func (n *Node) StealOnce(ctx context.Context) int {
-	if n.hooks.Execute == nil || n.draining() {
-		return 0
-	}
-	idle := 1
-	if n.hooks.IdleSlots != nil {
-		idle = n.hooks.IdleSlots()
-	}
-	if idle <= 0 {
-		return 0
-	}
-	completed := 0
-	for _, p := range n.mem.AlivePeers() {
-		if idle <= 0 {
-			break
-		}
-		resp, err := n.tr.Steal(ctx, p.URL, StealRequest{Thief: n.mem.Self(), Max: idle})
-		if err != nil {
-			n.mem.MarkFailure(p.ID, n.opts.FailThreshold)
-			continue
-		}
-		var wg sync.WaitGroup
-		var done atomic.Uint64
-		for _, item := range resp.Items {
-			idle--
-			wg.Add(1)
-			go func(item StealItem) {
-				defer wg.Done()
-				body, err := n.hooks.Execute(ctx, item)
-				if err != nil {
-					return // the victim's steal timeout reclaims the key
-				}
-				if err := n.tr.DeliverEntry(ctx, p.URL, item.Key, body); err != nil {
-					return
-				}
-				done.Add(1)
-			}(item)
-		}
-		wg.Wait()
-		n.stolenByUs.Add(done.Load())
-		completed += int(done.Load())
-	}
-	return completed
-}
-
-// Handler serves the cluster protocol: heartbeat, steal, state, and the
-// cache entry transfer endpoints. The owning server mounts it alongside its
-// own API.
+// Handler serves the cluster protocol: heartbeat, state, and the cache
+// entry fetch endpoint. The owning server mounts it alongside its own API.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathHeartbeat, n.handleHeartbeat)
-	mux.HandleFunc("POST "+PathSteal, n.handleSteal)
 	mux.HandleFunc("GET "+PathState, n.handleState)
 	mux.HandleFunc("GET "+PathCache+"{key}", n.handleCacheGet)
-	mux.HandleFunc("PUT "+PathCache+"{key}", n.handleCachePut)
 	return mux
 }
 
@@ -325,38 +235,24 @@ func (n *Node) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (n *Node) handleSteal(w http.ResponseWriter, r *http.Request) {
-	var req StealRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad steal request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	// A draining victim still hands work away — that is exactly how its
-	// backlog drains fastest; only thieving stops while draining.
-	items := n.pending.Claim(req.Max)
-	n.stolenFromUs.Add(uint64(len(items)))
-	writeJSON(w, StealResponse{Items: items})
-}
-
 func (n *Node) handleState(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, StateView{
 		Self:      n.mem.Self(),
 		Draining:  n.draining(),
 		RingNodes: n.mem.Ring().Members(),
 		Peers:     n.mem.Peers(),
-		Stats: StatsView{
-			RemoteHits:    n.remoteHits.Load(),
-			ProxiedSims:   n.proxiedSims.Load(),
-			Failovers:     n.failovers.Load(),
-			StolenByUs:    n.stolenByUs.Load(),
-			StolenFromUs:  n.stolenFromUs.Load(),
-			EntriesServed: n.entriesServed.Load(),
-		},
+		Stats:     n.Stats(),
 	})
 }
 
 func (n *Node) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
+	// PathValue unescapes %2F, so a key like "..%2F..%2Fetc" would name a
+	// file outside the store. Such a key can name no entry: a clean 404.
+	if !hexKey(key) {
+		http.Error(w, "not cached", http.StatusNotFound)
+		return
+	}
 	// Only traced fetches record a span: an orphan-free tree needs the
 	// requester's traceparent, and untraced peers should stay free.
 	if sc, ok := dtrace.Extract(r.Header); ok {
@@ -380,28 +276,6 @@ func (n *Node) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-func (n *Node) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if n.hooks.StoreEntry == nil {
-		http.Error(w, "no local store", http.StatusNotImplemented)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-	if err != nil {
-		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if want := r.Header.Get(ChecksumHeader); want != "" && want != Checksum(body) {
-		http.Error(w, "checksum mismatch", http.StatusBadRequest)
-		return
-	}
-	if err := n.hooks.StoreEntry(key, body); err != nil {
-		http.Error(w, "store: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
@@ -414,8 +288,6 @@ func (n *Node) Stats() StatsView {
 		RemoteHits:    n.remoteHits.Load(),
 		ProxiedSims:   n.proxiedSims.Load(),
 		Failovers:     n.failovers.Load(),
-		StolenByUs:    n.stolenByUs.Load(),
-		StolenFromUs:  n.stolenFromUs.Load(),
 		EntriesServed: n.entriesServed.Load(),
 	}
 }
@@ -427,6 +299,20 @@ func (n *Node) FetchRemote(ctx context.Context, base, key string) ([]byte, bool,
 	body, ok, err := n.tr.FetchEntry(ctx, base, key)
 	n.ObserveRemote(time.Since(start))
 	return body, ok, err
+}
+
+// hexKey reports whether key is non-empty lowercase hex, the alphabet of
+// the content-addressed (SHA-256) keys the cache stores entries under.
+func hexKey(key string) bool {
+	if key == "" {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // shortKey truncates a content-addressed key to a span-annotation-sized

@@ -1,15 +1,14 @@
 // Package cluster turns N psimd nodes into one logical simulation service.
 // It provides the pieces the service layer composes: a consistent-hash ring
 // that assigns every content-addressed simulation key an owner node, a
-// gossip-light membership table driven by peer heartbeats, an HTTP transport
-// for the cluster protocol (heartbeats, checksum-verified cache entry
-// transfer, work stealing), and a pending-work table that lets idle peers
-// steal queued simulations from overloaded ones.
+// gossip-light membership table driven by peer heartbeats, and an HTTP
+// transport for the cluster protocol (heartbeats and checksum-verified cache
+// entry fetches).
 //
-// The package deliberately knows nothing about simulations: work items and
-// results travel as opaque JSON payloads, and the owning process wires
-// storage and execution in through Hooks. That keeps the protocol reusable
-// and the dependency arrow pointing one way (service → cluster, never back).
+// The package deliberately knows nothing about simulations: cache entries
+// travel as opaque bytes, and the owning process wires its store in through
+// Hooks. That keeps the protocol reusable and the dependency arrow pointing
+// one way (service → cluster, never back).
 package cluster
 
 import (

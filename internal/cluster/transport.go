@@ -15,10 +15,9 @@ import (
 )
 
 // Cluster protocol paths. The cache path is public-ish (any node may fetch
-// or fill an entry); the /v1/cluster/* paths are the control plane.
+// an entry); the /v1/cluster/* paths are the control plane.
 const (
 	PathHeartbeat = "/v1/cluster/heartbeat"
-	PathSteal     = "/v1/cluster/steal"
 	PathState     = "/v1/cluster/state"
 	PathCache     = "/v1/cache/" // + {key}
 )
@@ -51,27 +50,6 @@ type HeartbeatResponse struct {
 	Peers    []PeerState `json:"peers,omitempty"`
 }
 
-// StealRequest asks a peer to hand over up to Max queued work items.
-type StealRequest struct {
-	Thief NodeInfo `json:"thief"`
-	Max   int      `json:"max"`
-}
-
-// StealItem is one unit of transferable work: the content-addressed key and
-// an opaque payload the owning subsystem knows how to execute. Traceparent
-// (optional) is the victim-side trace position, so the thief's execution
-// spans attach to the same distributed trace.
-type StealItem struct {
-	Key         string          `json:"key"`
-	Payload     json.RawMessage `json:"payload"`
-	Traceparent string          `json:"traceparent,omitempty"`
-}
-
-// StealResponse hands over the claimed items (possibly none).
-type StealResponse struct {
-	Items []StealItem `json:"items,omitempty"`
-}
-
 // StateView is the diagnostic snapshot served at /v1/cluster/state.
 type StateView struct {
 	Self      NodeInfo    `json:"self"`
@@ -86,8 +64,6 @@ type StatsView struct {
 	RemoteHits    uint64 `json:"remote_hits"`
 	ProxiedSims   uint64 `json:"proxied_sims"`
 	Failovers     uint64 `json:"failovers"`
-	StolenByUs    uint64 `json:"stolen_by_us"`
-	StolenFromUs  uint64 `json:"stolen_from_us"`
 	EntriesServed uint64 `json:"entries_served"`
 }
 
@@ -139,13 +115,6 @@ func (t *Transport) Heartbeat(ctx context.Context, base string, req HeartbeatReq
 	return resp, err
 }
 
-// Steal asks the node at base for up to req.Max work items.
-func (t *Transport) Steal(ctx context.Context, base string, req StealRequest) (StealResponse, error) {
-	var resp StealResponse
-	err := t.postJSON(ctx, strings.TrimRight(base, "/")+PathSteal, req, &resp)
-	return resp, err
-}
-
 // FetchEntry retrieves the cache entry for key from the node at base,
 // verifying the body against the peer's checksum. ok is false on a clean
 // 404 (the peer simply does not have it); any other failure — including a
@@ -176,26 +145,4 @@ func (t *Transport) FetchEntry(ctx context.Context, base, key string) (body []by
 		return nil, false, fmt.Errorf("cluster: fetch %s from %s: checksum mismatch (truncated or corrupted transfer)", key, base)
 	}
 	return body, true, nil
-}
-
-// DeliverEntry PUTs a computed entry to the node at base (cross-node cache
-// fill / steal result delivery), with the checksum the receiver verifies.
-func (t *Transport) DeliverEntry(ctx context.Context, base, key string, body []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, strings.TrimRight(base, "/")+PathCache+key, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ChecksumHeader, Checksum(body))
-	dtrace.Inject(ctx, req.Header)
-	resp, err := t.client().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("cluster: deliver %s to %s: HTTP %d: %s", key, base, resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
-	return nil
 }

@@ -71,10 +71,10 @@ func TestTreeOfConnectivity(t *testing.T) {
 func TestChromeExportIsLoadable(t *testing.T) {
 	a, b, trace := twoNodeTrace(t)
 	// A failed span exercises the error arg.
-	bad := a.StartSpan(SpanContext{Trace: trace, Span: NewSpanID(), Flags: 1}, "steal.wait")
+	bad := a.StartSpan(SpanContext{Trace: trace, Span: NewSpanID(), Flags: 1}, "proxy.exec")
 	bad.SetStart(time.Now().Add(-time.Millisecond))
 	bad.Annotate("timeout")
-	bad.Fail(errors.New("steal window expired"))
+	bad.Fail(errors.New("owner unreachable"))
 	bad.End()
 
 	spans := Stitch(a.Snapshot(Filter{}), b.Snapshot(Filter{}))

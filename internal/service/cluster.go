@@ -22,9 +22,9 @@ import (
 // request by checking its own store, then fetching the owner's cached entry
 // (checksum-verified), then asking the owner to compute (proxy) — and if the
 // owner is unreachable it fails over to computing locally, so a dead node
-// degrades throughput, never availability. Idle nodes steal queued work from
-// overloaded peers through the cluster.PendingTable the local execution path
-// registers into while waiting for a simulation slot.
+// degrades throughput, never availability. Every route that computes here —
+// owned keys, failover, and the owner side of a proxy — ends in execUnit,
+// the same path a single-node daemon takes.
 
 // simOutcome says how one simulation of a job was satisfied; it drives the
 // job's hit/executed counters and the daemon's metrics.
@@ -37,8 +37,8 @@ const (
 	simHitLocal
 	// simHitRemote was served by a peer's cache with no new simulation.
 	simHitRemote
-	// simExecutedRemote was computed by a peer (proxied to the owner or
-	// stolen by an idle node) on this job's behalf.
+	// simExecutedRemote was computed by the key's owner, proxied on this
+	// job's behalf.
 	simExecutedRemote
 )
 
@@ -59,19 +59,12 @@ func (o simOutcome) String() string {
 	}
 }
 
-// clusterSimPayload is everything a peer needs to execute one simulation —
-// the opaque work-item payload of the steal protocol and the body of the
-// proxy endpoint.
-type clusterSimPayload struct {
-	Config sim.Config `json:"config"`
-	Spec   SimSpec    `json:"spec"`
-	Opt    sim.RunOpt `json:"opt"`
-}
-
 // clusterSimRequest is the body of POST /v1/cluster/sim: a non-owner asking
 // the owner to compute (or recall) one simulation.
 type clusterSimRequest struct {
-	clusterSimPayload
+	Config sim.Config `json:"config"`
+	Spec   SimSpec    `json:"spec"`
+	Opt    sim.RunOpt `json:"opt"`
 	// TimeoutMS carries the requester's remaining deadline; 0 means none.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
@@ -83,72 +76,14 @@ type clusterSimResponse struct {
 	Hit    bool       `json:"hit"`
 }
 
-// payloadOf serializes a unit for the cluster wire.
-func payloadOf(cfg sim.Config, u unit, opt sim.RunOpt) clusterSimPayload {
-	return clusterSimPayload{
-		Config: cfg,
-		Spec: SimSpec{
-			Workload: u.w.Name,
-			Base:     u.spec.Base,
-			Variant:  u.spec.Variant.String(),
-			L1:       string(u.spec.L1),
-		},
-		Opt: opt,
-	}
-}
-
-// newClusterNode wires a cluster node to this server's store and execution
-// pool. Cluster mode requires a store: the ring routes over cache keys, and
+// newClusterNode wires a cluster node to this server's store and drain
+// state. Cluster mode requires a store: the ring routes over cache keys, and
 // cross-node fill needs somewhere to land.
 func (s *Server) newClusterNode(opts cluster.Options) *cluster.Node {
-	var n *cluster.Node
-	n = cluster.NewNode(opts, cluster.Hooks{
-		FetchLocal: func(key string) ([]byte, bool) {
-			return s.cfg.Store.GetRaw(key)
-		},
-		StoreEntry: func(key string, body []byte) error {
-			var res sim.Result
-			if err := json.Unmarshal(body, &res); err != nil {
-				return err
-			}
-			if err := s.cfg.Store.Put(key, res); err != nil {
-				return err
-			}
-			// Wake any local waiter whose work a thief just completed.
-			n.Pending().Deliver(key, body)
-			return nil
-		},
-		Execute: func(ctx context.Context, item cluster.StealItem) ([]byte, error) {
-			var pl clusterSimPayload
-			if err := json.Unmarshal(item.Payload, &pl); err != nil {
-				return nil, err
-			}
-			u, err := resolve(pl.Spec)
-			if err != nil {
-				return nil, err
-			}
-			// A traced victim hands its trace position along with the work:
-			// the thief's execution spans join the same distributed trace.
-			if psc, perr := dtrace.ParseTraceparent(item.Traceparent); perr == nil {
-				sp := s.cfg.Flight.StartSpan(psc, "steal.exec")
-				sp.Annotate(pl.Spec.Workload)
-				ctx = dtrace.NewContext(ctx, s.cfg.Flight, sp.Context())
-				defer func() {
-					sp.Fail(err)
-					sp.End()
-				}()
-			}
-			var res sim.Result
-			res, _, err = s.execUnit(ctx, pl.Config, u, pl.Opt)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(res)
-		},
-		IdleSlots: func() int { return cap(s.simSem) - len(s.simSem) },
-		Draining:  s.Draining,
+	return cluster.NewNode(opts, cluster.Hooks{
+		FetchLocal: s.cfg.Store.GetRaw,
+		Draining:   s.Draining,
 	})
-	return n
 }
 
 // Cluster returns the server's cluster node (nil when not clustered).
@@ -159,41 +94,36 @@ func (s *Server) Cluster() *cluster.Node { return s.cluster }
 // then proxied execution), then local execution as the failover of last
 // resort. Single-node servers go straight to local execution.
 func (s *Server) simulate(ctx context.Context, cfg sim.Config, u unit, opt sim.RunOpt) (sim.Result, simOutcome, error) {
-	if s.cluster == nil || s.cfg.Store == nil {
-		res, hit, err := s.execUnit(ctx, cfg, u, opt)
-		return res, localOutcome(hit), err
-	}
-	key := simcache.Key(cfg, u.spec, u.w, opt)
-	// The local island first: it may hold the entry from an earlier fill.
-	if res, ok := s.cfg.Store.GetCounted(key); ok {
-		s.m.cacheHits.Add(1)
-		if _, sp := dtrace.Start(ctx, "cache.lookup"); sp != nil {
-			sp.Annotate("hit " + shortKey(key))
-			sp.End()
+	if s.cluster != nil {
+		key := simcache.Key(cfg, u.spec, u.w, opt)
+		// The local island first: it may hold the entry from an earlier fill.
+		if res, ok := s.cfg.Store.GetCounted(key); ok {
+			s.m.cacheHits.Add(1)
+			if _, sp := dtrace.Start(ctx, "cache.lookup"); sp != nil {
+				sp.Annotate("hit " + shortKey(key))
+				sp.End()
+			}
+			return res, simHitLocal, nil
 		}
-		return res, simHitLocal, nil
-	}
-	if owner, self := s.cluster.Owner(key); !self {
-		if res, outcome, err, handled := s.remoteSimulate(ctx, owner, key, cfg, u, opt); handled {
-			return res, outcome, err
-		}
-		// The owner is unreachable: this node computes — availability over
-		// strict ownership. The heartbeat loop re-forms the ring around the
-		// failure for subsequent keys.
-		s.cluster.CountFailover()
-		if _, sp := dtrace.Start(ctx, "failover"); sp != nil {
-			sp.Annotate(owner.ID)
-			sp.End()
+		if owner, self := s.cluster.Owner(key); !self {
+			if res, outcome, err, handled := s.remoteSimulate(ctx, owner, key, cfg, u, opt); handled {
+				return res, outcome, err
+			}
+			// The owner is unreachable: this node computes — availability
+			// over strict ownership. The heartbeat loop re-forms the ring
+			// around the failure for subsequent keys.
+			s.cluster.CountFailover()
+			if _, sp := dtrace.Start(ctx, "failover"); sp != nil {
+				sp.Annotate(owner.ID)
+				sp.End()
+			}
 		}
 	}
-	return s.stealableSimulate(ctx, key, cfg, u, opt)
-}
-
-func localOutcome(hit bool) simOutcome {
+	res, hit, err := s.execUnit(ctx, cfg, u, opt)
 	if hit {
-		return simHitLocal
+		return res, simHitLocal, err
 	}
-	return simExecutedLocal
+	return res, simExecutedLocal, err
 }
 
 // remoteSimulate asks the owner for key: first a checksum-verified fetch of
@@ -233,7 +163,16 @@ func (s *Server) remoteSimulate(ctx context.Context, owner cluster.NodeInfo, key
 		return sim.Result{}, 0, nil, false
 	}
 
-	req := clusterSimRequest{clusterSimPayload: payloadOf(cfg, u, opt)}
+	req := clusterSimRequest{
+		Config: cfg,
+		Spec: SimSpec{
+			Workload: u.w.Name,
+			Base:     u.spec.Base,
+			Variant:  u.spec.Variant.String(),
+			L1:       string(u.spec.L1),
+		},
+		Opt: opt,
+	}
 	if d, dok := ctx.Deadline(); dok {
 		if ms := time.Until(d).Milliseconds(); ms > 0 {
 			req.TimeoutMS = ms
@@ -291,79 +230,6 @@ func (s *Server) proxyExec(ctx context.Context, base string, req clusterSimReque
 		return clusterSimResponse{}, err
 	}
 	return out, nil
-}
-
-// stealableSimulate executes key locally, exposing it to idle peers while
-// it waits for a simulation slot. Whichever comes first wins: a free local
-// slot (the work is withdrawn from the steal table and runs here) or a
-// thief's delivered result (served as a remote execution). A thief that
-// claims the key and then dies is covered by the steal timeout, after which
-// this node computes after all.
-func (s *Server) stealableSimulate(ctx context.Context, key string, cfg sim.Config, u unit, opt sim.RunOpt) (sim.Result, simOutcome, error) {
-	payload, err := json.Marshal(payloadOf(cfg, u, opt))
-	if err != nil {
-		res, hit, err := s.execUnit(ctx, cfg, u, opt)
-		return res, localOutcome(hit), err
-	}
-	// A traced waiter registers its trace position with the work item, so a
-	// thief's steal.exec span lands in the same trace.
-	var tp string
-	if sc := dtrace.SpanContextFrom(ctx); sc.Valid() {
-		tp = sc.Traceparent()
-	}
-	p := s.cluster.Pending().Register(key, payload, tp)
-	select {
-	case s.simSem <- struct{}{}:
-		if p.Withdraw() {
-			defer func() { <-s.simSem }()
-			res, hit, err := s.execHeld(ctx, cfg, u, opt)
-			return res, localOutcome(hit), err
-		}
-		// A thief claimed the key between registration and our slot: give
-		// the slot back and wait for the delivery instead of duplicating
-		// the simulation.
-		<-s.simSem
-		return s.awaitStolen(ctx, key, cfg, u, opt, p)
-	case <-p.Done():
-		return s.stolenResult(ctx, key, cfg, u, opt, p.Result())
-	case <-ctx.Done():
-		p.Abandon()
-		return sim.Result{}, simExecutedLocal, ctx.Err()
-	}
-}
-
-// awaitStolen waits out a claimed key, falling back to local execution if
-// the thief never delivers.
-func (s *Server) awaitStolen(ctx context.Context, key string, cfg sim.Config, u unit, opt sim.RunOpt, p *cluster.Pending) (sim.Result, simOutcome, error) {
-	_, waitSpan := dtrace.Start(ctx, "steal.wait")
-	waitSpan.Annotate(shortKey(key))
-	body, ok := p.Wait(ctx, s.cluster.StealTimeout())
-	if waitSpan != nil {
-		if !ok {
-			waitSpan.Annotate(shortKey(key) + " timeout")
-		}
-		waitSpan.End()
-	}
-	if ok {
-		return s.stolenResult(ctx, key, cfg, u, opt, body)
-	}
-	if err := ctx.Err(); err != nil {
-		return sim.Result{}, simExecutedLocal, err
-	}
-	res, hit, err := s.execUnit(ctx, cfg, u, opt)
-	return res, localOutcome(hit), err
-}
-
-// stolenResult decodes a thief's delivery; an undecodable body degrades to
-// local execution (whose store lookup will usually find the entry the
-// delivery hook already persisted).
-func (s *Server) stolenResult(ctx context.Context, key string, cfg sim.Config, u unit, opt sim.RunOpt, body []byte) (sim.Result, simOutcome, error) {
-	var res sim.Result
-	if body != nil && json.Unmarshal(body, &res) == nil {
-		return res, simExecutedRemote, nil
-	}
-	r, hit, err := s.execUnit(ctx, cfg, u, opt)
-	return r, localOutcome(hit), err
 }
 
 // handleClusterSim serves POST /v1/cluster/sim: the owner side of proxied

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -30,8 +32,8 @@ type clusterNode struct {
 
 // startCluster builds an n-node cluster. Peer URLs must exist before the
 // servers are configured, so each listener starts with a late-bound handler
-// that is pointed at its Server once constructed. Background heartbeat/steal
-// loops are disabled — tests drive protocol rounds explicitly — and seeds
+// that is pointed at its Server once constructed. The background heartbeat
+// loop is disabled — tests drive protocol rounds explicitly — and seeds
 // start alive, so routing is deterministic from the first request.
 func startCluster(t *testing.T, n int, fn simFunc, tweak func(i int, cfg *Config)) []*clusterNode {
 	t.Helper()
@@ -63,8 +65,6 @@ func startCluster(t *testing.T, n int, fn simFunc, tweak func(i int, cfg *Config
 				Self:              infos[i],
 				Seeds:             infos,
 				HeartbeatInterval: -1,
-				StealInterval:     -1,
-				StealTimeout:      30 * time.Second,
 			},
 		}
 		if tweak != nil {
@@ -270,83 +270,33 @@ func victimOwnedRequest(t *testing.T, nodes []*clusterNode, victim int, fromSeed
 	return SimRequest{}
 }
 
-// TestClusterStealDelivery: a queued simulation waiting for a local slot is
-// claimed by an idle peer's steal round, executed there, and the delivered
-// result completes the job on the victim with no local execution.
-func TestClusterStealDelivery(t *testing.T) {
-	nodes := startCluster(t, 2, nil, func(i int, cfg *Config) {
-		cfg.SimParallelism = 1
-	})
-	victim, thief := nodes[0], nodes[1]
-	// The victim's only slot wedges on a gated sim; the thief is fast.
-	gate := make(chan struct{})
-	victim.srv.simFn = func(ctx context.Context, c sim.Config, spec sim.PrefSpec, w trace.Workload, opt sim.RunOpt) (sim.Result, error) {
-		victim.execs.Add(1)
-		select {
-		case <-gate:
-			return telemetryFixture(), nil
-		case <-ctx.Done():
-			return sim.Result{}, ctx.Err()
+// TestClusterCacheGetRejectsTraversal: the peer-facing cache endpoint only
+// answers keys from the cache's hex alphabet. A path-escaping key must not
+// reach the store, which would serve any JSON object the daemon can read
+// and delete any non-JSON file as a "corrupt entry".
+func TestClusterCacheGetRejectsTraversal(t *testing.T) {
+	nodes := startCluster(t, 1, nil, nil)
+	// GET /v1/cache/..%2Fvictim unescapes to key "../victim", which the
+	// store maps to victim.json in its directory's parent.
+	victim := filepath.Join(filepath.Dir(nodes[0].store.Dir()), "victim.json")
+	for _, planted := range []string{"not json at all", `{"secret":"s3cr3t"}`} {
+		if err := os.WriteFile(victim, []byte(planted), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	thief.srv.simFn = func(ctx context.Context, c sim.Config, spec sim.PrefSpec, w trace.Workload, opt sim.RunOpt) (sim.Result, error) {
-		thief.execs.Add(1)
-		return telemetryFixture(), nil
-	}
-
-	// Both keys must be owned by the victim, or the second would proxy to
-	// the thief instead of queueing locally as stealable work.
-	reqA := victimOwnedRequest(t, nodes, 0, 1)
-	reqB := victimOwnedRequest(t, nodes, 0, reqA.Opt.Seed+1)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	vA, err := victim.c.Submit(ctx, reqA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vB, err := victim.c.Submit(ctx, reqB)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Wait until B is actually exposed to thieves (A holds the slot).
-	deadline := time.Now().Add(10 * time.Second)
-	for victim.srv.Cluster().Pending().Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no stealable work materialized")
+		resp, err := http.Get(nodes[0].hs.URL + cluster.PathCache + "..%2Fvictim")
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := thief.srv.Cluster().StealOnce(ctx); got < 1 {
-		t.Fatalf("StealOnce = %d, want >= 1", got)
-	}
-
-	// The stolen job completes although the victim's only slot is still
-	// wedged — the thief computed and delivered it.
-	doneB, err := victim.c.Follow(ctx, vB.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doneB.Status != StatusDone {
-		t.Fatalf("stolen job = %s (%s)", doneB.Status, doneB.Error)
-	}
-	if got := thief.execs.Load(); got != 1 {
-		t.Errorf("thief executed %d sims, want 1", got)
-	}
-	if got := thief.srv.Cluster().Stats().StolenByUs; got != 1 {
-		t.Errorf("thief StolenByUs = %d, want 1", got)
-	}
-	if got := victim.srv.Cluster().Stats().StolenFromUs; got != 1 {
-		t.Errorf("victim StolenFromUs = %d, want 1", got)
-	}
-
-	// Release the wedged sim; job A finishes locally.
-	close(gate)
-	doneA, err := victim.c.Follow(ctx, vA.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doneA.Status != StatusDone {
-		t.Fatalf("wedged job = %s (%s)", doneA.Status, doneA.Error)
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("traversal GET with %q planted: HTTP %d, want 404", planted, resp.StatusCode)
+		}
+		if strings.Contains(string(body), planted) {
+			t.Errorf("traversal GET leaked the planted file: %q", body)
+		}
+		if got, err := os.ReadFile(victim); err != nil || string(got) != planted {
+			t.Errorf("planted file after traversal GET = %q, %v; want it untouched", got, err)
+		}
 	}
 }

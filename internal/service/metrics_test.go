@@ -223,10 +223,10 @@ func TestMetricsExpositionClustered(t *testing.T) {
 	families, seen := validateExposition(t, body)
 
 	clusterFamilies := []string{
-		"psimd_cluster_peers", "psimd_cluster_ring_nodes", "psimd_cluster_stealable",
+		"psimd_cluster_peers", "psimd_cluster_ring_nodes",
 		"psimd_cluster_remote_hits_total", "psimd_cluster_proxied_total",
 		"psimd_cluster_failovers_total", "psimd_cluster_entries_served_total",
-		"psimd_cluster_steals_total", "psimd_cluster_proxy_latency_seconds",
+		"psimd_cluster_proxy_latency_seconds",
 	}
 	if want := len(baseFamilies) + len(clusterFamilies); len(families) != want {
 		t.Errorf("exposed %d families, want %d", len(families), want)
@@ -238,9 +238,6 @@ func TestMetricsExpositionClustered(t *testing.T) {
 	}
 	if got := seen["psimd_cluster_peers"]; got != 2 {
 		t.Errorf("psimd_cluster_peers has %d samples, want 2 (alive/dead)", got)
-	}
-	if got := seen["psimd_cluster_steals_total"]; got != 2 {
-		t.Errorf("psimd_cluster_steals_total has %d samples, want 2 (thief/victim)", got)
 	}
 	// 13 bounded buckets + the +Inf bucket + _sum + _count.
 	if got := seen["psimd_cluster_proxy_latency_seconds"]; got != 16 {

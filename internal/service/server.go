@@ -34,14 +34,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/flight", s.handleFlight)
 	if s.cluster != nil {
-		// Peer-facing endpoints: membership gossip, work stealing, the
-		// cross-node cache protocol, and owner-routed simulation.
+		// Peer-facing endpoints: membership gossip, the cross-node cache
+		// fetch, and owner-routed simulation.
 		ch := s.cluster.Handler()
 		mux.Handle("POST "+cluster.PathHeartbeat, ch)
-		mux.Handle("POST "+cluster.PathSteal, ch)
 		mux.Handle("GET "+cluster.PathState, ch)
 		mux.Handle("GET "+cluster.PathCache+"{key}", ch)
-		mux.Handle("PUT "+cluster.PathCache+"{key}", ch)
 		mux.HandleFunc("POST /v1/cluster/sim", s.handleClusterSim)
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -69,9 +69,8 @@ type Config struct {
 	DisableTelemetry bool
 	// Cluster, when non-nil, joins this daemon to a psimd cluster: a
 	// consistent-hash ring over simcache keys routes each simulation to an
-	// owner node, peers serve each other's warm cache entries, and idle
-	// nodes steal queued work. Requires Store (the ring routes over cache
-	// keys); ignored without one.
+	// owner node, and peers serve each other's warm cache entries. Requires
+	// Store (the ring routes over cache keys); ignored without one.
 	Cluster *cluster.Options
 	// Flight, when non-nil, is this daemon's span flight recorder: every
 	// request path (admission, queue wait, simulation, cluster hops) records
@@ -310,8 +309,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Start launches the worker pool (and, when clustered, the heartbeat and
-// steal loops).
+// Start launches the worker pool (and, when clustered, the heartbeat
+// loop).
 func (s *Server) Start() {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -614,9 +613,11 @@ func (s *Server) runJob(j *jobState) {
 
 // execUnit runs (or recalls) one simulation locally: it takes a slot on the
 // shared semaphore, then goes through the store's single-flight DoContext.
-// It is the terminal execution path of every route — local jobs, proxied
-// owner requests, and stolen work all land here — and owns the
-// hit/executed metric accounting for this daemon.
+// It is the terminal execution path of every route — local jobs, cluster
+// failover, and proxied owner requests all land here — and owns the
+// hit/executed metric accounting for this daemon. Unless telemetry is
+// disabled, each executed simulation (cache hits never execute) carries a
+// live collector that /metrics samples while the run is in flight.
 func (s *Server) execUnit(ctx context.Context, cfg sim.Config, u unit, opt sim.RunOpt) (sim.Result, bool, error) {
 	select {
 	case s.simSem <- struct{}{}:
@@ -624,13 +625,6 @@ func (s *Server) execUnit(ctx context.Context, cfg sim.Config, u unit, opt sim.R
 		return sim.Result{}, false, ctx.Err()
 	}
 	defer func() { <-s.simSem }()
-	return s.execHeld(ctx, cfg, u, opt)
-}
-
-// execHeld is execUnit for callers already holding a semaphore slot. Unless
-// telemetry is disabled, each executed simulation (cache hits never execute)
-// carries a live collector that /metrics samples while the run is in flight.
-func (s *Server) execHeld(ctx context.Context, cfg sim.Config, u unit, opt sim.RunOpt) (sim.Result, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return sim.Result{}, false, err
 	}
