@@ -16,8 +16,13 @@ race:
 
 # vet also covers the nested perfbench module: the root ./... pattern stops
 # at its go.mod, yet it imports internal/service and would otherwise break
-# unseen when a service API changes.
+# unseen when a service API changes. It fails when any file in the tree is
+# not gofmt-formatted, listing the files.
 vet:
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 
@@ -48,7 +53,7 @@ bench-compare:
 # much); alloc counts are deterministic enough to gate.
 bench-smoke:
 	$(GO) run ./cmd/pbench -smoke -out BENCH_smoke.json \
-		-compare BENCH_2026-08-07_smoke.json -max-allocs-ratio 2
+		-compare BENCH_2026-10-17_smoke.json -max-allocs-ratio 2
 
 # golden-update regenerates the checked-in figure snapshots and the
 # full-stats digest golden (TestGoldenStatsDigest) after an intentional

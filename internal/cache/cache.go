@@ -43,10 +43,10 @@ func (p ReplPolicy) String() string {
 	return "lru"
 }
 
-// line is one cache block's state.
+// line is one cache block's state. The block address and validity live only
+// in the dense tags array (tagInvalid ⇔ invalid), which keeps the record at
+// 16 bytes.
 type line struct {
-	block      mem.Addr // block-aligned address (tag + index)
-	valid      bool
 	dirty      bool
 	prefetched bool // filled by a prefetch and not yet demanded
 	prefID     uint8
@@ -297,10 +297,10 @@ func (t *tee) OnPrefetchLifecycle(cache string, ev LifecycleEvent) {
 type Cache struct {
 	cfg   Config
 	lines []line // sets × ways
-	// tags mirrors lines[i].block for valid ways (tagInvalid otherwise) in a
-	// dense parallel array: the lookup scan touches 8 contiguous bytes per
-	// way instead of a whole line struct, which is most of what find costs on
-	// miss-heavy workloads.
+	// tags holds each way's block-aligned address (tagInvalid when the way is
+	// empty) in a dense array parallel to lines. It is the only copy of a
+	// line's block and validity: the lookup scan touches 8 contiguous bytes
+	// per way, which is most of what find costs on miss-heavy workloads.
 	tags []mem.Addr
 	// lrus mirrors each way's last-touch tick in the same dense layout, so the
 	// LRU victim scan reads 8 contiguous bytes per way like the tag scan does.
@@ -620,8 +620,7 @@ func (c *Cache) allocMSHR(at mem.Cycle) (idx int, start mem.Cycle) {
 
 // victim picks the replacement victim way in a set: an invalid way if any,
 // otherwise per the configured policy. si is the set's index; the invalid-way
-// scan reads the dense tag mirror (tagInvalid ⇔ !valid) instead of the line
-// structs.
+// scan reads the tags array, where tagInvalid marks an empty way.
 func (c *Cache) victim(si int, set []line) int {
 	base := si * c.cfg.Ways
 	if c.cfg.Replacement == ReplLRU {
@@ -698,15 +697,16 @@ func (c *Cache) fill(si int, block mem.Addr, readyAt, now mem.Cycle, req *mem.Re
 	set := c.setLines(si)
 	vi := c.victim(si, set)
 	v := &set[vi]
-	if v.valid {
+	gi := si*c.cfg.Ways + vi
+	if old := c.tags[gi]; old != tagInvalid {
 		if v.prefetched {
 			c.Stats.PrefetchUnused++
 			if c.observer != nil {
-				c.observer.OnPrefetchUnused(v.block, v.prefID, int(v.core))
+				c.observer.OnPrefetchUnused(old, v.prefID, int(v.core))
 			}
 			if c.life != nil {
 				c.life.OnPrefetchLifecycle(c.cfg.Name, LifecycleEvent{
-					Kind: LifeEvict, Block: v.block, At: now, Req: req,
+					Kind: LifeEvict, Block: old, At: now, Req: req,
 					PrefID: v.prefID, Core: v.core,
 				})
 			}
@@ -715,20 +715,18 @@ func (c *Cache) fill(si int, block mem.Addr, readyAt, now mem.Cycle, req *mem.Re
 			c.Stats.Writebacks++
 			if c.next != nil {
 				wb := c.wbPool.GetDirty()
-				*wb = mem.Request{PAddr: v.block, Type: mem.Writeback, Core: req.Core}
+				*wb = mem.Request{PAddr: old, Type: mem.Writeback, Core: req.Core}
 				c.forward(wb, now) // occupies downstream bandwidth
 			}
 		}
 	}
 	c.tick++
-	c.tags[si*c.cfg.Ways+vi] = block
-	c.lrus[si*c.cfg.Ways+vi] = c.tick
+	c.tags[gi] = block
+	c.lrus[gi] = c.tick
 	c.mru[si] = int32(vi)
 	c.setGen[si]++
 	c.setPartial(si, vi, partialOf(block))
 	*v = line{
-		block:      block,
-		valid:      true,
 		dirty:      req.Type == mem.Store || req.Type == mem.Writeback,
 		prefetched: req.Type == mem.Prefetch,
 		prefID:     req.PrefID,

@@ -274,18 +274,19 @@ func TestCacheShadowConsistency(t *testing.T) {
 				return false // just-accessed block must be present
 			}
 		}
-		// No duplicate tags within any set.
+		// No duplicate tags within any set. The tags array is the only record
+		// of a way's block and validity.
 		for s := 0; s < 4; s++ {
 			seen := map[mem.Addr]bool{}
-			for _, l := range c.setLines(s) {
-				if !l.valid {
+			for _, block := range c.tags[s*2 : (s+1)*2] {
+				if block == tagInvalid {
 					continue
 				}
-				if seen[l.block] {
+				if seen[block] {
 					return false
 				}
-				seen[l.block] = true
-				if c.SetIndex(l.block) != s {
+				seen[block] = true
+				if c.SetIndex(block) != s {
 					return false // line in wrong set
 				}
 			}

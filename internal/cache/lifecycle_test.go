@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -127,6 +128,51 @@ func TestLifecycleLateUseAndEvict(t *testing.T) {
 	evict := obs.events[3]
 	if evict.Block != 0x80 || evict.At != 501 {
 		t.Errorf("evict event = %+v (At should be the evicting access's MSHR start)", evict)
+	}
+}
+
+// TestEvictDirtyPrefetchedLine evicts a line that is both dirty and still
+// prefetched: the victim's block comes only from the tags array, and the
+// writeback, the unused-prefetch feedback and the evict event must all name
+// it. It also pins the 16-byte line record the tags array makes possible.
+func TestEvictDirtyPrefetchedLine(t *testing.T) {
+	next := &fixedPort{latency: 10}
+	c := New(Config{Name: "c", Sets: 1, Ways: 1, Latency: 1, MSHREntries: 4}, next)
+	fb := &orderObserver{}
+	life := &lifeObserver{}
+	c.SetObserver(Tee(fb, life))
+
+	const victim = mem.Addr(0x40)
+	c.Access(&mem.Request{PAddr: victim, Type: mem.Prefetch, FillL2: true, PrefID: 2}, 0)
+	// A writeback hit marks the line dirty without a demand, so it stays
+	// prefetched.
+	c.Access(&mem.Request{PAddr: victim, Type: mem.Writeback}, 50)
+	fb.log = nil
+	next.reqs = nil
+	c.Access(load(0x80), 100) // evicts the victim, then fills
+
+	if c.Stats.Writebacks != 1 || c.Stats.PrefetchUnused != 1 {
+		t.Fatalf("Writebacks = %d, PrefetchUnused = %d, want 1 and 1",
+			c.Stats.Writebacks, c.Stats.PrefetchUnused)
+	}
+	var wbs []mem.Addr
+	for _, r := range next.reqs {
+		if r.Type == mem.Writeback {
+			wbs = append(wbs, r.PAddr)
+		}
+	}
+	if !reflect.DeepEqual(wbs, []mem.Addr{victim}) {
+		t.Errorf("writebacks below = %#x, want [%#x]", wbs, victim)
+	}
+	if want := []string{fmt.Sprintf("unused %#x", victim), "access hit=false"}; !reflect.DeepEqual(fb.log, want) {
+		t.Errorf("feedback = %v, want %v", fb.log, want)
+	}
+	evict := life.events[len(life.events)-1]
+	if evict.Kind != LifeEvict || evict.Block != victim || evict.PrefID != 2 {
+		t.Errorf("evict event = %+v, want LifeEvict of %#x with PrefID 2", evict, victim)
+	}
+	if got := unsafe.Sizeof(line{}); got != 16 {
+		t.Errorf("line record is %d bytes, want 16", got)
 	}
 }
 

@@ -76,14 +76,17 @@ type DRAM struct {
 	// upstream (the engine's serialised, depth-limited prefetch queue and
 	// the MSHR demand reserve), so the bus itself is strictly first-come
 	// first-served and total throughput never exceeds the bus rate.
-	busFree  []mem.Cycle   // per channel
-	bankFree [][]mem.Cycle // per channel × bank
+	busFree []mem.Cycle // per channel
+	// bankFree is per bank, channel-major: bank b of channel ch is entry
+	// ch*BanksPerChan+b.
+	bankFree []mem.Cycle
 	// Each bank tracks rowSlots recently-open rows rather than one: a real
 	// FR-FCFS queue batches same-row requests, so two spatial streams
 	// interleaved at one bank (a demand stream and the prefetch stream
 	// running ahead of it) do not pay an activation per request. The serial
 	// model cannot reorder the queue; the extra slots emulate its batching.
-	openRow  [][][]rowSlot
+	// Bank i's slots are openRow[i*rowSlots : (i+1)*rowSlots].
+	openRow  []rowSlot
 	rowSlots int
 
 	// chanMask/rowShift/bankMask strength-reduce mapAddr's divisions to
@@ -99,7 +102,9 @@ type DRAM struct {
 
 // New creates a DRAM model.
 func New(cfg Config) *DRAM {
-	if cfg.Channels <= 0 || cfg.BanksPerChan <= 0 {
+	// A row must hold at least one block: mapAddr divides by the blocks
+	// per row.
+	if cfg.Channels <= 0 || cfg.BanksPerChan <= 0 || cfg.RowBytes < mem.BlockSize {
 		panic("dram: bad geometry")
 	}
 	if cfg.TransferMTps <= 0 || cfg.CoreGHz <= 0 {
@@ -124,16 +129,10 @@ func New(cfg Config) *DRAM {
 		d.rowShift = bits.TrailingZeros64(uint64(rowDiv))
 		d.bankMask = uint64(cfg.BanksPerChan - 1)
 	}
+	banks := cfg.Channels * cfg.BanksPerChan
 	d.busFree = make([]mem.Cycle, cfg.Channels)
-	d.bankFree = make([][]mem.Cycle, cfg.Channels)
-	d.openRow = make([][][]rowSlot, cfg.Channels)
-	for ch := 0; ch < cfg.Channels; ch++ {
-		d.bankFree[ch] = make([]mem.Cycle, cfg.BanksPerChan)
-		d.openRow[ch] = make([][]rowSlot, cfg.BanksPerChan)
-		for b := range d.openRow[ch] {
-			d.openRow[ch][b] = make([]rowSlot, d.rowSlots)
-		}
-	}
+	d.bankFree = make([]mem.Cycle, banks)
+	d.openRow = make([]rowSlot, banks*d.rowSlots)
 	return d
 }
 
@@ -145,11 +144,9 @@ func (d *DRAM) BurstCycles() mem.Cycle { return d.burstCycles }
 // bank-level queueing pressure).
 func (d *DRAM) BusyBanks(at mem.Cycle) int {
 	busy := 0
-	for _, banks := range d.bankFree {
-		for _, f := range banks {
-			if f > at {
-				busy++
-			}
+	for _, f := range d.bankFree {
+		if f > at {
+			busy++
 		}
 	}
 	return busy
@@ -179,10 +176,11 @@ func pow2(v uint64) bool { return v != 0 && v&(v-1) == 0 }
 // Access implements mem.Port.
 func (d *DRAM) Access(req *mem.Request, at mem.Cycle) mem.Cycle {
 	ch, bank, row := d.mapAddr(req.PAddr)
+	bi := ch*d.cfg.BanksPerChan + bank
 
 	start := at
-	if d.bankFree[ch][bank] > start {
-		start = d.bankFree[ch][bank]
+	if d.bankFree[bi] > start {
+		start = d.bankFree[bi]
 	}
 
 	// Row hits pipeline: successive CAS commands to an open row keep the
@@ -192,7 +190,7 @@ func (d *DRAM) Access(req *mem.Request, at mem.Cycle) mem.Cycle {
 	var lat mem.Cycle
 	var bankBusyUntil mem.Cycle
 	d.tick++
-	slots := d.openRow[ch][bank]
+	slots := d.openRow[bi*d.rowSlots : (bi+1)*d.rowSlots]
 	hit := false
 	for i := range slots {
 		if slots[i].valid && slots[i].row == row {
@@ -221,7 +219,7 @@ func (d *DRAM) Access(req *mem.Request, at mem.Cycle) mem.Cycle {
 		slots[v] = rowSlot{row: row, valid: true, lru: d.tick}
 		bankBusyUntil = start + (lat - d.cfg.RowHitLatency) + d.burstCycles
 	}
-	d.bankFree[ch][bank] = bankBusyUntil
+	d.bankFree[bi] = bankBusyUntil
 
 	dataReady := start + lat
 	if d.busFree[ch] > dataReady {

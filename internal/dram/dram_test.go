@@ -123,3 +123,33 @@ func TestChannelInterleave(t *testing.T) {
 		t.Errorf("2-channel (%d) not faster than 1-channel (%d)", last, lastSingle)
 	}
 }
+
+// TestRejectsRowSmallerThanBlock pins New's geometry check for rows that
+// hold no whole block: the blocks-per-row divisor in mapAddr would be zero,
+// so the first Access would divide by zero. The smallest legal row (one
+// block) and a non-power-of-two row (the generic divide path) still work.
+func TestRejectsRowSmallerThanBlock(t *testing.T) {
+	for _, rowBytes := range []mem.Addr{0, 32, mem.BlockSize - 1} {
+		cfg := DefaultConfig()
+		cfg.RowBytes = rowBytes
+		func() {
+			defer func() {
+				if r := recover(); r != "dram: bad geometry" {
+					t.Errorf("RowBytes %d: New panicked with %v, want \"dram: bad geometry\"", rowBytes, r)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+	for _, rowBytes := range []mem.Addr{mem.BlockSize, 3 * mem.BlockSize} {
+		cfg := DefaultConfig()
+		cfg.RowBytes = rowBytes
+		d := New(cfg)
+		for i := 0; i < 8; i++ {
+			d.Access(read(mem.Addr(i)*mem.BlockSize), 0)
+		}
+		if d.Stats.Reads != 8 {
+			t.Errorf("RowBytes %d: Reads = %d, want 8", rowBytes, d.Stats.Reads)
+		}
+	}
+}

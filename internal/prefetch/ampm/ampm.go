@@ -41,7 +41,6 @@ func (c Config) Scale(k int) Config {
 
 type zone struct {
 	tag   mem.Addr
-	m     []uint8
 	valid bool
 	lru   uint64
 }
@@ -51,7 +50,13 @@ type Prefetcher struct {
 	cfg        Config
 	regionBits uint
 	zones      []zone
-	tick       uint64
+	// maps holds the zones' access maps back to back: zone i's block states
+	// are maps[i*n : (i+1)*n], n = blocksPerZone. Zones come into use in
+	// index order (the victim scan takes the first invalid zone), so the
+	// slab grows, doubling, only as far as the zones a run has touched: a
+	// 2MB-zone instance that sees a few zones never holds 64 of 32 KB each.
+	maps []uint8
+	tick uint64
 }
 
 // New creates an AMPM prefetcher tracking zones of 2^regionBits bytes.
@@ -70,39 +75,46 @@ func (p *Prefetcher) Name() string { return "ampm" }
 
 func (p *Prefetcher) blocksPerZone() int { return 1 << (p.regionBits - mem.BlockBits) }
 
-func (p *Prefetcher) zoneFor(a mem.Addr) *zone {
+// zoneFor returns the access map of a's zone, claiming the LRU zone (reset
+// to all-init) when a's zone is not tracked.
+func (p *Prefetcher) zoneFor(a mem.Addr) []uint8 {
 	tag := a >> p.regionBits
+	n := p.blocksPerZone()
 	p.tick++
-	victim := &p.zones[0]
 	for i := range p.zones {
 		z := &p.zones[i]
 		if z.valid && z.tag == tag {
 			z.lru = p.tick
-			return z
+			return p.maps[i*n : (i+1)*n]
 		}
 	}
+	vi := 0
 	for i := range p.zones {
 		z := &p.zones[i]
 		if !z.valid {
-			victim = z
+			vi = i
 			break
 		}
-		if z.lru < victim.lru {
-			victim = z
+		if z.lru < p.zones[vi].lru {
+			vi = i
 		}
 	}
-	n := p.blocksPerZone()
-	if victim.m == nil || len(victim.m) != n {
-		victim.m = make([]uint8, n)
-	} else {
-		for i := range victim.m {
-			victim.m[i] = stateInit
-		}
+	p.zones[vi] = zone{tag: tag, valid: true, lru: p.tick}
+	end := (vi + 1) * n
+	if end <= len(p.maps) {
+		m := p.maps[end-n : end]
+		clear(m) // stateInit is 0
+		return m
 	}
-	victim.tag = tag
-	victim.valid = true
-	victim.lru = p.tick
-	return victim
+	// First use of zone vi, the next one past the slab's end: the window
+	// beyond len is fresh, so it is already all-init.
+	if end > cap(p.maps) {
+		grown := make([]uint8, len(p.maps), min(max(2*cap(p.maps), n), len(p.zones)*n))
+		copy(grown, p.maps)
+		p.maps = grown
+	}
+	p.maps = p.maps[:end]
+	return p.maps[end-n : end]
 }
 
 // Train implements prefetch.Prefetcher.
@@ -110,9 +122,9 @@ func (p *Prefetcher) Train(ctx prefetch.Context) {
 	if !ctx.Type.IsDemand() {
 		return
 	}
-	z := p.zoneFor(ctx.Addr)
+	m := p.zoneFor(ctx.Addr)
 	off := int((ctx.Addr >> mem.BlockBits) & mem.Addr(p.blocksPerZone()-1))
-	z.m[off] = stateAccess
+	m[off] = stateAccess
 }
 
 // Operate implements prefetch.Prefetcher.
@@ -120,10 +132,10 @@ func (p *Prefetcher) Operate(ctx prefetch.Context, issue func(prefetch.Candidate
 	if !ctx.Type.IsDemand() {
 		return
 	}
-	z := p.zoneFor(ctx.Addr)
+	m := p.zoneFor(ctx.Addr)
 	n := p.blocksPerZone()
 	off := int((ctx.Addr >> mem.BlockBits) & mem.Addr(n-1))
-	z.m[off] = stateAccess
+	m[off] = stateAccess
 
 	zoneBase := ctx.Addr &^ (1<<p.regionBits - 1)
 	issued := 0
@@ -133,17 +145,17 @@ func (p *Prefetcher) Operate(ctx prefetch.Context, issue func(prefetch.Candidate
 		if a < 0 || a >= n || b < 0 || b >= n || t < 0 || t >= n {
 			return false
 		}
-		if z.m[a] != stateAccess || z.m[b] != stateAccess {
+		if m[a] != stateAccess || m[b] != stateAccess {
 			return false
 		}
-		if z.m[t] != stateInit {
+		if m[t] != stateInit {
 			return false // already accessed or prefetched
 		}
 		cand := zoneBase + mem.Addr(t)*mem.BlockSize
 		if !prefetch.InGenLimit(ctx.Addr, cand) {
 			return false
 		}
-		z.m[t] = statePrefetch
+		m[t] = statePrefetch
 		issue(prefetch.Candidate{Addr: cand, FillL2: true})
 		issued++
 		return issued >= p.cfg.Degree

@@ -113,8 +113,36 @@ func TestZoneEvictionLRU(t *testing.T) {
 	p.Train(ctxAt(b))
 	p.Train(ctxAt(a)) // refresh a
 	p.Train(ctxAt(c)) // evicts b
-	if p.zoneFor(b).m[0] != stateInit {
+	if p.zoneFor(b)[0] != stateInit {
 		t.Error("evicted zone retained state")
+	}
+}
+
+// TestZoneMapsGrowWithUse pins the shared access-map slab: zones keep their
+// state while the slab grows under them, and a 2MB-zone instance that touches
+// three zones holds room for four, not for all 64.
+func TestZoneMapsGrowWithUse(t *testing.T) {
+	p := New(DefaultConfig(), mem.PageBits2M)
+	n := p.blocksPerZone()
+	base := mem.Addr(0x40000000)
+	for z := 0; z < 3; z++ {
+		zb := base + mem.Addr(z)*mem.PageSize2M
+		p.Train(ctxAt(zb + mem.Addr(z+1)*mem.BlockSize))
+	}
+	for z := 0; z < 3; z++ {
+		m := p.zoneFor(base + mem.Addr(z)*mem.PageSize2M)
+		for off, st := range m[:4] {
+			want := stateInit
+			if off == z+1 {
+				want = stateAccess
+			}
+			if st != want {
+				t.Errorf("zone %d offset %d state %d, want %d", z, off, st, want)
+			}
+		}
+	}
+	if len(p.maps) != 3*n || cap(p.maps) != 4*n {
+		t.Errorf("slab len %d cap %d, want %d and %d", len(p.maps), cap(p.maps), 3*n, 4*n)
 	}
 }
 

@@ -65,7 +65,9 @@ type record struct {
 type Prefetcher struct {
 	cfg Config
 	spp *spp.Prefetcher
-	w   [numFeatures][]int8
+	// w holds the feature weight tables back to back: feature i's table is
+	// w[i*TableEntries : (i+1)*TableEntries].
+	w   []int8
 	pft []record // issued prefetches
 	rjt []record // rejected candidates
 
@@ -84,11 +86,9 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 	p := &Prefetcher{
 		cfg: cfg,
 		spp: spp.New(cfg.SPP, regionBits),
+		w:   make([]int8, numFeatures*cfg.TableEntries),
 		pft: make([]record, cfg.RecordEntries),
 		rjt: make([]record, cfg.RecordEntries),
-	}
-	for i := range p.w {
-		p.w[i] = make([]int8, cfg.TableEntries)
 	}
 	p.sink = p.classify
 	return p
@@ -129,20 +129,21 @@ func (p *Prefetcher) features(ctx prefetch.Context, cand mem.Addr, m spp.Meta) [
 func (p *Prefetcher) sum(idx [numFeatures]int) int {
 	s := 0
 	for i, j := range idx {
-		s += int(p.w[i][j])
+		s += int(p.w[i*p.cfg.TableEntries+j])
 	}
 	return s
 }
 
 func (p *Prefetcher) adjust(idx [numFeatures]int, up bool) {
 	for i, j := range idx {
-		w := int(p.w[i][j])
+		wi := i*p.cfg.TableEntries + j
+		w := int(p.w[wi])
 		if up && w < p.cfg.WeightMax {
 			w++
 		} else if !up && w > -p.cfg.WeightMax-1 {
 			w--
 		}
-		p.w[i][j] = int8(w)
+		p.w[wi] = int8(w)
 	}
 }
 

@@ -79,10 +79,8 @@ func TestPositiveTrainingPromotes(t *testing.T) {
 func TestRejectThenDemandMissTrainsUp(t *testing.T) {
 	p := New(DefaultConfig(), mem.PageBits4K)
 	// Force all weights deeply negative so everything is rejected.
-	for f := range p.w {
-		for i := range p.w[f] {
-			p.w[f][i] = -8
-		}
+	for i := range p.w {
+		p.w[i] = -8
 	}
 	base := mem.Addr(0x40000000)
 	rejectedSome := false
@@ -115,17 +113,17 @@ func TestWeightsSaturate(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		p.adjust(idx, true)
 	}
-	for f := range p.w {
-		if int(p.w[f][0]) > p.cfg.WeightMax {
-			t.Errorf("weight exceeded max: %d", p.w[f][0])
+	for f := 0; f < numFeatures; f++ {
+		if w := p.w[f*p.cfg.TableEntries]; int(w) > p.cfg.WeightMax {
+			t.Errorf("weight exceeded max: %d", w)
 		}
 	}
 	for i := 0; i < 2000; i++ {
 		p.adjust(idx, false)
 	}
-	for f := range p.w {
-		if int(p.w[f][0]) < -p.cfg.WeightMax-1 {
-			t.Errorf("weight exceeded min: %d", p.w[f][0])
+	for f := 0; f < numFeatures; f++ {
+		if w := p.w[f*p.cfg.TableEntries]; int(w) < -p.cfg.WeightMax-1 {
+			t.Errorf("weight exceeded min: %d", w)
 		}
 	}
 }

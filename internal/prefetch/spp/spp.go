@@ -22,7 +22,7 @@ type Config struct {
 	STSets, STWays int     // Signature Table geometry (256 entries default)
 	PTEntries      int     // Pattern Table entries (512 default)
 	SigBits        uint    // signature width (12 default)
-	DeltaSlots     int     // deltas tracked per PT entry (4 default)
+	DeltaSlots     int     // deltas tracked per PT entry (1..maxDeltaSlots, 4 default)
 	CounterMax     int     // saturation for c_delta / c_sig (15 default)
 	FillThreshold  float64 // path confidence for L2 fill (Tp, 0.25)
 	LLCThreshold   float64 // path confidence for LLC fill & lookahead stop (Tf, 0.10)
@@ -66,9 +66,13 @@ type deltaSlot struct {
 	c     int
 }
 
+// maxDeltaSlots bounds Config.DeltaSlots: each Pattern Table entry holds its
+// slots inline, so the whole table is one allocation.
+const maxDeltaSlots = 4
+
 type ptEntry struct {
 	csig   int
-	deltas []deltaSlot
+	deltas [maxDeltaSlots]deltaSlot // deltas[:cfg.DeltaSlots] are live
 }
 
 type ghrEntry struct {
@@ -113,6 +117,9 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 	if regionBits < mem.PageBits4K || regionBits > mem.PageBits2M {
 		panic(fmt.Sprintf("spp: regionBits %d out of range", regionBits))
 	}
+	if cfg.DeltaSlots < 1 || cfg.DeltaSlots > maxDeltaSlots {
+		panic(fmt.Sprintf("spp: DeltaSlots %d out of range 1..%d", cfg.DeltaSlots, maxDeltaSlots))
+	}
 	p := &Prefetcher{
 		cfg:        cfg,
 		regionBits: regionBits,
@@ -128,9 +135,6 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 	}
 	if cfg.PTEntries&(cfg.PTEntries-1) == 0 {
 		p.ptMask = cfg.PTEntries - 1
-	}
-	for i := range p.pt {
-		p.pt[i].deltas = make([]deltaSlot, cfg.DeltaSlots)
 	}
 	p.metaWrap = func(c prefetch.Candidate, _ Meta) { p.plainIssue(c) }
 	return p
@@ -218,33 +222,34 @@ func (p *Prefetcher) stInsert(region mem.Addr, off int, sig uint16) *stEntry {
 // ptUpdate records the observed delta under the signature.
 func (p *Prefetcher) ptUpdate(sig uint16, delta int) {
 	e := &p.pt[p.ptIndex(sig)]
+	deltas := e.deltas[:p.cfg.DeltaSlots]
 	if e.csig >= p.cfg.CounterMax {
 		// Saturated: age all counters to keep ratios adaptive.
 		e.csig >>= 1
-		for i := range e.deltas {
-			e.deltas[i].c >>= 1
+		for i := range deltas {
+			deltas[i].c >>= 1
 		}
 	}
 	e.csig++
 	slot := -1
 	minC := 1 << 30
 	minI := 0
-	for i := range e.deltas {
-		if e.deltas[i].c > 0 && e.deltas[i].delta == delta {
+	for i := range deltas {
+		if deltas[i].c > 0 && deltas[i].delta == delta {
 			slot = i
 			break
 		}
-		if e.deltas[i].c < minC {
-			minC = e.deltas[i].c
+		if deltas[i].c < minC {
+			minC = deltas[i].c
 			minI = i
 		}
 	}
 	if slot < 0 {
-		e.deltas[minI] = deltaSlot{delta: delta, c: 0}
+		deltas[minI] = deltaSlot{delta: delta, c: 0}
 		slot = minI
 	}
-	if e.deltas[slot].c < p.cfg.CounterMax {
-		e.deltas[slot].c++
+	if deltas[slot].c < p.cfg.CounterMax {
+		deltas[slot].c++
 	}
 }
 
@@ -394,7 +399,7 @@ func (p *Prefetcher) lookahead(trigger mem.Addr, sig uint16, off int, issue func
 			return
 		}
 		bestC, bestDelta := 0, 0
-		for _, s := range e.deltas {
+		for _, s := range e.deltas[:p.cfg.DeltaSlots] {
 			if s.c == 0 {
 				continue
 			}

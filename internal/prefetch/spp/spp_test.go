@@ -247,3 +247,32 @@ func TestScaleConfig(t *testing.T) {
 		t.Errorf("Scale(2) = %+v", c)
 	}
 }
+
+// TestDeltaSlotsBounds pins the inline Pattern Table: New rejects slot
+// counts the fixed array cannot hold, and a table with fewer slots never
+// trains past its live prefix.
+func TestDeltaSlotsBounds(t *testing.T) {
+	for _, n := range []int{0, -1, maxDeltaSlots + 1} {
+		cfg := DefaultConfig()
+		cfg.DeltaSlots = n
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted DeltaSlots = %d", n)
+				}
+			}()
+			New(cfg, mem.PageBits4K)
+		}()
+	}
+	cfg := DefaultConfig()
+	cfg.DeltaSlots = 2
+	p := New(cfg, mem.PageBits4K)
+	for d := 1; d <= 6; d++ {
+		p.ptUpdate(5, d)
+	}
+	for i, s := range p.pt[5].deltas[cfg.DeltaSlots:] {
+		if s != (deltaSlot{}) {
+			t.Errorf("slot %d beyond DeltaSlots trained: %+v", cfg.DeltaSlots+i, s)
+		}
+	}
+}

@@ -40,7 +40,7 @@ type dhbEntry struct {
 	tag        mem.Addr
 	valid      bool
 	lastOffset int
-	deltas     []int // most recent last
+	deltas     []int // most recent last; a window of one slab shared by all entries
 	lru        uint64
 }
 
@@ -62,8 +62,10 @@ type Prefetcher struct {
 	cfg        Config
 	regionBits uint
 
-	dhb  []dhbEntry
-	dpt  [][]dptEntry // one table per history length 1..HistoryLen
+	dhb []dhbEntry
+	// dpt holds one table per history length 1..HistoryLen back to back:
+	// table level occupies dpt[level*DPTEntries : (level+1)*DPTEntries].
+	dpt  []dptEntry
 	opt  []optEntry
 	tick uint64
 
@@ -79,15 +81,16 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 		cfg:        cfg,
 		regionBits: regionBits,
 		dhb:        make([]dhbEntry, cfg.DHBEntries),
+		dpt:        make([]dptEntry, cfg.HistoryLen*cfg.DPTEntries),
 		opt:        make([]optEntry, cfg.OPTEntries),
 		histBuf:    make([]int, 0, cfg.HistoryLen+1),
 	}
+	// One slab backs every entry's delta history: entry i owns window i,
+	// capacity-capped so its appends never spill into the next window.
+	h := cfg.HistoryLen
+	hist := make([]int, cfg.DHBEntries*h)
 	for i := range p.dhb {
-		p.dhb[i].deltas = make([]int, 0, cfg.HistoryLen)
-	}
-	p.dpt = make([][]dptEntry, cfg.HistoryLen)
-	for i := range p.dpt {
-		p.dpt[i] = make([]dptEntry, cfg.DPTEntries)
+		p.dhb[i].deltas = hist[i*h : i*h : (i+1)*h]
 	}
 	return p
 }
@@ -142,11 +145,16 @@ func (p *Prefetcher) dhbInsert(region mem.Addr, off int) *dhbEntry {
 		}
 	}
 	p.tick++
-	// Reuse the victim's delta buffer (preallocated at HistoryLen capacity)
-	// so steady-state region churn allocates nothing.
+	// Reuse the victim's delta window (HistoryLen capacity in the shared
+	// slab) so steady-state region churn allocates nothing.
 	deltas := v.deltas[:0]
 	*v = dhbEntry{tag: region, valid: true, lastOffset: off, deltas: deltas, lru: p.tick}
 	return v
+}
+
+// dptAt returns the entry of table level that key maps to.
+func (p *Prefetcher) dptAt(level int, key uint64) *dptEntry {
+	return &p.dpt[level*p.cfg.DPTEntries+int(key%uint64(p.cfg.DPTEntries))]
 }
 
 // dptUpdate trains table level (history length level+1) to predict delta for
@@ -156,7 +164,7 @@ func (p *Prefetcher) dptUpdate(level int, hist []int, delta int) {
 		return
 	}
 	key := seqKey(hist, level+1)
-	e := &p.dpt[level][key%uint64(p.cfg.DPTEntries)]
+	e := p.dptAt(level, key)
 	if e.valid && e.key == key {
 		if e.delta == delta {
 			if e.conf < 3 {
@@ -183,7 +191,7 @@ func (p *Prefetcher) dptUpdate(level int, hist []int, delta int) {
 func (p *Prefetcher) dptPredict(hist []int) (int, bool) {
 	for level := min(len(hist), p.cfg.HistoryLen) - 1; level >= 0; level-- {
 		key := seqKey(hist, level+1)
-		e := &p.dpt[level][key%uint64(p.cfg.DPTEntries)]
+		e := p.dptAt(level, key)
 		if e.valid && e.key == key && e.conf > 0 {
 			return e.delta, true
 		}

@@ -87,9 +87,12 @@ type PageTable struct {
 	pages int // number of leaf mappings
 }
 
-// initialNodes pre-sizes the slab for the common case so early Map calls do
-// not re-grow it.
-const initialNodes = 64
+// initialNodes sizes a new table's slab for one root-to-4KB-leaf path
+// (16 KB). addNode doubles it as paths populate, so a sparse table — the code
+// address space maps a handful of pages — stays small. Node frames come from
+// AllocPTNode either way: the capacity is host-side only and never changes a
+// simulated address.
+const initialNodes = numLevels
 
 // NewPageTable creates an empty page table drawing node frames from alloc.
 func NewPageTable(alloc *Allocator) *PageTable {
@@ -106,11 +109,15 @@ func NewPageTable(alloc *Allocator) *PageTable {
 func (pt *PageTable) addNode(phys mem.Addr) uint64 {
 	n := uint64(len(pt.phys))
 	pt.phys = append(pt.phys, phys)
-	if cap(pt.words) >= len(pt.words)+ptFanout {
-		pt.words = pt.words[:len(pt.words)+ptFanout]
-	} else {
-		pt.words = append(pt.words, make([]uint64, ptFanout)...)
+	// Length and capacity are whole nodes, so a full slab has len == cap.
+	// Doubling keeps the bytes copied by growth below the final size;
+	// append's growth for large slices is only ~1.25x per step.
+	if len(pt.words) == cap(pt.words) {
+		grown := make([]uint64, len(pt.words), 2*cap(pt.words))
+		copy(grown, pt.words)
+		pt.words = grown
 	}
+	pt.words = pt.words[:len(pt.words)+ptFanout]
 	return n
 }
 
