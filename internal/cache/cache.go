@@ -302,10 +302,18 @@ type Cache struct {
 	// line's block and validity: the lookup scan touches 8 contiguous bytes
 	// per way, which is most of what find costs on miss-heavy workloads.
 	tags []mem.Addr
-	// lrus mirrors each way's last-touch tick in the same dense layout, so the
-	// LRU victim scan reads 8 contiguous bytes per way like the tag scan does.
-	lrus []uint64
-	tick uint64
+	// order holds one recency word per set: nibble r is the way at recency
+	// rank r, rank 0 most recent. A touch or fill moves its way to rank 0 and
+	// shifts the ranks above it down by one, so the LRU victim is the nibble
+	// at rank Ways-1 (tailShift). Ways never filled start at the tail, the
+	// lowest way last, and stay there in that order since nothing promotes
+	// them: the tail is "first invalid way, else least-recently-used way"
+	// with no scan.
+	order     []uint64
+	tailShift uint
+	// fills counts fills, the only events that change tags; the negative
+	// lookup memo is valid while it holds.
+	fills uint64
 
 	// setMask is Sets-1 when Sets is a power of two, replacing the modulo in
 	// SetIndex with a mask on the hot path; zero selects the generic path
@@ -333,13 +341,13 @@ type Cache struct {
 	// whole pool free without a scan.
 	mshrMaxDone mem.Cycle
 
-	// lastMissBlock/lastMissTick memoize the most recent failed lookup. Tags
-	// change only in fill, which bumps tick, so an equal (block, tick) pair
+	// lastMissBlock/lastMissFills memoize the most recent failed lookup. Tags
+	// change only in fill, which bumps fills, so an equal (block, fills) pair
 	// proves the block is still absent: the Contains probe right before a
 	// prefetch issue makes the issue's own lookup a guaranteed miss, and the
 	// memo skips that second set scan.
 	lastMissBlock mem.Addr
-	lastMissTick  uint64
+	lastMissFills uint64
 	// mru[s] is the way of set s's most recent hit or fill. Tags are unique
 	// within a set, so probing it first returns the same index as the scan —
 	// and consecutive accesses inside one block (the common case for demand
@@ -362,11 +370,10 @@ type Cache struct {
 	// OnAccess consumer): a completed demand hit on a non-prefetched
 	// line records (block, set, way, generation), and while the generation
 	// holds, repeat accesses to the same block short-circuit the tag probe,
-	// the replacement update, and the observer dispatch. Skipping the LRU
-	// tick is exact: a valid memo proves the set untouched since formation,
-	// so the memoed way stays the set's unique most-recent way — and the
-	// victim scan only compares recencies within a set — whether or not the
-	// repeat hits bump it further.
+	// the replacement update, and the observer dispatch. Skipping the recency
+	// update is exact: a valid memo proves the set untouched since formation,
+	// so the memoed way is still at rank 0 of the set's order word, where
+	// promoting it again changes nothing.
 	memoBlock mem.Addr
 	memoSet   int
 	memoGI    int
@@ -397,6 +404,9 @@ func New(cfg Config, next mem.Port) *Cache {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 {
 		panic(fmt.Sprintf("cache %s: bad geometry %d×%d", cfg.Name, cfg.Sets, cfg.Ways))
 	}
+	if cfg.Ways > maxWays {
+		panic(fmt.Sprintf("cache %s: %d ways, the recency order holds at most %d", cfg.Name, cfg.Ways, maxWays))
+	}
 	if cfg.MSHREntries <= 0 {
 		panic(fmt.Sprintf("cache %s: MSHR entries must be positive", cfg.Name))
 	}
@@ -405,7 +415,8 @@ func New(cfg Config, next mem.Port) *Cache {
 		cfg:          cfg,
 		lines:        make([]line, cfg.Sets*cfg.Ways),
 		tags:         make([]mem.Addr, cfg.Sets*cfg.Ways),
-		lrus:         make([]uint64, cfg.Sets*cfg.Ways),
+		order:        make([]uint64, cfg.Sets),
+		tailShift:    uint(cfg.Ways-1) * 4,
 		mshrFree:     make([]mem.Cycle, cfg.MSHREntries),
 		mru:          make([]int32, cfg.Sets),
 		partial:      make([]uint64, cfg.Sets*partialWords),
@@ -418,6 +429,15 @@ func New(cfg Config, next mem.Port) *Cache {
 	for i := range c.tags {
 		c.tags[i] = tagInvalid
 	}
+	// Way w starts at rank Ways-1-w: way 0 at the tail, the victim of the
+	// set's first fill.
+	var order uint64
+	for w := 0; w < cfg.Ways; w++ {
+		order |= uint64(w) << (uint(cfg.Ways-1-w) * 4)
+	}
+	for i := range c.order {
+		c.order[i] = order
+	}
 	c.lastMissBlock = tagInvalid
 	c.memoBlock = tagInvalid
 	if cfg.Sets&(cfg.Sets-1) == 0 {
@@ -429,6 +449,10 @@ func New(cfg Config, next mem.Port) *Cache {
 // tagInvalid marks an empty way in the tag array; it is never block-aligned,
 // so it cannot collide with a real block address.
 const tagInvalid = ^mem.Addr(0)
+
+// maxWays bounds Config.Ways: the recency order packs one 4-bit way number
+// per rank into a single word per set.
+const maxWays = 16
 
 // SetObserver attaches the access/feedback observer. If the observer also
 // implements LifecycleObserver it additionally receives prefetch lifecycle
@@ -510,17 +534,21 @@ func (c *Cache) findIdx(si int, block mem.Addr) int {
 	if m := base + int(c.mru[si]); c.tags[m] == block {
 		return m
 	}
-	if block == c.lastMissBlock && c.tick == c.lastMissTick {
+	if block == c.lastMissBlock && c.fills == c.lastMissFills {
 		return -1
 	}
 	return c.findIdxPacked(si, base, block)
 }
 
-// SWAR constants for the packed partial-tag probe: lane replication and the
-// per-byte high bits of the classic zero-byte detector.
+// SWAR constants for the packed partial-tag probe (byte lanes) and the
+// recency order (nibble lanes): lane replication and the per-lane high bits
+// of the classic zero-lane detector.
 const (
-	swarLanes = 0x0101010101010101
-	swarHigh  = 0x8080808080808080
+	swarLanes  = 0x0101010101010101
+	swarHigh   = 0x8080808080808080
+	nibLanes   = 0x1111111111111111
+	nibHigh    = 0x8888888888888888
+	nibLowMask = 0xF
 )
 
 // partialOf hashes a block address to its one-byte partial tag. Any function
@@ -552,7 +580,7 @@ func (c *Cache) findIdxPacked(si, base int, block mem.Addr) int {
 			m &= m - 1
 		}
 	}
-	c.lastMissBlock, c.lastMissTick = block, c.tick
+	c.lastMissBlock, c.lastMissFills = block, c.fills
 	return -1
 }
 
@@ -622,20 +650,12 @@ func (c *Cache) allocMSHR(at mem.Cycle) (idx int, start mem.Cycle) {
 // otherwise per the configured policy. si is the set's index; the invalid-way
 // scan reads the tags array, where tagInvalid marks an empty way.
 func (c *Cache) victim(si int, set []line) int {
-	base := si * c.cfg.Ways
-	if c.cfg.Replacement == ReplLRU {
-		// Invalid ways hold lru 0 and valid ways tick ≥ 1, so one
-		// first-strict-min scan over the dense mirror is exactly
-		// "first invalid way, else first least-recently-used way".
-		v := 0
-		lrus := c.lrus[base : base+c.cfg.Ways]
-		for i, l := range lrus {
-			if l < lrus[v] {
-				v = i
-			}
-		}
-		return v
+	if p := c.cfg.Replacement; p != ReplSRRIP && p != ReplRandom {
+		// LRU: the tail of the recency order, which is the first invalid
+		// way while any remain (see order).
+		return int(c.order[si] >> c.tailShift & nibLowMask)
 	}
+	base := si * c.cfg.Ways
 	for i, t := range c.tags[base : base+c.cfg.Ways] {
 		if t == tagInvalid {
 			return i
@@ -654,26 +674,30 @@ func (c *Cache) victim(si int, set []line) int {
 				set[i].rrpv++
 			}
 		}
-	case ReplRandom:
+	default: // ReplRandom
 		c.rng = c.rng*6364136223846793005 + 1442695040888963407
 		return int(c.rng>>33) % len(set)
-	default:
-		v := 0
-		lrus := c.lrus[base : base+c.cfg.Ways]
-		for i, l := range lrus {
-			if l < lrus[v] {
-				v = i
-			}
-		}
-		return v
 	}
+}
+
+// promote moves way to rank 0 of set si's recency order. A SWAR zero-nibble
+// search finds its rank — the lowest flagged lane is exact, and the way
+// occurs once among the live ranks below any unused high nibbles — then the
+// ranks before it each move one nibble toward the tail and the way drops in
+// at rank 0.
+func (c *Cache) promote(si, way int) {
+	o := c.order[si]
+	x := o ^ uint64(way)*nibLanes
+	r := uint(bits.TrailingZeros64((x-nibLanes)&^x&nibHigh)) &^ 3 // 4·rank
+	below := uint64(1)<<r - 1
+	through := uint64(1)<<(r+4) - 1 // ranks 0..rank; all ones at rank 15
+	c.order[si] = o&^through | (o&below)<<4 | uint64(way)
 }
 
 // touchAt updates replacement state on a hit of the way at global index gi in
 // set si. Bumping the set generation invalidates any hit memo formed there.
 func (c *Cache) touchAt(si, gi int) {
-	c.tick++
-	c.lrus[gi] = c.tick
+	c.promote(si, gi-si*c.cfg.Ways)
 	c.lines[gi].rrpv = 0
 	c.setGen[si]++
 }
@@ -720,9 +744,9 @@ func (c *Cache) fill(si int, block mem.Addr, readyAt, now mem.Cycle, req *mem.Re
 			}
 		}
 	}
-	c.tick++
+	c.fills++
 	c.tags[gi] = block
-	c.lrus[gi] = c.tick
+	c.promote(si, vi)
 	c.mru[si] = int32(vi)
 	c.setGen[si]++
 	c.setPartial(si, vi, partialOf(block))

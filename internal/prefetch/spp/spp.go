@@ -23,7 +23,7 @@ type Config struct {
 	PTEntries      int     // Pattern Table entries (512 default)
 	SigBits        uint    // signature width (12 default)
 	DeltaSlots     int     // deltas tracked per PT entry (1..maxDeltaSlots, 4 default)
-	CounterMax     int     // saturation for c_delta / c_sig (15 default)
+	CounterMax     int     // saturation for c_delta / c_sig (1..maxCounter, 15 default)
 	FillThreshold  float64 // path confidence for L2 fill (Tp, 0.25)
 	LLCThreshold   float64 // path confidence for LLC fill & lookahead stop (Tf, 0.10)
 	MaxLookahead   int     // lookahead depth cap
@@ -70,6 +70,25 @@ type deltaSlot struct {
 // slots inline, so the whole table is one allocation.
 const maxDeltaSlots = 4
 
+// maxCounter bounds Config.CounterMax, so every c_delta/c_sig pair indexes
+// counterRatio.
+const maxCounter = 15
+
+// counterRatio[c][s] is float64(c)/float64(s), the path-confidence decay
+// factor of a delta seen c times under a signature seen s times: the
+// lookahead reads it instead of dividing on its loop-carried chain. Each
+// entry is the quotient the division would produce, so the walk is
+// unchanged bit for bit. Column 0 is never read (lookahead stops at
+// c_sig = 0).
+var counterRatio = func() (r [maxCounter + 1][maxCounter + 1]float64) {
+	for c := range r {
+		for s := 1; s <= maxCounter; s++ {
+			r[c][s] = float64(c) / float64(s)
+		}
+	}
+	return r
+}()
+
 type ptEntry struct {
 	csig   int
 	deltas [maxDeltaSlots]deltaSlot // deltas[:cfg.DeltaSlots] are live
@@ -100,12 +119,6 @@ type Prefetcher struct {
 	ghr  []ghrEntry
 	tick uint64
 
-	// metaWrap is the persistent Meta-discarding adapter Operate hands to
-	// OperateMeta; the per-call sink rides in plainIssue so the hot path
-	// allocates no closure. Operate is not reentrant.
-	metaWrap   func(prefetch.Candidate, Meta)
-	plainIssue func(prefetch.Candidate)
-
 	// Global accuracy throttle: path confidence is scaled by the observed
 	// useful/issued ratio, halved periodically to track phases.
 	fbUseful, fbIssued uint64
@@ -119,6 +132,9 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 	}
 	if cfg.DeltaSlots < 1 || cfg.DeltaSlots > maxDeltaSlots {
 		panic(fmt.Sprintf("spp: DeltaSlots %d out of range 1..%d", cfg.DeltaSlots, maxDeltaSlots))
+	}
+	if cfg.CounterMax < 1 || cfg.CounterMax > maxCounter {
+		panic(fmt.Sprintf("spp: CounterMax %d out of range 1..%d", cfg.CounterMax, maxCounter))
 	}
 	p := &Prefetcher{
 		cfg:        cfg,
@@ -136,7 +152,6 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 	if cfg.PTEntries&(cfg.PTEntries-1) == 0 {
 		p.ptMask = cfg.PTEntries - 1
 	}
-	p.metaWrap = func(c prefetch.Candidate, _ Meta) { p.plainIssue(c) }
 	return p
 }
 
@@ -370,22 +385,23 @@ func (p *Prefetcher) train(ctx prefetch.Context) (sig uint16, off int, ok bool) 
 
 // Operate implements prefetch.Prefetcher.
 func (p *Prefetcher) Operate(ctx prefetch.Context, issue func(prefetch.Candidate)) {
-	p.plainIssue = issue
-	p.OperateMeta(ctx, p.metaWrap)
+	if sig, off, ok := p.train(ctx); ok {
+		p.lookahead(ctx.Addr, sig, off, issue, nil)
+	}
 }
 
 // OperateMeta is Operate with per-candidate lookahead metadata, used by PPF.
 func (p *Prefetcher) OperateMeta(ctx prefetch.Context, issue func(prefetch.Candidate, Meta)) {
-	sig, off, ok := p.train(ctx)
-	if !ok {
-		return
+	if sig, off, ok := p.train(ctx); ok {
+		p.lookahead(ctx.Addr, sig, off, nil, issue)
 	}
-	p.lookahead(ctx.Addr, sig, off, issue)
 }
 
 // lookahead walks the signature path issuing candidates at decreasing path
-// confidence.
-func (p *Prefetcher) lookahead(trigger mem.Addr, sig uint16, off int, issue func(prefetch.Candidate, Meta)) {
+// confidence, each to issueMeta with its lookahead step when that is set and
+// to issue otherwise.
+func (p *Prefetcher) lookahead(trigger mem.Addr, sig uint16, off int,
+	issue func(prefetch.Candidate), issueMeta func(prefetch.Candidate, Meta)) {
 	regionBase := trigger &^ (1<<p.regionBits - 1)
 	bpr := p.blocksPerRegion()
 	path := p.alpha()
@@ -425,8 +441,12 @@ func (p *Prefetcher) lookahead(trigger mem.Addr, sig uint16, off int, issue func
 				p.ghrRecord(sig, conf, base&(bpr-1), s.delta)
 				crossRecorded = true
 			}
-			issue(prefetch.Candidate{Addr: cand, FillL2: conf >= p.cfg.FillThreshold},
-				Meta{Sig: sig, Delta: s.delta, Depth: depth, Confidence: conf})
+			c := prefetch.Candidate{Addr: cand, FillL2: conf >= p.cfg.FillThreshold}
+			if issueMeta != nil {
+				issueMeta(c, Meta{Sig: sig, Delta: s.delta, Depth: depth, Confidence: conf})
+			} else {
+				issue(c)
+			}
 			if s.c > bestC {
 				bestC, bestDelta = s.c, s.delta
 			}
@@ -437,7 +457,7 @@ func (p *Prefetcher) lookahead(trigger mem.Addr, sig uint16, off int, issue func
 		// Path confidence decays by the delta ratio and by the global
 		// accuracy factor at every level, as in the original design — an
 		// inaccurate phase cuts lookahead short quickly.
-		path *= float64(bestC) / float64(e.csig) * alpha
+		path *= counterRatio[bestC][e.csig] * alpha
 		if path < p.cfg.LLCThreshold {
 			return
 		}

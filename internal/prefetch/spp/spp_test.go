@@ -1,6 +1,8 @@
 package spp
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -274,5 +276,80 @@ func TestDeltaSlotsBounds(t *testing.T) {
 		if s != (deltaSlot{}) {
 			t.Errorf("slot %d beyond DeltaSlots trained: %+v", cfg.DeltaSlots+i, s)
 		}
+	}
+}
+
+// TestCounterMaxBounds: the lookahead's decay table covers counters up to
+// maxCounter, so New rejects saturation points outside 1..maxCounter, and
+// both ends of the range run.
+func TestCounterMaxBounds(t *testing.T) {
+	for _, n := range []int{0, -1, maxCounter + 1} {
+		cfg := DefaultConfig()
+		cfg.CounterMax = n
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted CounterMax = %d", n)
+				}
+			}()
+			New(cfg, mem.PageBits4K)
+		}()
+	}
+	for _, n := range []int{1, maxCounter} {
+		cfg := DefaultConfig()
+		cfg.CounterMax = n
+		offsets := make([]int, 40)
+		for i := range offsets {
+			offsets[i] = i
+		}
+		if cands := drive(New(cfg, mem.PageBits4K), 0x40000000, offsets); len(cands) == 0 {
+			t.Errorf("CounterMax = %d: no candidates after a +1 stride", n)
+		}
+	}
+}
+
+// TestOperateMatchesOperateMeta: Operate and OperateMeta walk the same
+// lookahead, so twin prefetchers fed the same accesses and feedback propose
+// identical candidate sequences, for both region widths. The streams mix
+// strides, noise and page changes so paths run deep, cross regions and
+// bootstrap from the global history.
+func TestOperateMatchesOperateMeta(t *testing.T) {
+	for _, rb := range []uint{mem.PageBits4K, mem.PageBits2M} {
+		rng := rand.New(rand.NewSource(int64(rb)))
+		plain, meta := New(DefaultConfig(), rb), New(DefaultConfig(), rb)
+		var got, want []prefetch.Candidate
+		total := 0
+		addr := mem.Addr(0x40000000)
+		for i := 0; i < 20000; i++ {
+			switch r := rng.Intn(100); {
+			case r < 70:
+				addr += mem.Addr(1+i/2000%3) * mem.BlockSize
+			case r < 85:
+				addr -= mem.Addr(rng.Intn(5)) * mem.BlockSize
+			case r < 95:
+				addr += mem.Addr(rng.Intn(200)-100) * mem.BlockSize
+			default:
+				addr = 0x40000000 + mem.Addr(rng.Intn(1<<14))*mem.PageSize4K
+			}
+			switch rng.Intn(8) {
+			case 0:
+				plain.PrefetchUseful(addr)
+				meta.PrefetchUseful(addr)
+			case 1:
+				plain.PrefetchUnused(addr)
+				meta.PrefetchUnused(addr)
+			}
+			got, want = got[:0], want[:0]
+			plain.Operate(ctxAt(addr), func(c prefetch.Candidate) { got = append(got, c) })
+			meta.OperateMeta(ctxAt(addr), func(c prefetch.Candidate, _ Meta) { want = append(want, c) })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("regionBits=%d access %d (%#x):\nOperate     %v\nOperateMeta %v", rb, i, addr, got, want)
+			}
+			total += len(got)
+		}
+		if total == 0 {
+			t.Fatalf("regionBits=%d: no candidates proposed", rb)
+		}
+		t.Logf("regionBits=%d: %d candidates agree", rb, total)
 	}
 }

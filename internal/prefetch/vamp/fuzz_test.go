@@ -13,7 +13,11 @@ import (
 // every step: no panic, a marked block always reads back as accessed, and
 // every proposal is virtual, inside the generation limit, respects the 4KB
 // clamp when set, obeys the degree bound, and never targets an
-// already-demanded block.
+// already-demanded block. A twin prefetcher replays the script through
+// refOperate, and every Operate must propose its exact candidate sequence.
+// The first byte picks the region width (bit 0), the clamp (bit 1) and
+// MaxDistance (bits 2..7, plus one); the second picks Degree 1..6, 0 giving
+// the default 2.
 func FuzzVampRegionMap(f *testing.F) {
 	seed := func(words ...uint32) []byte {
 		b := make([]byte, 4*len(words))
@@ -29,19 +33,26 @@ func FuzzVampRegionMap(f *testing.F) {
 	f.Add(seed(7, 7, 7, 7))                            // same block
 	f.Add([]byte{0x02, 0x03})                          // short tail
 	f.Add(seed(0xffffffff, 0, 0x80000001, 0x7ffffffe)) // extremes
+	// Header 0xfc: 4KB regions, no clamp, MaxDistance 64, degree 2.
+	f.Add(seed(0x800000fc, 0x80000000|32770, 0x80000000|32769, 32768)) // descending onto a 2MB edge
+	f.Add(seed(0x800000fc, 0x80000000|129, 0x80000000|128, 127))       // trigger in a word's last block
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := DefaultConfig()
 		cfg.Regions = 4 // tiny: evictions on nearly every region change
-		cfg.MaxDistance = 16
-		if len(data) > 0 && data[0]&2 != 0 {
-			cfg.Clamp4K = true
+		if len(data) > 0 {
+			cfg.Clamp4K = data[0]&2 != 0
+			cfg.MaxDistance = 1 + int(data[0]>>2)
+		}
+		if len(data) > 1 {
+			cfg.Degree = 1 + int(data[1]+1)%6
 		}
 		bits := uint(mem.PageBits4K)
 		if len(data) > 0 && data[0]&1 != 0 {
 			bits = mem.PageBits2M
 		}
-		p := New(cfg, bits)
+		p, ref := New(cfg, bits), New(cfg, bits)
+		var want []prefetch.Candidate
 
 		for i := 0; i+4 <= len(data) && i < 400; i += 4 {
 			w := binary.LittleEndian.Uint32(data[i:])
@@ -50,9 +61,15 @@ func FuzzVampRegionMap(f *testing.F) {
 			ctx := prefetch.Context{Addr: va, VAddr: va, Type: mem.Load, PageSize: mem.Page4K}
 			if w&(1<<31) != 0 {
 				p.Train(ctx)
+				ref.Train(ctx)
 			} else {
+				want = want[:0]
+				refOperate(ref, ctx, func(c prefetch.Candidate) { want = append(want, c) })
 				issued := 0
 				p.Operate(ctx, func(c prefetch.Candidate) {
+					if issued >= len(want) || c != want[issued] {
+						t.Fatalf("Operate(%#x): candidate %d is %+v, refOperate proposes %v", va, issued, c, want)
+					}
 					issued++
 					if !c.Virtual {
 						t.Fatalf("Operate(%#x): candidate %#x not marked virtual", va, c.Addr)
@@ -69,6 +86,9 @@ func FuzzVampRegionMap(f *testing.F) {
 				})
 				if issued > cfg.Degree {
 					t.Fatalf("Operate(%#x): issued %d candidates, degree is %d", va, issued, cfg.Degree)
+				}
+				if issued != len(want) {
+					t.Fatalf("Operate(%#x): %d candidates, refOperate proposes %v", va, issued, want)
 				}
 			}
 			if !p.accessed(va) {

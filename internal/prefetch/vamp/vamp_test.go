@@ -1,11 +1,63 @@
 package vamp
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/prefetch"
 )
+
+// accessed reports whether the block at virtual address v was demanded in a
+// tracked region: the per-block lookup the word-parallel scan replaced.
+func (p *Prefetcher) accessed(v mem.Addr) bool {
+	region := uint64(v) >> p.regionBits
+	s := p.slot(region)
+	if p.tags[s] != region<<1|1 {
+		return false
+	}
+	block := uint64(v>>mem.BlockBits) & (uint64(p.words)*64 - 1)
+	return p.bits[s*p.words+int(block>>6)]&(1<<(block&63)) != 0
+}
+
+// refOperate is the reference scan Operate must reproduce: record the access,
+// then test each distance k = 1..MaxDistance in turn, +k before −k, with up
+// to three per-block lookups each.
+func refOperate(p *Prefetcher, ctx prefetch.Context, issue func(prefetch.Candidate)) {
+	if !ctx.Type.IsDemand() {
+		return
+	}
+	va := vaOf(ctx)
+	p.mark(va)
+	issued := 0
+	for k := 1; k <= p.cfg.MaxDistance; k++ {
+		for _, d := range [2]int64{int64(k), -int64(k)} {
+			step := mem.Addr(d) * mem.BlockSize
+			cand := va + step
+			if !prefetch.InGenLimit(va, cand) {
+				continue
+			}
+			if !p.accessed(va-step) || !p.accessed(va-2*step) {
+				continue
+			}
+			if p.accessed(cand) {
+				continue // already demanded
+			}
+			if p.cfg.Clamp4K && !mem.SamePage(va, cand, mem.Page4K) {
+				// Suppressed, but the degree budget is spent (see Config).
+				if issued++; issued >= p.cfg.Degree {
+					return
+				}
+				continue
+			}
+			issue(prefetch.Candidate{Addr: cand, FillL2: true, Virtual: true})
+			if issued++; issued >= p.cfg.Degree {
+				return
+			}
+		}
+	}
+}
 
 func step(addr mem.Addr) prefetch.Context {
 	return prefetch.Context{Addr: addr, VAddr: addr, Type: mem.Load, PageSize: mem.Page4K}
@@ -186,5 +238,116 @@ func TestVAddrPreferred(t *testing.T) {
 	})
 	if !found {
 		t.Error("VA-keyed stride not detected when physical addresses scatter")
+	}
+}
+
+// oracleTrial is one random access history replayed against Operate and
+// refOperate on twin prefetchers.
+type oracleTrial struct {
+	cfg        Config
+	regionBits uint
+	base       mem.Addr // histories cluster around base
+}
+
+// run replays n accesses clustered in a few windows around the trial's base
+// (dense enough that many distances find support, with wrap-around at the
+// address space's ends) and fails on the first divergent candidate sequence.
+// It returns the number of candidates compared.
+func (tr oracleTrial) run(t *testing.T, rng *rand.Rand, n int) int {
+	t.Helper()
+	fast, ref := New(tr.cfg, tr.regionBits), New(tr.cfg, tr.regionBits)
+	centres := []mem.Addr{tr.base, tr.base + mem.Addr(rng.Intn(1<<12))*mem.BlockSize}
+	var got, want []prefetch.Candidate
+	compared := 0
+	for i := 0; i < n; i++ {
+		va := centres[rng.Intn(len(centres))] + mem.Addr(rng.Intn(400)-200)*mem.BlockSize
+		if rng.Intn(3) == 0 {
+			va += mem.Addr(rng.Intn(8)) // unaligned trigger
+		}
+		ctx := prefetch.Context{Addr: va, VAddr: va, Type: mem.Load, PageSize: mem.Page4K}
+		if rng.Intn(4) == 0 {
+			fast.Train(ctx)
+			ref.Train(ctx)
+			continue
+		}
+		got, want = got[:0], want[:0]
+		fast.Operate(ctx, func(c prefetch.Candidate) { got = append(got, c) })
+		refOperate(ref, ctx, func(c prefetch.Candidate) { want = append(want, c) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v regionBits=%d access %d va=%#x:\nOperate    %v\nrefOperate %v",
+				tr.cfg, tr.regionBits, i, va, got, want)
+		}
+		compared += len(got)
+	}
+	return compared
+}
+
+// TestOperateMatchesReference: the word-parallel scan proposes exactly the
+// per-distance loop's candidate sequence across random histories, region
+// table sizes (including non-powers of two and a single colliding region),
+// region widths, distances, degrees and the 4KB clamp, with histories near
+// address 0, near the top of the address space and straddling 2MB edges.
+func TestOperateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bases := []mem.Addr{
+		0,
+		64 * mem.BlockSize,
+		^mem.Addr(0) &^ (mem.BlockSize - 1),
+		^mem.Addr(0) - 100*mem.BlockSize + 1,
+		mem.PageSize2M,
+		7*mem.PageSize2M - 3*mem.BlockSize,
+		0x7f0000000000 + mem.PageSize2M + 40*mem.BlockSize,
+	}
+	trials, compared := 0, 0
+	for _, regions := range []int{1, 3, 4, 128} {
+		for _, rb := range []uint{12, 13, 16, 21} {
+			for _, base := range bases {
+				for rep := 0; rep < 28; rep++ {
+					cfg := Config{
+						Regions:     regions,
+						MaxDistance: 1 + rng.Intn(64),
+						Degree:      1 + rng.Intn(6),
+						Clamp4K:     rng.Intn(2) == 0,
+					}
+					if rep == 0 {
+						cfg.MaxDistance = 64
+					}
+					compared += oracleTrial{cfg: cfg, regionBits: rb, base: base}.run(t, rng, 200)
+					trials++
+				}
+			}
+		}
+	}
+	t.Logf("%d histories agree on %d candidates", trials, compared)
+}
+
+// TestNewRejectsBadBounds: distances outside 1..64 do not fit the scan's
+// one-word masks, and a zero degree used to propose one candidate per access
+// anyway because the budget was checked after the issue.
+func TestNewRejectsBadBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"MaxDistance 0", func(c *Config) { c.MaxDistance = 0 }},
+		{"MaxDistance 65", func(c *Config) { c.MaxDistance = 65 }},
+		{"Degree 0", func(c *Config) { c.Degree = 0 }},
+		{"Degree -1", func(c *Config) { c.Degree = -1 }},
+	} {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: New accepted %+v", tc.name, cfg)
+				}
+			}()
+			New(cfg, mem.PageBits4K)
+		}()
+	}
+	for _, d := range []int{1, 64} {
+		cfg := DefaultConfig()
+		cfg.MaxDistance, cfg.Degree = d, 1
+		New(cfg, mem.PageBits4K) // the bounds themselves are valid
 	}
 }

@@ -22,9 +22,9 @@ func TestConstructionBudget(t *testing.T) {
 		objects  float64 // heap objects per system
 		kb       float64 // heap KB per system
 	}{
-		{"libquantum", PrefSpec{Base: "spp", Variant: core.PSASD}, 97, 1671},
-		{"mcf", PrefSpec{Base: "ppf", Variant: core.PSA}, 94, 1773},
-		{"soplex", PrefSpec{Base: "vldp", Variant: core.Original}, 91, 1579},
+		{"libquantum", PrefSpec{Base: "spp", Variant: core.PSASD}, 96, 1366},
+		{"mcf", PrefSpec{Base: "ppf", Variant: core.PSA}, 93, 1468},
+		{"soplex", PrefSpec{Base: "vldp", Variant: core.Original}, 91, 1274},
 	}
 	const builds = 20
 	for _, row := range rows {
