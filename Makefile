@@ -30,11 +30,13 @@ vet:
 # fuzzing engine) under the race detector, catching trace-format,
 # batch-decoder, submit-decoder, traceparent-parser, pangloss-delta-cache and
 # vamp-region-map regressions deterministically; the page-table seeds replay
-# mapping scripts against the map-backed reference table, the vamp seeds
-# compare every scan with the per-distance reference, and the cache seeds
-# replay fill/touch scripts against the timestamp LRU model.
+# mapping scripts against the map-backed reference table and the TLB seeds
+# lookup/insert/flush scripts against the timestamp LRU model, the vamp seeds
+# compare every scan with the per-distance reference, the cache seeds replay
+# fill/touch scripts against the timestamp LRU model, and the spp seeds replay
+# train/lookahead scripts against the map-backed pattern-table model.
 fuzz-seeds:
-	$(GO) test -race -run=Fuzz ./internal/trace/ ./internal/service/ ./internal/vm/ ./internal/dtrace/ ./internal/prefetch/pangloss/ ./internal/prefetch/vamp/ ./internal/cache/
+	$(GO) test -race -run=Fuzz ./internal/trace/ ./internal/service/ ./internal/vm/ ./internal/dtrace/ ./internal/prefetch/pangloss/ ./internal/prefetch/vamp/ ./internal/cache/ ./internal/prefetch/spp/
 
 # bench runs the pinned workload×prefetcher microbenchmark suite and writes
 # BENCH_<date>.json (see cmd/pbench -h for comparing against a baseline).

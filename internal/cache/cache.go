@@ -16,6 +16,7 @@ import (
 	"math/bits"
 
 	"repro/internal/mem"
+	"repro/internal/recency"
 )
 
 // ReplPolicy selects the replacement policy of a cache.
@@ -43,17 +44,68 @@ func (p ReplPolicy) String() string {
 	return "lru"
 }
 
-// line is one cache block's state. The block address and validity live only
-// in the dense tags array (tagInvalid ⇔ invalid), which keeps the record at
-// 16 bytes.
-type line struct {
-	dirty      bool
-	prefetched bool // filled by a prefetch and not yet demanded
-	prefID     uint8
-	core       uint8     // core that triggered the fill
-	rrpv       uint8     // SRRIP re-reference prediction value
-	readyAt    mem.Cycle // fill completion; hits before this merge with the fill
+// line is one cache block's state packed into one word: the fill-completion
+// cycle in the low lineReadyBits bits, then the dirty and prefetched flags,
+// the 2-bit SRRIP re-reference prediction value, the prefetcher ID and the
+// core that triggered the fill. The block address and validity live only in
+// the dense tags array (tagInvalid ⇔ invalid), which keeps the record at
+// 8 bytes.
+type line uint64
+
+const (
+	// lineReadyBits is the width of the fill-completion cycle: 2^44 cycles
+	// is about 1.8·10^13, far beyond any simulated run.
+	lineReadyBits   = 44
+	lineReadyMask   = 1<<lineReadyBits - 1
+	lineDirty       = 1 << lineReadyBits
+	linePrefetched  = lineDirty << 1 // filled by a prefetch and not yet demanded
+	lineRRPVShift   = 46
+	linePrefIDShift = 48
+	lineCoreShift   = 56
+)
+
+// newLine packs a freshly filled line's state.
+func newLine(readyAt mem.Cycle, dirty, prefetched bool, prefID, core, rrpv uint8) line {
+	l := line(prefID)<<linePrefIDShift | line(core)<<lineCoreShift | line(rrpv&3)<<lineRRPVShift
+	if dirty {
+		l |= lineDirty
+	}
+	if prefetched {
+		l |= linePrefetched
+	}
+	l.setReadyAt(readyAt)
+	return l
 }
+
+// readyAt is the fill completion; hits before it merge with the fill.
+func (l line) readyAt() mem.Cycle { return mem.Cycle(l & lineReadyMask) }
+
+// setReadyAt stores the fill completion, refusing a cycle the word cannot
+// hold rather than wrapping it into a wrong one.
+func (l *line) setReadyAt(c mem.Cycle) {
+	if uint64(c) > lineReadyMask {
+		readyAtOverflow(c)
+	}
+	*l = *l&^lineReadyMask | line(c)
+}
+
+// readyAtOverflow is setReadyAt's panic, kept out of line so the setter
+// stays inlinable.
+//
+//go:noinline
+func readyAtOverflow(c mem.Cycle) {
+	panic(fmt.Sprintf("cache: fill completion cycle %d exceeds the line word's %d-bit limit", c, lineReadyBits))
+}
+
+func (l line) dirty() bool      { return l&lineDirty != 0 }
+func (l line) prefetched() bool { return l&linePrefetched != 0 }
+func (l line) rrpv() uint8      { return uint8(l>>lineRRPVShift) & 3 }
+func (l line) prefID() uint8    { return uint8(l >> linePrefIDShift) }
+func (l line) core() uint8      { return uint8(l >> lineCoreShift) }
+
+func (l *line) setRRPV(v uint8)  { *l = *l&^(3<<lineRRPVShift) | line(v&3)<<lineRRPVShift }
+func (l *line) markDirty()       { *l |= lineDirty }
+func (l *line) clearPrefetched() { *l &^= linePrefetched }
 
 // Config describes one cache level.
 type Config struct {
@@ -302,15 +354,10 @@ type Cache struct {
 	// line's block and validity: the lookup scan touches 8 contiguous bytes
 	// per way, which is most of what find costs on miss-heavy workloads.
 	tags []mem.Addr
-	// order holds one recency word per set: nibble r is the way at recency
-	// rank r, rank 0 most recent. A touch or fill moves its way to rank 0 and
-	// shifts the ranks above it down by one, so the LRU victim is the nibble
-	// at rank Ways-1 (tailShift). Ways never filled start at the tail, the
-	// lowest way last, and stay there in that order since nothing promotes
-	// them: the tail is "first invalid way, else least-recently-used way"
-	// with no scan.
-	order     []uint64
-	tailShift uint
+	// order holds one recency word per set (see package recency). touchAt
+	// and fill promote under every policy, so rank 0 is always the set's most
+	// recently used way and, under LRU, the tail is the victim.
+	order []uint64
 	// fills counts fills, the only events that change tags; the negative
 	// lookup memo is valid while it holds.
 	fills uint64
@@ -348,12 +395,6 @@ type Cache struct {
 	// memo skips that second set scan.
 	lastMissBlock mem.Addr
 	lastMissFills uint64
-	// mru[s] is the way of set s's most recent hit or fill. Tags are unique
-	// within a set, so probing it first returns the same index as the scan —
-	// and consecutive accesses inside one block (the common case for demand
-	// streams) resolve in a single compare.
-	mru []int32
-
 	// partial packs one hashed byte per way into uint64 words (partialWords
 	// words per set), so a probe rejects a whole set with one XOR and a SWAR
 	// zero-byte test and verifies only flagged candidate ways against the full
@@ -404,8 +445,8 @@ func New(cfg Config, next mem.Port) *Cache {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 {
 		panic(fmt.Sprintf("cache %s: bad geometry %d×%d", cfg.Name, cfg.Sets, cfg.Ways))
 	}
-	if cfg.Ways > maxWays {
-		panic(fmt.Sprintf("cache %s: %d ways, the recency order holds at most %d", cfg.Name, cfg.Ways, maxWays))
+	if cfg.Ways > recency.MaxWays {
+		panic(fmt.Sprintf("cache %s: %d ways, the recency order holds at most %d", cfg.Name, cfg.Ways, recency.MaxWays))
 	}
 	if cfg.MSHREntries <= 0 {
 		panic(fmt.Sprintf("cache %s: MSHR entries must be positive", cfg.Name))
@@ -416,9 +457,7 @@ func New(cfg Config, next mem.Port) *Cache {
 		lines:        make([]line, cfg.Sets*cfg.Ways),
 		tags:         make([]mem.Addr, cfg.Sets*cfg.Ways),
 		order:        make([]uint64, cfg.Sets),
-		tailShift:    uint(cfg.Ways-1) * 4,
 		mshrFree:     make([]mem.Cycle, cfg.MSHREntries),
-		mru:          make([]int32, cfg.Sets),
 		partial:      make([]uint64, cfg.Sets*partialWords),
 		partialWords: partialWords,
 		setGen:       make([]uint64, cfg.Sets),
@@ -429,12 +468,7 @@ func New(cfg Config, next mem.Port) *Cache {
 	for i := range c.tags {
 		c.tags[i] = tagInvalid
 	}
-	// Way w starts at rank Ways-1-w: way 0 at the tail, the victim of the
-	// set's first fill.
-	var order uint64
-	for w := 0; w < cfg.Ways; w++ {
-		order |= uint64(w) << (uint(cfg.Ways-1-w) * 4)
-	}
+	order := recency.Initial(cfg.Ways)
 	for i := range c.order {
 		c.order[i] = order
 	}
@@ -449,10 +483,6 @@ func New(cfg Config, next mem.Port) *Cache {
 // tagInvalid marks an empty way in the tag array; it is never block-aligned,
 // so it cannot collide with a real block address.
 const tagInvalid = ^mem.Addr(0)
-
-// maxWays bounds Config.Ways: the recency order packs one 4-bit way number
-// per rank into a single word per set.
-const maxWays = 16
 
 // SetObserver attaches the access/feedback observer. If the observer also
 // implements LifecycleObserver it additionally receives prefetch lifecycle
@@ -524,14 +554,16 @@ func (c *Cache) findAt(si int, block mem.Addr) *line {
 // findIdx returns the global way index of block in set si, or -1: index form
 // of findAt, for paths that also update the dense replacement mirrors.
 func (c *Cache) findIdx(si int, block mem.Addr) int {
-	// Probe order: the most-recently-used way first (one load and compare —
-	// hit-heavy sets resolve here, and the repeat-hit memo in access() already
-	// absorbed the hottest repeats before this point), then the register-only
-	// negative memo, then the packed partial array — an eighth of the tag
-	// array's footprint — so on a miss the full tags are never scanned, only
-	// touched to verify a candidate.
+	// Probe order: the most-recently-used way — rank 0 of the recency word —
+	// first (one load and compare: hit-heavy sets resolve here, and the
+	// repeat-hit memo in access() already absorbed the hottest repeats before
+	// this point), then the register-only negative memo, then the packed
+	// partial array — an eighth of the tag array's footprint — so on a miss
+	// the full tags are never scanned, only touched to verify a candidate.
+	// Tags are unique within a set, so the order changes only which compare
+	// finds the way, never the index returned.
 	base := si * c.cfg.Ways
-	if m := base + int(c.mru[si]); c.tags[m] == block {
+	if m := base + recency.Way(c.order[si], 0); c.tags[m] == block {
 		return m
 	}
 	if block == c.lastMissBlock && c.fills == c.lastMissFills {
@@ -540,15 +572,11 @@ func (c *Cache) findIdx(si int, block mem.Addr) int {
 	return c.findIdxPacked(si, base, block)
 }
 
-// SWAR constants for the packed partial-tag probe (byte lanes) and the
-// recency order (nibble lanes): lane replication and the per-lane high bits
-// of the classic zero-lane detector.
+// SWAR constants for the packed partial-tag probe (byte lanes): lane
+// replication and the per-lane high bits of the classic zero-lane detector.
 const (
-	swarLanes  = 0x0101010101010101
-	swarHigh   = 0x8080808080808080
-	nibLanes   = 0x1111111111111111
-	nibHigh    = 0x8888888888888888
-	nibLowMask = 0xF
+	swarLanes = 0x0101010101010101
+	swarHigh  = 0x8080808080808080
 )
 
 // partialOf hashes a block address to its one-byte partial tag. Any function
@@ -574,7 +602,6 @@ func (c *Cache) findIdxPacked(si, base int, block mem.Addr) int {
 		for m != 0 {
 			way := wi<<3 + bits.TrailingZeros64(m)>>3
 			if way < c.cfg.Ways && c.tags[base+way] == block {
-				c.mru[si] = int32(way)
 				return base + way
 			}
 			m &= m - 1
@@ -601,7 +628,7 @@ func (c *Cache) Contains(block mem.Addr) bool {
 // cycle at.
 func (c *Cache) InFlight(block mem.Addr, at mem.Cycle) bool {
 	l := c.find(mem.BlockAlign(block))
-	return l != nil && l.readyAt > at
+	return l != nil && l.readyAt() > at
 }
 
 // TryDropPrefetch accounts a proven MSHR-reserve drop for a prefetch issued
@@ -653,7 +680,7 @@ func (c *Cache) victim(si int, set []line) int {
 	if p := c.cfg.Replacement; p != ReplSRRIP && p != ReplRandom {
 		// LRU: the tail of the recency order, which is the first invalid
 		// way while any remain (see order).
-		return int(c.order[si] >> c.tailShift & nibLowMask)
+		return recency.Way(c.order[si], c.cfg.Ways-1)
 	}
 	base := si * c.cfg.Ways
 	for i, t := range c.tags[base : base+c.cfg.Ways] {
@@ -666,12 +693,12 @@ func (c *Cache) victim(si int, set []line) int {
 		// Find a distant-re-reference line, aging the set until one exists.
 		for {
 			for i := range set {
-				if set[i].rrpv >= 3 {
+				if set[i].rrpv() >= 3 {
 					return i
 				}
 			}
 			for i := range set {
-				set[i].rrpv++
+				set[i].setRRPV(set[i].rrpv() + 1)
 			}
 		}
 	default: // ReplRandom
@@ -680,25 +707,11 @@ func (c *Cache) victim(si int, set []line) int {
 	}
 }
 
-// promote moves way to rank 0 of set si's recency order. A SWAR zero-nibble
-// search finds its rank — the lowest flagged lane is exact, and the way
-// occurs once among the live ranks below any unused high nibbles — then the
-// ranks before it each move one nibble toward the tail and the way drops in
-// at rank 0.
-func (c *Cache) promote(si, way int) {
-	o := c.order[si]
-	x := o ^ uint64(way)*nibLanes
-	r := uint(bits.TrailingZeros64((x-nibLanes)&^x&nibHigh)) &^ 3 // 4·rank
-	below := uint64(1)<<r - 1
-	through := uint64(1)<<(r+4) - 1 // ranks 0..rank; all ones at rank 15
-	c.order[si] = o&^through | (o&below)<<4 | uint64(way)
-}
-
 // touchAt updates replacement state on a hit of the way at global index gi in
 // set si. Bumping the set generation invalidates any hit memo formed there.
 func (c *Cache) touchAt(si, gi int) {
-	c.promote(si, gi-si*c.cfg.Ways)
-	c.lines[gi].rrpv = 0
+	c.order[si] = recency.Promote(c.order[si], gi-si*c.cfg.Ways)
+	c.lines[gi].setRRPV(0)
 	c.setGen[si]++
 }
 
@@ -723,19 +736,19 @@ func (c *Cache) fill(si int, block mem.Addr, readyAt, now mem.Cycle, req *mem.Re
 	v := &set[vi]
 	gi := si*c.cfg.Ways + vi
 	if old := c.tags[gi]; old != tagInvalid {
-		if v.prefetched {
+		if v.prefetched() {
 			c.Stats.PrefetchUnused++
 			if c.observer != nil {
-				c.observer.OnPrefetchUnused(old, v.prefID, int(v.core))
+				c.observer.OnPrefetchUnused(old, v.prefID(), int(v.core()))
 			}
 			if c.life != nil {
 				c.life.OnPrefetchLifecycle(c.cfg.Name, LifecycleEvent{
 					Kind: LifeEvict, Block: old, At: now, Req: req,
-					PrefID: v.prefID, Core: v.core,
+					PrefID: v.prefID(), Core: v.core(),
 				})
 			}
 		}
-		if v.dirty {
+		if v.dirty() {
 			c.Stats.Writebacks++
 			if c.next != nil {
 				wb := c.wbPool.GetDirty()
@@ -746,18 +759,12 @@ func (c *Cache) fill(si int, block mem.Addr, readyAt, now mem.Cycle, req *mem.Re
 	}
 	c.fills++
 	c.tags[gi] = block
-	c.promote(si, vi)
-	c.mru[si] = int32(vi)
+	c.order[si] = recency.Promote(c.order[si], vi)
 	c.setGen[si]++
 	c.setPartial(si, vi, partialOf(block))
-	*v = line{
-		dirty:      req.Type == mem.Store || req.Type == mem.Writeback,
-		prefetched: req.Type == mem.Prefetch,
-		prefID:     req.PrefID,
-		core:       uint8(req.Core),
-		rrpv:       2, // SRRIP long re-reference insertion
-		readyAt:    readyAt,
-	}
+	*v = newLine(readyAt, req.Type == mem.Store || req.Type == mem.Writeback,
+		req.Type == mem.Prefetch, req.PrefID, uint8(req.Core),
+		2) // SRRIP long re-reference insertion
 }
 
 // Access implements mem.Port. It resolves hit/miss, models MSHR occupancy and
@@ -793,7 +800,7 @@ func (c *Cache) access(req *mem.Request, at mem.Cycle, fillHere bool) mem.Cycle 
 			// Prefetching an already-present block is a silent drop.
 			return at + c.cfg.Latency
 		case mem.Store, mem.Writeback:
-			c.lines[c.memoGI].dirty = true
+			c.lines[c.memoGI].markDirty()
 		}
 		if req.Type != mem.Writeback {
 			c.Stats.Hits++
@@ -811,7 +818,7 @@ func (c *Cache) access(req *mem.Request, at mem.Cycle, fillHere bool) mem.Cycle 
 		// completion dependence for the core.
 		si := c.SetIndex(block)
 		if gi := c.findIdx(si, block); gi >= 0 {
-			c.lines[gi].dirty = true
+			c.lines[gi].markDirty()
 			c.touchAt(si, gi)
 			return at + c.cfg.Latency
 		}
@@ -826,11 +833,12 @@ func (c *Cache) access(req *mem.Request, at mem.Cycle, fillHere bool) mem.Cycle 
 	if gi := c.findIdx(si, block); gi >= 0 {
 		l := &c.lines[gi]
 		done := lookupDone
-		merged := l.readyAt > at // fill still in flight: MSHR merge semantics
-		if merged && l.readyAt > done {
-			done = l.readyAt
-			if l.prefetched && demand && c.cfg.PromoteLatency > 0 && c.next != nil &&
-				l.readyAt-lookupDone > c.cfg.PromoteLatency {
+		readyAt := l.readyAt()
+		merged := readyAt > at // fill still in flight: MSHR merge semantics
+		if merged && readyAt > done {
+			done = readyAt
+			if l.prefetched() && demand && c.cfg.PromoteLatency > 0 && c.next != nil &&
+				readyAt-lookupDone > c.cfg.PromoteLatency {
 				// The prefetch is scheduled further out than a fresh demand
 				// path: promote it by re-issuing the request downstream as a
 				// demand. The re-issue consumes real downstream capacity
@@ -841,13 +849,13 @@ func (c *Cache) access(req *mem.Request, at mem.Cycle, fillHere bool) mem.Cycle 
 				*re = *req
 				if promoted := c.forward(re, lookupDone); promoted < done {
 					done = promoted
-					l.readyAt = promoted
+					l.setReadyAt(promoted)
 				}
 			}
 		}
 		c.touchAt(si, gi)
 		if req.Type == mem.Store {
-			l.dirty = true
+			l.markDirty()
 		}
 		if req.Type == mem.Prefetch {
 			// Prefetching an already-present block is a silent drop.
@@ -858,20 +866,20 @@ func (c *Cache) access(req *mem.Request, at mem.Cycle, fillHere bool) mem.Cycle 
 			c.Stats.DemandHits++
 			c.Stats.DemandLatencySum += uint64(done - at)
 			c.Stats.DemandCount++
-			if l.prefetched {
-				l.prefetched = false
+			if l.prefetched() {
+				l.clearPrefetched()
 				if merged {
 					c.Stats.PrefetchLate++
 				} else {
 					c.Stats.PrefetchUseful++
 				}
 				if c.observer != nil {
-					c.observer.OnPrefetchUseful(block, l.prefID, int(l.core))
+					c.observer.OnPrefetchUseful(block, l.prefID(), int(l.core()))
 				}
 				if c.life != nil {
 					c.life.OnPrefetchLifecycle(c.cfg.Name, LifecycleEvent{
 						Kind: LifeUse, Block: block, At: done, Late: merged,
-						Req: req, PrefID: l.prefID, Core: l.core,
+						Req: req, PrefID: l.prefID(), Core: l.core(),
 					})
 				}
 			}
@@ -880,7 +888,7 @@ func (c *Cache) access(req *mem.Request, at mem.Cycle, fillHere bool) mem.Cycle 
 				// (after the use accounting above) no longer prefetched.
 				c.memoBlock, c.memoSet, c.memoGI = block, si, gi
 				c.memoGen = c.setGen[si]
-				c.memoReady = l.readyAt
+				c.memoReady = l.readyAt()
 			}
 		}
 		if c.accObs != nil {

@@ -134,7 +134,7 @@ func TestLifecycleLateUseAndEvict(t *testing.T) {
 // TestEvictDirtyPrefetchedLine evicts a line that is both dirty and still
 // prefetched: the victim's block comes only from the tags array, and the
 // writeback, the unused-prefetch feedback and the evict event must all name
-// it. It also pins the 16-byte line record the tags array makes possible.
+// it. It also pins the 8-byte line word the tags array makes possible.
 func TestEvictDirtyPrefetchedLine(t *testing.T) {
 	next := &fixedPort{latency: 10}
 	c := New(Config{Name: "c", Sets: 1, Ways: 1, Latency: 1, MSHREntries: 4}, next)
@@ -171,8 +171,8 @@ func TestEvictDirtyPrefetchedLine(t *testing.T) {
 	if evict.Kind != LifeEvict || evict.Block != victim || evict.PrefID != 2 {
 		t.Errorf("evict event = %+v, want LifeEvict of %#x with PrefID 2", evict, victim)
 	}
-	if got := unsafe.Sizeof(line{}); got != 16 {
-		t.Errorf("line record is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(line(0)); got != 8 {
+		t.Errorf("line record is %d bytes, want 8", got)
 	}
 }
 

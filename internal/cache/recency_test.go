@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/recency"
 )
 
 // stampModel is the timestamp LRU the recency order replaced: each way keeps
@@ -86,7 +87,7 @@ func runRecencyScript(t *testing.T, ways int, script []byte) {
 // every way count the order word supports.
 func TestRecencyOrderMatchesTimestamps(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for ways := 1; ways <= maxWays; ways++ {
+	for ways := 1; ways <= recency.MaxWays; ways++ {
 		for n := 0; n < 50; n++ {
 			script := make([]byte, 1+rng.Intn(4*ways+40))
 			rng.Read(script)
@@ -110,7 +111,7 @@ func FuzzRecencyOrder(f *testing.F) {
 		if len(data) > 512 {
 			data = data[:512]
 		}
-		runRecencyScript(t, int(data[0]%maxWays)+1, data[1:])
+		runRecencyScript(t, int(data[0]%recency.MaxWays)+1, data[1:])
 	})
 }
 
@@ -122,5 +123,5 @@ func TestNewRejectsTooManyWays(t *testing.T) {
 			t.Error("New accepted 17 ways")
 		}
 	}()
-	New(Config{Name: "c", Sets: 1, Ways: maxWays + 1, Latency: 1, MSHREntries: 4}, nil)
+	New(Config{Name: "c", Sets: 1, Ways: recency.MaxWays + 1, Latency: 1, MSHREntries: 4}, nil)
 }

@@ -1,0 +1,324 @@
+package spp
+
+import (
+	"math/rand"
+	"testing"
+	"unsafe"
+
+	"repro/internal/mem"
+	"repro/internal/prefetch"
+)
+
+// refPatternTable is a naive model of the Pattern Table and its lookahead
+// walk: a map from table index to an entry with plain-int counters and a
+// slice of delta slots, written straight from the SPP design with no packed
+// types or precomputed ratios.
+type refPatternTable struct {
+	entries, slots, counterMax int
+	regionBits, sigBits        uint
+	maxLookahead               int
+	fillT, llcT                float64
+	pt                         map[int]*refPTEntry
+}
+
+type refPTEntry struct {
+	csig   int
+	deltas []refSlot
+}
+
+type refSlot struct{ delta, c int }
+
+// refCand is one proposed candidate with its lookahead step.
+type refCand struct {
+	cand prefetch.Candidate
+	meta Meta
+}
+
+// refExit is the region exit a lookahead records for GHR bootstrap.
+type refExit struct{ sig, lastOffset, delta int }
+
+func newRefPatternTable(cfg Config, regionBits uint) *refPatternTable {
+	return &refPatternTable{
+		entries: cfg.PTEntries, slots: cfg.DeltaSlots, counterMax: cfg.CounterMax,
+		regionBits: regionBits, sigBits: cfg.SigBits, maxLookahead: cfg.MaxLookahead,
+		fillT: cfg.FillThreshold, llcT: cfg.LLCThreshold,
+		pt: map[int]*refPTEntry{},
+	}
+}
+
+func (r *refPatternTable) entry(sig int) *refPTEntry {
+	i := sig % r.entries
+	if r.pt[i] == nil {
+		r.pt[i] = &refPTEntry{deltas: make([]refSlot, r.slots)}
+	}
+	return r.pt[i]
+}
+
+func (r *refPatternTable) nextSig(sig, delta int) int {
+	enc := delta
+	if enc < 0 {
+		enc = -enc | 1<<6
+	}
+	return (sig<<3 ^ enc) & (1<<r.sigBits - 1)
+}
+
+// update halves every counter of a saturated entry, counts the signature,
+// and counts the delta in its slot — or, when no live slot holds it, in the
+// first slot with the smallest count, reset to zero first.
+func (r *refPatternTable) update(sig, delta int) {
+	e := r.entry(sig)
+	if e.csig >= r.counterMax {
+		e.csig /= 2
+		for i := range e.deltas {
+			e.deltas[i].c /= 2
+		}
+	}
+	e.csig++
+	slot := -1
+	for i, s := range e.deltas {
+		if s.c > 0 && s.delta == delta {
+			slot = i
+			break
+		}
+	}
+	if slot < 0 {
+		slot = 0
+		for i, s := range e.deltas {
+			if s.c < e.deltas[slot].c {
+				slot = i
+			}
+		}
+		e.deltas[slot] = refSlot{delta: delta}
+	}
+	if e.deltas[slot].c < r.counterMax {
+		e.deltas[slot].c++
+	}
+}
+
+// lookahead walks the signature path from sig at offset off of trigger's
+// region, returning every candidate in proposal order and the first region
+// exit, if any.
+func (r *refPatternTable) lookahead(trigger mem.Addr, sig, off int, alpha float64) ([]refCand, *refExit) {
+	var out []refCand
+	var exit *refExit
+	bpr := 1 << (r.regionBits - mem.BlockBits)
+	regionBase := trigger &^ (1<<r.regionBits - 1)
+	path, base := alpha, off
+	for depth := 0; depth < r.maxLookahead; depth++ {
+		e := r.entry(sig)
+		if e.csig == 0 {
+			break
+		}
+		bestC, bestDelta := 0, 0
+		for _, s := range e.deltas {
+			if s.c == 0 {
+				continue
+			}
+			conf := path * float64(s.c) / float64(e.csig)
+			if conf < r.llcT {
+				continue
+			}
+			target := base + s.delta
+			cand := regionBase + mem.Addr(target)*mem.BlockSize
+			leaves := target < 0 || target >= bpr
+			if leaves && exit == nil {
+				exit = &refExit{sig: sig, lastOffset: base & (bpr - 1), delta: s.delta}
+			}
+			if target < 0 || !mem.SamePage(trigger, cand, mem.Page2M) {
+				continue
+			}
+			out = append(out, refCand{
+				cand: prefetch.Candidate{Addr: cand, FillL2: conf >= r.fillT},
+				meta: Meta{Sig: uint16(sig), Delta: s.delta, Depth: depth, Confidence: conf},
+			})
+			if s.c > bestC {
+				bestC, bestDelta = s.c, s.delta
+			}
+		}
+		if bestC == 0 {
+			break
+		}
+		path *= float64(bestC) / float64(e.csig) * alpha
+		if path < r.llcT {
+			break
+		}
+		base += bestDelta
+		sig = r.nextSig(sig, bestDelta)
+	}
+	return out, exit
+}
+
+// replayPatternTable drives a Prefetcher's ptUpdate and lookahead and the
+// reference model through one script and compares them at every step: the
+// trained entry's counters and slots after each update, and every candidate
+// (address and FillL2), Meta and recorded region exit of each lookahead.
+//
+// hdr picks the configuration: bit 0 the region width (12 or 21 bits),
+// bits 1-2 DeltaSlots (1..4), bit 3 a power-of-two (16) or modulo (12)
+// Pattern Table, bits 4-7 CounterMax (1..15, 0 meaning 15). The script is
+// 4-byte steps (a, b, c, d) over 64 signatures (a>>2): a&1 == 0 trains a
+// delta chosen by b%4 — small (int8 c), the region's extreme ±(blocks-1)
+// (sign from c), or any 16-bit value (c | d<<8) folded into the region —
+// and a&1 == 1 walks from offset (b | c<<8) of the region d selects, at an
+// accuracy factor set from c and d. It returns how many candidates the
+// lookaheads proposed.
+func replayPatternTable(t *testing.T, hdr byte, script []byte) int {
+	t.Helper()
+	rb := uint(mem.PageBits4K)
+	if hdr&1 != 0 {
+		rb = mem.PageBits2M
+	}
+	cfg := DefaultConfig()
+	cfg.DeltaSlots = int(hdr>>1&3) + 1
+	cfg.PTEntries = 16
+	if hdr&8 != 0 {
+		cfg.PTEntries = 12
+	}
+	cfg.CounterMax = int(hdr >> 4)
+	if cfg.CounterMax == 0 {
+		cfg.CounterMax = maxCounter
+	}
+	p, ref := New(cfg, rb), newRefPatternTable(cfg, rb)
+	bpr := 1 << (rb - mem.BlockBits)
+	fold := func(d int) int {
+		if d %= bpr; d == 0 {
+			d = 1
+		}
+		return d
+	}
+
+	total := 0
+	for i := 0; i+4 <= len(script); i += 4 {
+		a, b, c, d := script[i], script[i+1], script[i+2], script[i+3]
+		sig := int(a >> 2)
+		if a&1 == 0 {
+			var delta int
+			switch b % 4 {
+			case 0, 1:
+				delta = fold(int(int8(c)))
+			case 2:
+				delta = bpr - 1
+				if c&1 != 0 {
+					delta = -delta
+				}
+			default:
+				delta = fold(int(int16(uint16(c) | uint16(d)<<8)))
+			}
+			p.ptUpdate(uint16(sig), delta)
+			ref.update(sig, delta)
+			e, re := &p.pt[p.ptIndex(uint16(sig))], ref.entry(sig)
+			if int(e.csig) != re.csig {
+				t.Fatalf("step %d: update(%d, %d): csig %d, reference %d", i/4, sig, delta, e.csig, re.csig)
+			}
+			for k, s := range re.deltas {
+				if got := e.deltas[k]; int(got.c) != s.c || (s.c > 0 && int(got.delta) != s.delta) {
+					t.Fatalf("step %d: update(%d, %d): slot %d = %+v, reference %+v", i/4, sig, delta, k, got, s)
+				}
+			}
+			continue
+		}
+
+		off := (int(b) | int(c)<<8) % bpr
+		trigger := 0x40000000 + mem.Addr(d)<<rb&(mem.PageSize2M-1) + mem.Addr(off)*mem.BlockSize
+		p.fbIssued, p.fbUseful = 64, uint64(c)%65
+		if d&0x80 != 0 {
+			p.fbIssued = 0 // warm-up prior
+		}
+		want, exit := ref.lookahead(trigger, sig, off, p.alpha())
+
+		tick := p.tick
+		var got []refCand
+		p.lookahead(trigger, uint16(sig), off, nil, func(c prefetch.Candidate, m Meta) {
+			got = append(got, refCand{c, m})
+		})
+		if len(got) != len(want) {
+			t.Fatalf("step %d: lookahead(%#x, sig %d) proposed %d candidates, reference %d:\n%v\n%v",
+				i/4, trigger, sig, len(got), len(want), got, want)
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("step %d: lookahead(%#x, sig %d) candidate %d = %+v, reference %+v",
+					i/4, trigger, sig, k, got[k], want[k])
+			}
+		}
+		var recorded *ghrEntry
+		for k := range p.ghr {
+			if p.ghr[k].lru > tick {
+				recorded = &p.ghr[k]
+			}
+		}
+		switch {
+		case (recorded == nil) != (exit == nil):
+			t.Fatalf("step %d: lookahead(%#x, sig %d) recorded exit %+v, reference %+v", i/4, trigger, sig, recorded, exit)
+		case exit != nil && (int(recorded.sig) != exit.sig || recorded.lastOffset != exit.lastOffset || recorded.delta != exit.delta):
+			t.Fatalf("step %d: lookahead(%#x, sig %d) recorded exit %+v, reference %+v", i/4, trigger, sig, *recorded, *exit)
+		}
+
+		var plain []prefetch.Candidate
+		p.lookahead(trigger, uint16(sig), off, func(c prefetch.Candidate) { plain = append(plain, c) }, nil)
+		for k := range want {
+			if k >= len(plain) || plain[k] != want[k].cand {
+				t.Fatalf("step %d: plain lookahead(%#x, sig %d) = %v, reference %v", i/4, trigger, sig, plain, want)
+			}
+		}
+		if len(plain) != len(want) {
+			t.Fatalf("step %d: plain lookahead(%#x, sig %d) = %v, reference %v", i/4, trigger, sig, plain, want)
+		}
+		total += len(want)
+	}
+	return total
+}
+
+// TestPatternTableMatchesReference replays random scripts through every
+// configuration replayPatternTable's header selects — both region widths,
+// 1..4 slots, both table-index paths, every saturation point — and checks
+// that each region width proposes candidates at all.
+func TestPatternTableMatchesReference(t *testing.T) {
+	if got := unsafe.Sizeof(ptEntry{}); got != 18 {
+		t.Errorf("Pattern Table entry is %d bytes, want 18", got)
+	}
+	rng := rand.New(rand.NewSource(1))
+	cands := map[uint]int{}
+	for hdr := 0; hdr < 256; hdr++ {
+		for n := 0; n < 4; n++ {
+			script := make([]byte, 4*(50+rng.Intn(300)))
+			rng.Read(script)
+			rb := uint(mem.PageBits4K)
+			if hdr&1 != 0 {
+				rb = mem.PageBits2M
+			}
+			cands[rb] += replayPatternTable(t, byte(hdr), script)
+		}
+	}
+	for _, rb := range []uint{mem.PageBits4K, mem.PageBits2M} {
+		if cands[rb] == 0 {
+			t.Errorf("regionBits %d: no candidates proposed", rb)
+		}
+	}
+	t.Logf("candidates compared: %v", cands)
+}
+
+// FuzzSPPPatternTable is replayPatternTable as a fuzz target: the first byte
+// is the configuration header, the rest the script.
+func FuzzSPPPatternTable(f *testing.F) {
+	// 4KB regions, 4 slots, CounterMax 15: a +1 stride trained, then walked.
+	f.Add([]byte{0x06, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 60, 0, 0})
+	// 2MB regions, 4 slots, CounterMax 3: ±32767 deltas and saturation
+	// halving, then walks from both ends of the region.
+	f.Add([]byte{0x37, 0, 2, 0, 0, 0, 2, 1, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 5, 0, 0, 0, 5, 0, 0,
+		1, 0, 0, 0x80, 1, 0xff, 0x7f, 0})
+	// 2MB regions, 1 slot, modulo table, CounterMax 1: every update halves.
+	f.Add([]byte{0x19, 4, 3, 0xff, 0x7f, 4, 3, 0x01, 0x80, 4, 0, 3, 0, 5, 0x10, 0, 0})
+	// 4KB regions, 2 slots: competing deltas evict each other, and the walk
+	// leaves the region downwards.
+	f.Add([]byte{0x02, 8, 0, 0xfe, 0, 8, 0, 3, 0, 8, 0, 0xfe, 0, 8, 2, 1, 0, 9, 1, 0, 0x81})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		if len(data) > 1+4*500 {
+			data = data[:1+4*500]
+		}
+		replayPatternTable(t, data[0], data[1:])
+	})
+}

@@ -61,9 +61,12 @@ type stEntry struct {
 	lru        uint64
 }
 
+// deltaSlot is one Pattern Table delta and its counter. New bounds
+// regionBits to 12..21, so |delta| < 2^15 blocks, and CounterMax to
+// maxCounter, so the counter fits a byte.
 type deltaSlot struct {
-	delta int
-	c     int
+	delta int16
+	c     uint8
 }
 
 // maxDeltaSlots bounds Config.DeltaSlots: each Pattern Table entry holds its
@@ -90,14 +93,13 @@ var counterRatio = func() (r [maxCounter + 1][maxCounter + 1]float64) {
 }()
 
 type ptEntry struct {
-	csig   int
+	csig   uint8
 	deltas [maxDeltaSlots]deltaSlot // deltas[:cfg.DeltaSlots] are live
 }
 
 type ghrEntry struct {
 	valid      bool
 	sig        uint16
-	conf       float64
 	lastOffset int
 	delta      int
 	lru        uint64
@@ -238,7 +240,8 @@ func (p *Prefetcher) stInsert(region mem.Addr, off int, sig uint16) *stEntry {
 func (p *Prefetcher) ptUpdate(sig uint16, delta int) {
 	e := &p.pt[p.ptIndex(sig)]
 	deltas := e.deltas[:p.cfg.DeltaSlots]
-	if e.csig >= p.cfg.CounterMax {
+	cmax := uint8(p.cfg.CounterMax)
+	if e.csig >= cmax {
 		// Saturated: age all counters to keep ratios adaptive.
 		e.csig >>= 1
 		for i := range deltas {
@@ -247,30 +250,28 @@ func (p *Prefetcher) ptUpdate(sig uint16, delta int) {
 	}
 	e.csig++
 	slot := -1
-	minC := 1 << 30
 	minI := 0
 	for i := range deltas {
-		if deltas[i].c > 0 && deltas[i].delta == delta {
+		if deltas[i].c > 0 && int(deltas[i].delta) == delta {
 			slot = i
 			break
 		}
-		if deltas[i].c < minC {
-			minC = deltas[i].c
+		if deltas[i].c < deltas[minI].c {
 			minI = i
 		}
 	}
 	if slot < 0 {
-		deltas[minI] = deltaSlot{delta: delta, c: 0}
+		deltas[minI] = deltaSlot{delta: int16(delta), c: 0}
 		slot = minI
 	}
-	if deltas[slot].c < p.cfg.CounterMax {
+	if deltas[slot].c < cmax {
 		deltas[slot].c++
 	}
 }
 
 // ghrRecord remembers a lookahead path that left the region, so the pattern
 // can be resumed when the neighbouring region is first accessed.
-func (p *Prefetcher) ghrRecord(sig uint16, conf float64, lastOffset, delta int) {
+func (p *Prefetcher) ghrRecord(sig uint16, lastOffset, delta int) {
 	v := &p.ghr[0]
 	for i := range p.ghr {
 		if !p.ghr[i].valid {
@@ -282,7 +283,7 @@ func (p *Prefetcher) ghrRecord(sig uint16, conf float64, lastOffset, delta int) 
 		}
 	}
 	p.tick++
-	*v = ghrEntry{valid: true, sig: sig, conf: conf, lastOffset: lastOffset, delta: delta, lru: p.tick}
+	*v = ghrEntry{valid: true, sig: sig, lastOffset: lastOffset, delta: delta, lru: p.tick}
 }
 
 // ghrBootstrap looks for a recorded cross-region path that lands on the given
@@ -423,14 +424,15 @@ func (p *Prefetcher) lookahead(trigger mem.Addr, sig uint16, off int,
 			if conf < p.cfg.LLCThreshold {
 				continue
 			}
-			target := base + s.delta
+			delta := int(s.delta)
+			target := base + delta
 			cand := regionBase + mem.Addr(target)*mem.BlockSize
 			// Candidates may leave the indexing region (that is the whole
 			// point of page-size awareness) but never the 2MB generation
 			// region of the trigger.
 			if target < 0 || !prefetch.InGenLimit(trigger, cand) {
 				if !crossRecorded && (target < 0 || target >= bpr) {
-					p.ghrRecord(sig, conf, base&(bpr-1), s.delta)
+					p.ghrRecord(sig, base&(bpr-1), delta)
 					crossRecorded = true
 				}
 				continue
@@ -438,17 +440,17 @@ func (p *Prefetcher) lookahead(trigger mem.Addr, sig uint16, off int,
 			if target >= bpr && !crossRecorded {
 				// Leaving the region while still inside the 2MB limit: record
 				// for GHR bootstrap too (the original records at 4KB exits).
-				p.ghrRecord(sig, conf, base&(bpr-1), s.delta)
+				p.ghrRecord(sig, base&(bpr-1), delta)
 				crossRecorded = true
 			}
 			c := prefetch.Candidate{Addr: cand, FillL2: conf >= p.cfg.FillThreshold}
 			if issueMeta != nil {
-				issueMeta(c, Meta{Sig: sig, Delta: s.delta, Depth: depth, Confidence: conf})
+				issueMeta(c, Meta{Sig: sig, Delta: delta, Depth: depth, Confidence: conf})
 			} else {
 				issue(c)
 			}
-			if s.c > bestC {
-				bestC, bestDelta = s.c, s.delta
+			if int(s.c) > bestC {
+				bestC, bestDelta = int(s.c), delta
 			}
 		}
 		if bestC == 0 {

@@ -235,7 +235,7 @@ func TestPTCounterSaturationAges(t *testing.T) {
 		p.ptUpdate(5, 1)
 	}
 	e := &p.pt[5]
-	if e.csig > p.cfg.CounterMax || e.deltas[0].c > p.cfg.CounterMax {
+	if int(e.csig) > p.cfg.CounterMax || int(e.deltas[0].c) > p.cfg.CounterMax {
 		t.Errorf("counters exceeded saturation: csig=%d c=%d", e.csig, e.deltas[0].c)
 	}
 	if e.deltas[0].c == 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/recency"
 )
 
 // Property tests for the translation structures: the page table, TLB and
@@ -128,84 +129,148 @@ func checkWalk(t *testing.T, pt *PageTable, ref *refPageTable, v mem.Addr) {
 	}
 }
 
-// TestPropTLBMatchesReference: a randomized lookup/insert/flush sequence
-// drives the TLB and the reference model; every return value and every
-// statistic must match.
+// replayTLB drives a TLB and the timestamp reference model through a script
+// of byte triples (a, b, c): a%8 picks the operation (0-3 lookup, 4-6 insert,
+// 7 flush), b the 4KB page within a pool of 1.5× the TLB's entries and a>>6
+// the 2MB region, and c the inserted page size (c%4: 4KB, 4KB, 2MB, 1GB) and
+// frame. Every lookup result and the final statistics must match.
+func replayTLB(t *testing.T, entries, ways int, script []byte) {
+	t.Helper()
+	tlb, ref := NewTLB(entries, ways), newRefTLB(entries, ways)
+	sizes := [4]mem.PageSize{mem.Page4K, mem.Page4K, mem.Page2M, mem.Page1G}
+	pool := entries + entries/2 + 1
+	for i := 0; i+3 <= len(script); i += 3 {
+		a, b, c := script[i], script[i+1], script[i+2]
+		v := mem.Addr(int(b)%pool)<<mem.PageBits4K + mem.Addr(a>>6)<<mem.PageBits2M
+		switch op := a % 8; {
+		case op < 4:
+			tr, ok := tlb.Lookup(v)
+			rt, rok := ref.Lookup(v)
+			if ok != rok || tr != rt {
+				t.Fatalf("%d entries %d ways op %d: lookup(%#x) diverged: %v %+v vs reference %v %+v",
+					entries, ways, i/3, v, ok, tr, rok, rt)
+			}
+		case op < 7:
+			size := sizes[c%4]
+			tr := Translation{PAddr: mem.PageBase(mem.Addr(c>>2)<<mem.PageBits2M|mem.Addr(b)<<mem.PageBits4K, size), Size: size}
+			tlb.Insert(v, tr)
+			ref.Insert(v, tr)
+		default:
+			tlb.Flush()
+			ref.Flush()
+		}
+	}
+	if tlb.Hits != ref.hits || tlb.Misses != ref.misses || tlb.HitsBy != ref.hitsBy {
+		t.Fatalf("%d entries %d ways: stats diverged: %d/%d/%v vs reference %d/%d/%v",
+			entries, ways, tlb.Hits, tlb.Misses, tlb.HitsBy, ref.hits, ref.misses, ref.hitsBy)
+	}
+}
+
+// tlbScript draws n random replayTLB operations: half lookups, the rest
+// inserts but for a rare flush.
+func tlbScript(rng *rand.Rand, n int) []byte {
+	script := make([]byte, 3*n)
+	rng.Read(script)
+	for i := 0; i < len(script); i += 3 {
+		op := byte(rng.Intn(4))
+		if rng.Intn(2) == 0 {
+			op = 4 + byte(rng.Intn(3))
+			if rng.Intn(100) == 0 {
+				op = 7
+			}
+		}
+		script[i] = script[i]&^7 | op
+	}
+	return script
+}
+
+// TestPropTLBMatchesReference: randomized lookup/insert/flush scripts drive
+// the TLB and the reference model at every associativity the recency word
+// holds, with masked (4 sets) and modulo (3 sets) set selection; every return
+// value and every statistic must match.
 func TestPropTLBMatchesReference(t *testing.T) {
 	t.Parallel()
 	for _, seed := range []int64{3, 17, 404} {
-		for _, geom := range [][2]int{{64, 4}, {48, 4}} { // masked and modulo set selection
-			tlb, ref := NewTLB(geom[0], geom[1]), newRefTLB(geom[0], geom[1])
-			rng := rand.New(rand.NewSource(seed))
-			sizes := []mem.PageSize{mem.Page4K, mem.Page4K, mem.Page2M, mem.Page1G}
-			for i := 0; i < 8000; i++ {
-				// A small vpn pool forces set conflicts, duplicate inserts and
-				// evictions — the interesting transitions.
-				v := mem.Addr(rng.Intn(96)) << mem.PageBits4K
-				switch rng.Intn(4) {
-				case 0, 1:
-					tr, ok := tlb.Lookup(v)
-					rt, rok := ref.Lookup(v)
-					if ok != rok || tr != rt {
-						t.Fatalf("seed %d %v op %d: lookup(%#x) diverged: %v %+v vs reference %v %+v",
-							seed, geom, i, v, ok, tr, rok, rt)
-					}
-				case 2:
-					size := sizes[rng.Intn(len(sizes))]
-					tr := Translation{PAddr: mem.PageBase(mem.Addr(rng.Intn(1<<20))<<mem.PageBits4K, size), Size: size}
-					tlb.Insert(v, tr)
-					ref.Insert(v, tr)
-				case 3:
-					if rng.Intn(50) == 0 {
-						tlb.Flush()
-						ref.Flush()
-					}
-				}
-			}
-			if tlb.Hits != ref.hits || tlb.Misses != ref.misses || tlb.HitsBy != ref.hitsBy {
-				t.Fatalf("seed %d %v: stats diverged: %d/%d/%v vs reference %d/%d/%v",
-					seed, geom, tlb.Hits, tlb.Misses, tlb.HitsBy, ref.hits, ref.misses, ref.hitsBy)
+		rng := rand.New(rand.NewSource(seed))
+		for ways := 1; ways <= recency.MaxWays; ways++ {
+			for _, sets := range []int{4, 3} {
+				replayTLB(t, sets*ways, ways, tlbScript(rng, 4000))
 			}
 		}
 	}
 }
 
+// FuzzTLBRecency is replayTLB as a fuzz target: the first byte picks the
+// associativity (low nibble + 1) and the set count (1..4, bits 4-5).
+func FuzzTLBRecency(f *testing.F) {
+	f.Add([]byte{0x0f, 4, 1, 0, 4, 2, 0, 4, 3, 0, 0, 1, 0, 0, 2, 0, 7, 0, 0, 0, 1, 0})           // 16 ways, flush mid-script
+	f.Add([]byte{0x13, 4, 0, 0, 5, 1, 0, 6, 2, 0, 4, 3, 0, 4, 4, 0, 0, 0, 0, 0, 4, 0})           // 4 ways, 2 sets, evictions
+	f.Add([]byte{0x00, 4, 0, 0, 4, 1, 0, 0, 0, 0, 0, 1, 0, 7, 0, 0, 4, 1, 2, 0, 1, 0})           // one way
+	f.Add([]byte{0x2b, 0x44, 9, 2, 0x84, 9, 3, 0x45, 10, 1, 0x40, 9, 0, 0x80, 9, 0, 0xc7, 0, 0}) // 12 ways, 3 sets, large pages
+	f.Add([]byte{0x37, 4, 0, 0, 4, 8, 0, 4, 16, 0, 4, 24, 0, 4, 32, 0, 0, 0, 0, 7, 0, 0, 4, 40, 0, 0, 8, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		if len(data) > 1+3*400 {
+			data = data[:1+3*400]
+		}
+		ways := int(data[0]&0xF) + 1
+		sets := int(data[0]>>4&3) + 1
+		replayTLB(t, sets*ways, ways, data[1:])
+	})
+}
+
+// TestNewTLBRejectsTooManyWays: the recency word orders at most 16 ways, so a
+// 17-way geometry must be refused at construction, not mis-evict later.
+func TestNewTLBRejectsTooManyWays(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewTLB accepted 17 ways")
+		}
+	}()
+	NewTLB(17, recency.MaxWays+1)
+}
+
 // TestPropTLBDenseInvariants checks structural invariants of the dense layout
-// directly: tag words are valid or zero, valid ways are exactly the non-zero
-// LRU stamps, stamps within a set are unique (the strict-LRU victim order is
-// well-defined), and an entry survives exactly ways-1 subsequent distinct
-// inserts into its set without a touch.
+// directly: tag words are valid or zero, valid ways form a prefix of each set,
+// each set's recency word is a permutation of its ways, and an entry survives
+// exactly ways-1 subsequent distinct inserts into its set without a touch.
 func TestPropTLBDenseInvariants(t *testing.T) {
 	t.Parallel()
 	tlb := NewTLB(32, 4)
 	rng := rand.New(rand.NewSource(8))
 	check := func() {
 		for s := 0; s < tlb.sets; s++ {
-			seen := map[uint64]bool{}
+			var seen uint32
+			for r := 0; r < tlb.ways; r++ {
+				seen |= 1 << recency.Way(tlb.order[s], r)
+			}
+			if seen != 1<<tlb.ways-1 || tlb.order[s]>>(4*tlb.ways) != 0 {
+				t.Fatalf("set %d: recency word %#x is not a permutation of %d ways", s, tlb.order[s], tlb.ways)
+			}
 			for w := 0; w < tlb.ways; w++ {
-				i := s*tlb.ways + w
-				tag, lru := tlb.tags[i], tlb.lrus[i]
-				if (tag == 0) != (lru == 0) && tag == 0 {
-					t.Fatalf("set %d way %d: invalid entry with LRU stamp %d", s, w, lru)
+				tag := tlb.tags[s*tlb.ways+w]
+				if tag != 0 && tag&tlbTagValid == 0 {
+					t.Fatalf("set %d way %d: tag %#x missing valid bit", s, w, tag)
 				}
-				if tag != 0 {
-					if tag&tlbTagValid == 0 {
-						t.Fatalf("set %d way %d: tag %#x missing valid bit", s, w, tag)
-					}
-					if seen[lru] {
-						t.Fatalf("set %d: duplicate LRU stamp %d", s, lru)
-					}
-					seen[lru] = true
+				if tag != 0 && w > 0 && tlb.tags[s*tlb.ways+w-1] == 0 {
+					t.Fatalf("set %d: valid way %d follows an invalid way", s, w)
 				}
 			}
 		}
 	}
 	for i := 0; i < 4000; i++ {
 		v := mem.Addr(rng.Intn(4096)) << mem.PageBits4K
-		if rng.Intn(2) == 0 {
-			tlb.Lookup(v)
-		} else {
-			tlb.Insert(v, Translation{PAddr: v, Size: mem.Page4K})
+		switch rng.Intn(50) {
+		case 0:
+			tlb.Flush()
+		default:
+			if rng.Intn(2) == 0 {
+				tlb.Lookup(v)
+			} else {
+				tlb.Insert(v, Translation{PAddr: v, Size: mem.Page4K})
+			}
 		}
 		if i%64 == 0 {
 			check()

@@ -1,7 +1,10 @@
 package vm
 
 import (
+	"fmt"
+
 	"repro/internal/mem"
+	"repro/internal/recency"
 )
 
 // TLB tag word: vpn<<3 | size<<1 | 1, with 0 as the invalid sentinel (the
@@ -28,13 +31,16 @@ type TLB struct {
 	// are), letting set selection use a mask instead of a modulo; zero when
 	// the geometry forces the generic path.
 	setMask mem.Addr
-	tick    uint64
 
 	// tags[s*ways+w] is the tag word of way w in set s (0 = invalid), with
-	// frames and lrus indexed identically.
+	// frames indexed identically.
 	tags   []uint64
 	frames []mem.Addr
-	lrus   []uint64
+	// order[s] is set s's recency word (see package recency): hits, inserts
+	// and duplicate refreshes promote their way, and the victim is the tail —
+	// the first invalid way while any remain, since inserts always take the
+	// tail and so keep the valid ways a prefix.
+	order []uint64
 
 	// present[s] records whether an entry of page size s was ever inserted:
 	// Lookup skips probe passes for sizes the workload never maps (pure 4KB
@@ -49,8 +55,11 @@ type TLB struct {
 }
 
 // NewTLB creates a TLB with the given geometry. entries must be divisible by
-// ways.
+// ways, and ways at most recency.MaxWays.
 func NewTLB(entries, ways int) *TLB {
+	if ways < 1 || ways > recency.MaxWays {
+		panic(fmt.Sprintf("vm: %d TLB ways, the recency order holds 1..%d", ways, recency.MaxWays))
+	}
 	if entries%ways != 0 {
 		panic("vm: TLB entries not divisible by ways")
 	}
@@ -59,40 +68,48 @@ func NewTLB(entries, ways int) *TLB {
 		ways:   ways,
 		tags:   make([]uint64, entries),
 		frames: make([]mem.Addr, entries),
-		lrus:   make([]uint64, entries),
+		order:  make([]uint64, entries/ways),
 	}
 	if t.sets&(t.sets-1) == 0 {
 		t.setMask = mem.Addr(t.sets - 1)
 	}
+	t.resetOrder()
 	return t
 }
 
-// setBase returns the index of way 0 of vpn's set in the parallel arrays.
-func (t *TLB) setBase(vpn mem.Addr) int {
+func (t *TLB) resetOrder() {
+	o := recency.Initial(t.ways)
+	for i := range t.order {
+		t.order[i] = o
+	}
+}
+
+// setOf returns vpn's set index.
+func (t *TLB) setOf(vpn mem.Addr) int {
 	if t.setMask != 0 {
-		return int(vpn&t.setMask) * t.ways
+		return int(vpn & t.setMask)
 	}
 	s := int(vpn) % t.sets
 	if s < 0 {
 		s = -s
 	}
-	return s * t.ways
+	return s
 }
 
 // Lookup probes the TLB for v. On a hit it returns the translation.
 func (t *TLB) Lookup(v mem.Addr) (Translation, bool) {
-	t.tick++
 	for _, size := range [3]mem.PageSize{mem.Page4K, mem.Page2M, mem.Page1G} {
 		if !t.present[size] {
 			continue
 		}
 		vpn := mem.PageNumber(v, size)
-		base := t.setBase(vpn)
+		s := t.setOf(vpn)
+		base := s * t.ways
 		tag := tlbTag(vpn, size)
 		ways := t.tags[base : base+t.ways]
 		for i, tg := range ways {
 			if tg == tag {
-				t.lrus[base+i] = t.tick
+				t.order[s] = recency.Promote(t.order[s], i)
 				t.Hits++
 				t.HitsBy[size]++
 				off := v & (size.Bytes() - 1)
@@ -105,31 +122,26 @@ func (t *TLB) Lookup(v mem.Addr) (Translation, bool) {
 }
 
 // Insert installs a translation for v, evicting the set's LRU entry: the
-// first invalid way, else the strict minimum-LRU way scanning left to right.
+// first invalid way, else the least recently used one.
 func (t *TLB) Insert(v mem.Addr, tr Translation) {
-	t.tick++
 	t.present[tr.Size] = true
 	vpn := mem.PageNumber(v, tr.Size)
-	base := t.setBase(vpn)
+	s := t.setOf(vpn)
+	base := s * t.ways
 	tag := tlbTag(vpn, tr.Size)
-	victim := 0
-	for i := 0; i < t.ways; i++ {
-		tg := t.tags[base+i]
+	for i, tg := range t.tags[base : base+t.ways] {
 		if tg == tag {
-			t.lrus[base+i] = t.tick // refresh duplicate
+			t.order[s] = recency.Promote(t.order[s], i) // refresh duplicate
 			return
 		}
 		if tg == 0 {
-			victim = i
-			break
-		}
-		if t.lrus[base+i] < t.lrus[base+victim] {
-			victim = i
+			break // valid ways are a prefix
 		}
 	}
+	victim := recency.Way(t.order[s], t.ways-1)
 	t.tags[base+victim] = tag
 	t.frames[base+victim] = mem.PageBase(tr.PAddr, tr.Size)
-	t.lrus[base+victim] = t.tick
+	t.order[s] = recency.Promote(t.order[s], victim)
 }
 
 // Flush invalidates all entries.
@@ -137,4 +149,5 @@ func (t *TLB) Flush() {
 	for i := range t.tags {
 		t.tags[i] = 0
 	}
+	t.resetOrder()
 }
