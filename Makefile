@@ -1,10 +1,14 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz-seeds golden-update staticcheck e2e e2e-cluster serve check bench bench-smoke bench-compare
+.PHONY: build test race vet fuzz-seeds golden-update staticcheck e2e e2e-cluster serve check
 
 build:
 	$(GO) build ./...
 
+# test includes the deterministic allocation gates: per-access allocations
+# over whole runs (TestAllocsPerAccessGate), construction cost per system
+# (TestConstructionBudget) and the zero-allocation steady state
+# (TestSteadyStateZeroAllocs).
 test:
 	$(GO) test ./...
 
@@ -37,27 +41,6 @@ vet:
 # train/lookahead scripts against the map-backed pattern-table model.
 fuzz-seeds:
 	$(GO) test -race -run=Fuzz ./internal/trace/ ./internal/service/ ./internal/vm/ ./internal/dtrace/ ./internal/prefetch/pangloss/ ./internal/prefetch/vamp/ ./internal/cache/ ./internal/prefetch/spp/
-
-# bench runs the pinned workload×prefetcher microbenchmark suite and writes
-# BENCH_<date>.json (see cmd/pbench -h for comparing against a baseline).
-bench:
-	$(GO) run ./cmd/pbench
-
-# bench-compare runs the full pinned suite against the most recent committed
-# full-format BENCH_<date>.json and prints per-row and geomean deltas. It
-# never gates: throughput on shared machines is informational. The result is
-# written to BENCH_compare.json (untracked) so CI can archive it.
-bench-compare:
-	$(GO) run ./cmd/pbench -out BENCH_compare.json \
-		-compare "$$(ls BENCH_2*-*.json 2>/dev/null | grep -v _smoke | sort | tail -1)"
-
-# bench-smoke is the CI regression gate: a shortened run compared against the
-# committed smoke-format reference, failing when allocations per access
-# regress past 2x. Throughput is reported but not gated (CI machines vary too
-# much); alloc counts are deterministic enough to gate.
-bench-smoke:
-	$(GO) run ./cmd/pbench -smoke -out BENCH_smoke.json \
-		-compare BENCH_2026-10-17_smoke.json -max-allocs-ratio 2
 
 # golden-update regenerates the checked-in figure snapshots and the
 # full-stats digest golden (TestGoldenStatsDigest) after an intentional

@@ -180,6 +180,10 @@ func run() int {
 	defer stopSignals()
 
 	o := experiments.DefaultOptions()
+	if err := o.Config.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "pexp:", err)
+		return 2
+	}
 	o.Warmup = *warmup
 	o.Instructions = *instr
 	o.Seed = *seed

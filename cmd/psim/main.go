@@ -125,6 +125,10 @@ func run() int {
 	flag.Parse()
 
 	cfg := sim.DefaultConfig()
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "psim:", err)
+		return 2
+	}
 	if *printConfig {
 		fmt.Println(cfg.String())
 		return 0

@@ -47,9 +47,8 @@ func (p ReplPolicy) String() string {
 // line is one cache block's state packed into one word: the fill-completion
 // cycle in the low lineReadyBits bits, then the dirty and prefetched flags,
 // the 2-bit SRRIP re-reference prediction value, the prefetcher ID and the
-// core that triggered the fill. The block address and validity live only in
-// the dense tags array (tagInvalid ⇔ invalid), which keeps the record at
-// 8 bytes.
+// core that triggered the fill. The block and validity live only in the dense
+// tags array (tagInvalid ⇔ invalid), which keeps the record at 8 bytes.
 type line uint64
 
 const (
@@ -349,11 +348,11 @@ func (t *tee) OnPrefetchLifecycle(cache string, ev LifecycleEvent) {
 type Cache struct {
 	cfg   Config
 	lines []line // sets × ways
-	// tags holds each way's block-aligned address (tagInvalid when the way is
-	// empty) in a dense array parallel to lines. It is the only copy of a
-	// line's block and validity: the lookup scan touches 8 contiguous bytes
-	// per way, which is most of what find costs on miss-heavy workloads.
-	tags []mem.Addr
+	// tags holds each way's tag word — its block number, tagInvalid when the
+	// way is empty — in a dense array parallel to lines. It is the only copy
+	// of a line's block and validity, at 4 bytes per way, half a full
+	// address.
+	tags []uint32
 	// order holds one recency word per set (see package recency). touchAt
 	// and fill promote under every policy, so rank 0 is always the set's most
 	// recently used way and, under LRU, the tail is the victim.
@@ -455,7 +454,7 @@ func New(cfg Config, next mem.Port) *Cache {
 	c := &Cache{
 		cfg:          cfg,
 		lines:        make([]line, cfg.Sets*cfg.Ways),
-		tags:         make([]mem.Addr, cfg.Sets*cfg.Ways),
+		tags:         make([]uint32, cfg.Sets*cfg.Ways),
 		order:        make([]uint64, cfg.Sets),
 		mshrFree:     make([]mem.Cycle, cfg.MSHREntries),
 		partial:      make([]uint64, cfg.Sets*partialWords),
@@ -472,17 +471,52 @@ func New(cfg Config, next mem.Port) *Cache {
 	for i := range c.order {
 		c.order[i] = order
 	}
-	c.lastMissBlock = tagInvalid
-	c.memoBlock = tagInvalid
+	c.lastMissBlock = noBlock
+	c.memoBlock = noBlock
 	if cfg.Sets&(cfg.Sets-1) == 0 {
 		c.setMask = mem.Addr(cfg.Sets - 1)
 	}
 	return c
 }
 
-// tagInvalid marks an empty way in the tag array; it is never block-aligned,
-// so it cannot collide with a real block address.
-const tagInvalid = ^mem.Addr(0)
+// tagInvalid marks an empty way in the tag array. tagOf never returns it, so
+// it cannot collide with a real block's tag word.
+const tagInvalid = ^uint32(0)
+
+// AddrLimit bounds the physical addresses a cache can hold, 2^38 − 64: a
+// block's tag word is its 32-bit block number, and the all-ones word is
+// tagInvalid. Every address a cache sees must stay below it. A fill past it
+// panics (tagOf); a probe past it is not checked — its truncated word could
+// match another block or an empty way — because the check, on the lookup
+// path of every access, was measured to cost figure throughput.
+// sim.Config.Validate bounds physical memory below the limit instead.
+const AddrLimit = mem.Addr(tagInvalid) << mem.BlockBits
+
+// noBlock is the memos' empty value: it is not block-aligned, so no probe
+// ever matches it.
+const noBlock = ^mem.Addr(0)
+
+// tagOf converts a block address to the tag word the tags array stores: its
+// block number. A block at or above AddrLimit panics rather than alias onto
+// another block or onto an empty way, the way the line word bounds fill
+// cycles at 2^44; sim.Config.Validate keeps physical memory below the limit.
+func tagOf(block mem.Addr) uint32 {
+	n := mem.BlockNumber(block)
+	if n >= mem.Addr(tagInvalid) {
+		tagOverflow(block)
+	}
+	return uint32(n)
+}
+
+// tagOverflow is tagOf's panic, kept out of line so tagOf stays inlinable.
+//
+//go:noinline
+func tagOverflow(block mem.Addr) {
+	panic(fmt.Sprintf("cache: block %#x is past the tag word's limit: physical addresses must stay below 2^38 - 64", block))
+}
+
+// blockOf is tagOf's inverse: the block address a valid tag word names.
+func blockOf(tag uint32) mem.Addr { return mem.Addr(tag) << mem.BlockBits }
 
 // SetObserver attaches the access/feedback observer. If the observer also
 // implements LifecycleObserver it additionally receives prefetch lifecycle
@@ -562,14 +596,15 @@ func (c *Cache) findIdx(si int, block mem.Addr) int {
 	// the full tags are never scanned, only touched to verify a candidate.
 	// Tags are unique within a set, so the order changes only which compare
 	// finds the way, never the index returned.
+	tag := uint32(mem.BlockNumber(block)) // block < AddrLimit: see AddrLimit
 	base := si * c.cfg.Ways
-	if m := base + recency.Way(c.order[si], 0); c.tags[m] == block {
+	if m := base + recency.Way(c.order[si], 0); c.tags[m] == tag {
 		return m
 	}
 	if block == c.lastMissBlock && c.fills == c.lastMissFills {
 		return -1
 	}
-	return c.findIdxPacked(si, base, block)
+	return c.findIdxPacked(si, base, block, tag)
 }
 
 // SWAR constants for the packed partial-tag probe (byte lanes): lane
@@ -590,10 +625,10 @@ func partialOf(block mem.Addr) uint64 {
 // findIdxPacked is the partial-tag set probe: XOR the set's packed partial
 // tags against the replicated probe byte, flag zero bytes with the SWAR
 // detector (no false negatives; rare false positives from the borrow chain),
-// and verify flagged ways against the full tag array. Tags are unique within
-// a set, so at most one verify succeeds and probe order cannot change the
-// result.
-func (c *Cache) findIdxPacked(si, base int, block mem.Addr) int {
+// and verify flagged ways against the full tag array (tag is block's tag
+// word). Tags are unique within a set, so at most one verify succeeds and
+// probe order cannot change the result.
+func (c *Cache) findIdxPacked(si, base int, block mem.Addr, tag uint32) int {
 	pat := partialOf(block) * swarLanes
 	w0 := si * c.partialWords
 	for wi := 0; wi < c.partialWords; wi++ {
@@ -601,7 +636,7 @@ func (c *Cache) findIdxPacked(si, base int, block mem.Addr) int {
 		m := (x - swarLanes) &^ x & swarHigh
 		for m != 0 {
 			way := wi<<3 + bits.TrailingZeros64(m)>>3
-			if way < c.cfg.Ways && c.tags[base+way] == block {
+			if way < c.cfg.Ways && c.tags[base+way] == tag {
 				return base + way
 			}
 			m &= m - 1
@@ -731,11 +766,13 @@ func (c *Cache) forward(req *mem.Request, at mem.Cycle) mem.Cycle {
 // requests are processed in program order, and future-stamped traffic would
 // poison the monotonic next-free state of shared downstream resources.
 func (c *Cache) fill(si int, block mem.Addr, readyAt, now mem.Cycle, req *mem.Request) {
+	tag := tagOf(block) // before the eviction: a refused block changes nothing
 	set := c.setLines(si)
 	vi := c.victim(si, set)
 	v := &set[vi]
 	gi := si*c.cfg.Ways + vi
-	if old := c.tags[gi]; old != tagInvalid {
+	if oldTag := c.tags[gi]; oldTag != tagInvalid {
+		old := blockOf(oldTag)
 		if v.prefetched() {
 			c.Stats.PrefetchUnused++
 			if c.observer != nil {
@@ -758,7 +795,7 @@ func (c *Cache) fill(si int, block mem.Addr, readyAt, now mem.Cycle, req *mem.Re
 		}
 	}
 	c.fills++
-	c.tags[gi] = block
+	c.tags[gi] = tag
 	c.order[si] = recency.Promote(c.order[si], vi)
 	c.setGen[si]++
 	c.setPartial(si, vi, partialOf(block))

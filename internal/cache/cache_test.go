@@ -278,10 +278,11 @@ func TestCacheShadowConsistency(t *testing.T) {
 		// of a way's block and validity.
 		for s := 0; s < 4; s++ {
 			seen := map[mem.Addr]bool{}
-			for _, block := range c.tags[s*2 : (s+1)*2] {
-				if block == tagInvalid {
+			for _, tag := range c.tags[s*2 : (s+1)*2] {
+				if tag == tagInvalid {
 					continue
 				}
+				block := blockOf(tag)
 				if seen[block] {
 					return false
 				}

@@ -132,9 +132,10 @@ func TestLifecycleLateUseAndEvict(t *testing.T) {
 }
 
 // TestEvictDirtyPrefetchedLine evicts a line that is both dirty and still
-// prefetched: the victim's block comes only from the tags array, and the
-// writeback, the unused-prefetch feedback and the evict event must all name
-// it. It also pins the 8-byte line word the tags array makes possible.
+// prefetched: the victim's block is rebuilt from its tag word (its block
+// number) in the tags array, and the writeback, the unused-prefetch feedback
+// and the evict event must all name it. It also pins the 8-byte line word the
+// tags array makes possible.
 func TestEvictDirtyPrefetchedLine(t *testing.T) {
 	next := &fixedPort{latency: 10}
 	c := New(Config{Name: "c", Sets: 1, Ways: 1, Latency: 1, MSHREntries: 4}, next)

@@ -19,11 +19,12 @@ func memoPair(sets, ways int) (armed, disarmed *Cache, an, dn *fixedPort) {
 	return
 }
 
-// scanIdx is the reference lookup: a linear scan of set si's tag array.
+// scanIdx is the reference lookup: a linear scan of set si's tag array,
+// decoding each valid way's tag word back to its block.
 func scanIdx(c *Cache, si int, block mem.Addr) int {
 	base := si * c.cfg.Ways
 	for i, tg := range c.tags[base : base+c.cfg.Ways] {
-		if tg == block {
+		if tg != tagInvalid && blockOf(tg) == block {
 			return base + i
 		}
 	}

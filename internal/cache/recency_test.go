@@ -50,7 +50,7 @@ func runRecencyScript(t *testing.T, ways int, script []byte) {
 			block := (next*2 + mem.Addr(si)) << mem.BlockBits
 			want := m.victim()
 			c.fill(si, block, 0, 0, &mem.Request{PAddr: block, Type: mem.Load})
-			if got := c.tags[si*ways+want]; got != block {
+			if got := c.tags[si*ways+want]; got == tagInvalid || blockOf(got) != block {
 				t.Fatalf("ways=%d set %d: fill landed away from model victim way %d", ways, si, want)
 			}
 			m.touch(want)

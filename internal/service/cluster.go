@@ -250,6 +250,10 @@ func (s *Server) handleClusterSim(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{"opt.Instructions must be positive"})
 		return
 	}
+	if err := req.Config.Validate(); err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+		return
+	}
 	u, err := resolve(req.Spec)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})

@@ -395,11 +395,11 @@ func (s *Server) submit(req SimRequest, tsc dtrace.SpanContext) (*jobState, erro
 	return j, nil
 }
 
-// resolve maps a wire spec onto the catalogue and prefetcher registry.
-// validateSimRequest checks a submit body's static invariants and resolves
-// every job spec against the workload catalogue; maxBatch bounds the batch
-// size. It is the pure half of submit — no server state — so the fuzz
-// harness can drive it with arbitrary decoded requests. Base is deliberately
+// validateSimRequest checks a submit body's static invariants, validates its
+// machine configuration (sim.Config.Validate) and resolves every job spec
+// against the workload catalogue; maxBatch bounds the batch size. It is the
+// pure half of submit — no server state — so the fuzz harness can drive it
+// with arbitrary decoded requests. Base is deliberately
 // not validated here: an unknown prefetcher fails the job at run time, which
 // keeps the submit path independent of the prefetcher registry.
 func validateSimRequest(req SimRequest, maxBatch int) ([]unit, error) {
@@ -412,6 +412,13 @@ func validateSimRequest(req SimRequest, maxBatch int) ([]unit, error) {
 	if req.Opt.Instructions == 0 {
 		return nil, fmt.Errorf("service: opt.Instructions must be positive")
 	}
+	if req.Config != nil {
+		// A bad machine is the client's error: answer it at submit rather
+		// than queue a job that can only fail.
+		if err := req.Config.Validate(); err != nil {
+			return nil, fmt.Errorf("service: %w", err)
+		}
+	}
 	units := make([]unit, len(req.Jobs))
 	for i, spec := range req.Jobs {
 		u, err := resolve(spec)
@@ -423,6 +430,7 @@ func validateSimRequest(req SimRequest, maxBatch int) ([]unit, error) {
 	return units, nil
 }
 
+// resolve maps a wire spec onto the catalogue and prefetcher registry.
 func resolve(spec SimSpec) (unit, error) {
 	w, err := trace.ByName(spec.Workload)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -405,5 +406,54 @@ func TestSubmitValidation(t *testing.T) {
 		if resp := rawSubmit(t, hs.URL, tc.req); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)
 		}
+	}
+}
+
+// TestSubmitRejectsInvalidConfig: a machine configuration the simulator's
+// constructors would panic on is answered with 400 and the typed error's text
+// at submit, never reaching a job goroutine, and the same server then runs a
+// valid batch to completion.
+func TestSubmitRejectsInvalidConfig(t *testing.T) {
+	_, hs, c := startServer(t, Config{Workers: 1}, nil)
+	cases := []struct {
+		field  string
+		mutate func(*sim.Config)
+	}{
+		{"L2.Ways", func(cfg *sim.Config) { cfg.L2.Ways = 17 }},
+		{"DRAM.RowBytes", func(cfg *sim.Config) { cfg.DRAM.RowBytes = 32 }},
+		{"PhysBytes", func(cfg *sim.Config) { cfg.PhysBytes = 1 << 40 }},
+	}
+	for _, tc := range cases {
+		cfg := sim.DefaultConfig()
+		tc.mutate(&cfg)
+		req := testRequest(1)
+		req.Config = &cfg
+		_, verr := validateSimRequest(req, 1)
+		var ce *sim.ConfigError
+		if !errors.As(verr, &ce) || ce.Field != tc.field {
+			t.Fatalf("%s: validateSimRequest = %v, want a *sim.ConfigError for the field", tc.field, verr)
+		}
+		resp := rawSubmit(t, hs.URL, req)
+		var body apiError
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, ce.Error()) {
+			t.Errorf("%s: status %d, body %q; want 400 carrying %q", tc.field, resp.StatusCode, body.Error, ce.Error())
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	v, err := c.Submit(ctx, testRequest(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err = c.Follow(ctx, v.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Status != StatusDone || len(v.Results) != 1 {
+		t.Fatalf("valid batch after the rejections: status %s, %d results (%s)", v.Status, len(v.Results), v.Error)
 	}
 }

@@ -49,7 +49,8 @@ type Result struct {
 }
 
 // Run simulates one workload on a single-core machine with the given
-// prefetching spec.
+// prefetching spec. A cfg that fails Validate is rejected with its
+// *ConfigError values before anything is built.
 func Run(cfg Config, spec PrefSpec, w trace.Workload, opt RunOpt) (Result, error) {
 	return RunContext(context.Background(), cfg, spec, w, opt)
 }
@@ -65,6 +66,9 @@ func Run(cfg Config, spec PrefSpec, w trace.Workload, opt RunOpt) (Result, error
 // in-flight state across Run calls), so instrumented and plain runs produce
 // identical results.
 func RunContext(ctx context.Context, cfg Config, spec PrefSpec, w trace.Workload, opt RunOpt) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
 	sys, err := newSystem(cfg, spec, []trace.Workload{w}, opt.Seed)
 	if err != nil {
 		return Result{}, err
@@ -202,8 +206,12 @@ func RunMulti(cfg Config, spec PrefSpec, mix []trace.Workload, opt RunOpt) (Mult
 
 // RunMultiContext is RunMulti with cancellation, checked at every shared-time
 // epoch boundary (a few thousand cycles), so canceled mixes stop promptly.
+// Physical memory scales to at least 4 GiB per core before Validate runs.
 func RunMultiContext(ctx context.Context, cfg Config, spec PrefSpec, mix []trace.Workload, opt RunOpt) (MultiResult, error) {
 	cfg.PhysBytes = maxAddr(cfg.PhysBytes, mem.Addr(len(mix))*(8<<30)/2)
+	if err := cfg.Validate(); err != nil {
+		return MultiResult{}, err
+	}
 	sys, err := newSystem(cfg, spec, mix, opt.Seed)
 	if err != nil {
 		return MultiResult{}, err
