@@ -37,10 +37,11 @@ vet:
 # mapping scripts against the map-backed reference table and the TLB seeds
 # lookup/insert/flush scripts against the timestamp LRU model, the vamp seeds
 # compare every scan with the per-distance reference, the cache seeds replay
-# fill/touch scripts against the timestamp LRU model, and the spp seeds replay
-# train/lookahead scripts against the map-backed pattern-table model.
+# fill/touch scripts against the timestamp LRU model, the spp seeds replay
+# train/lookahead scripts against the map-backed pattern-table model, and the
+# telemetry seeds replay push scripts against the shared ring's slice model.
 fuzz-seeds:
-	$(GO) test -race -run=Fuzz ./internal/trace/ ./internal/service/ ./internal/vm/ ./internal/dtrace/ ./internal/prefetch/pangloss/ ./internal/prefetch/vamp/ ./internal/cache/ ./internal/prefetch/spp/
+	$(GO) test -race -run=Fuzz ./internal/trace/ ./internal/service/ ./internal/vm/ ./internal/dtrace/ ./internal/prefetch/pangloss/ ./internal/prefetch/vamp/ ./internal/cache/ ./internal/prefetch/spp/ ./internal/telemetry/
 
 # golden-update regenerates the checked-in figure snapshots and the
 # full-stats digest golden (TestGoldenStatsDigest) after an intentional

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dtrace"
+	"repro/internal/telemetry"
 )
 
 // Options configures a cluster node.
@@ -76,7 +77,8 @@ type Node struct {
 	proxiedSims   atomic.Uint64 // sims executed remotely on their owner
 	failovers     atomic.Uint64 // remote attempts abandoned for local execution
 	entriesServed atomic.Uint64 // cache entries served to peers
-	proxyLatency  Histogram     // seconds per remote fetch/exec round-trip
+
+	proxyLatency *telemetry.Histogram // ns per remote fetch/exec round-trip
 
 	loopCtx  context.Context
 	loopStop context.CancelFunc
@@ -95,7 +97,7 @@ func NewNode(opts Options, hooks Hooks) *Node {
 		opts:         opts,
 		mem:          NewMembership(opts.Self, opts.Seeds, opts.VirtualNodes),
 		tr:           opts.Transport,
-		proxyLatency: NewLatencyHistogram(),
+		proxyLatency: telemetry.NewHistogram(telemetry.LatencyBounds...),
 		loopCtx:      ctx,
 		loopStop:     stop,
 		hooks:        hooks,
@@ -131,7 +133,7 @@ func (n *Node) ReportFailure(id string) {
 
 // ObserveRemote folds one remote round-trip (cache fetch or proxied
 // execution) into the proxy latency histogram.
-func (n *Node) ObserveRemote(d time.Duration) { n.proxyLatency.Observe(d.Seconds()) }
+func (n *Node) ObserveRemote(d time.Duration) { n.proxyLatency.Observe(uint64(d)) }
 
 // CountRemoteHit / CountProxied / CountFailover tick the routing counters;
 // the service's simulate path calls them as it routes.

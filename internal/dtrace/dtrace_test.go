@@ -121,7 +121,7 @@ func TestDisabledPathIsFree(t *testing.T) {
 	if s := rec.StartSpan(SpanContext{}, "op"); s != nil {
 		t.Fatal("nil recorder must start nil spans")
 	}
-	if rec.Total() != 0 || rec.Dropped() != 0 || rec.Node() != "" || rec.Snapshot(Filter{}) != nil {
+	if rec.Total() != 0 || rec.Dropped() != 0 || rec.Snapshot(Filter{}) != nil {
 		t.Fatal("nil recorder accessors must be zero")
 	}
 }

@@ -1,9 +1,11 @@
 package dtrace
 
 import (
-	"encoding/json"
 	"io"
+	"slices"
 	"sort"
+
+	"repro/internal/telemetry"
 )
 
 // Stitch merges span sets fetched from several nodes (plus the client's own
@@ -100,17 +102,6 @@ func TreeOf(trace string, spans []SpanData) TreeStats {
 	return st
 }
 
-// chromeEvent is one trace_event record; see the Chrome Trace Event Format.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    int64          `json:"ts"`
-	Dur   int64          `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
 // WriteChromeTrace writes stitched spans in Chrome trace_event JSON (the
 // array form chrome://tracing and Perfetto load directly). Each node becomes
 // a process (named by a process_name metadata record) and each trace a
@@ -119,9 +110,20 @@ type chromeEvent struct {
 // ("X") slices carrying their span/parent IDs and annotation in args.
 func WriteChromeTrace(w io.Writer, spans []SpanData) error {
 	// Stable process numbering: nodes sorted, pid 1..N.
+	nodes := make([]string, 0, len(spans))
+	for _, d := range spans {
+		nodes = append(nodes, d.Node)
+	}
+	slices.Sort(nodes)
 	pidOf := map[string]int{}
-	for _, n := range nodeSet(spans) {
+	out := make([]telemetry.ChromeEvent, 0, len(spans))
+	for _, n := range slices.Compact(nodes) {
 		pidOf[n] = len(pidOf) + 1
+		name := n
+		if name == "" {
+			name = "(unattributed)"
+		}
+		out = append(out, telemetry.ChromeMeta("process_name", pidOf[n], 0, name))
 	}
 	// Thread numbering per (node, trace), in first-seen order after a sort
 	// by start time so tid assignment is deterministic.
@@ -133,20 +135,6 @@ func WriteChromeTrace(w io.Writer, spans []SpanData) error {
 	tidOf := map[laneKey]int{}
 	nextTID := map[string]int{}
 
-	out := make([]chromeEvent, 0, len(ordered)+2*len(pidOf))
-	for node, pid := range pidOf {
-		name := node
-		if name == "" {
-			name = "(unattributed)"
-		}
-		out = append(out, chromeEvent{
-			Name: "process_name", Phase: "M", PID: pid, TID: 0,
-			Args: map[string]any{"name": name},
-		})
-	}
-	// Metadata first, then slices by timestamp.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].PID < out[j].PID })
-
 	for _, d := range ordered {
 		lk := laneKey{d.Node, d.TraceID}
 		tid, ok := tidOf[lk]
@@ -154,10 +142,7 @@ func WriteChromeTrace(w io.Writer, spans []SpanData) error {
 			nextTID[d.Node]++
 			tid = nextTID[d.Node]
 			tidOf[lk] = tid
-			out = append(out, chromeEvent{
-				Name: "thread_name", Phase: "M", PID: pidOf[d.Node], TID: tid,
-				Args: map[string]any{"name": "trace " + shortID(d.TraceID)},
-			})
+			out = append(out, telemetry.ChromeMeta("thread_name", pidOf[d.Node], tid, "trace "+d.TraceID[:min(8, len(d.TraceID))]))
 		}
 		dur := (d.EndNS - d.StartNS) / 1000
 		if dur <= 0 {
@@ -176,7 +161,7 @@ func WriteChromeTrace(w io.Writer, spans []SpanData) error {
 		if d.Error {
 			args["error"] = true
 		}
-		out = append(out, chromeEvent{
+		out = append(out, telemetry.ChromeEvent{
 			Name:  d.Name,
 			Phase: "X",
 			TS:    d.StartNS / 1000,
@@ -186,28 +171,5 @@ func WriteChromeTrace(w io.Writer, spans []SpanData) error {
 			Args:  args,
 		})
 	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
-}
-
-func nodeSet(spans []SpanData) []string {
-	seen := map[string]struct{}{}
-	for _, d := range spans {
-		seen[d.Node] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func shortID(id string) string {
-	if len(id) > 8 {
-		return id[:8]
-	}
-	return id
+	return telemetry.WriteChrome(w, out)
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"strings"
 	"sync"
+
+	"repro/internal/telemetry"
 )
 
 // refCap bounds a span's free-text annotation in the ring. Annotations are
@@ -44,10 +46,8 @@ type Recorder struct {
 	node string
 
 	mu    sync.Mutex
-	recs  []spanRecord
-	head  int // next overwrite position once full
-	total uint64
-	names []string // interned span names (fixed call-site vocabulary)
+	recs  *telemetry.Ring[spanRecord]
+	names telemetry.Interner // span names (fixed call-site vocabulary)
 }
 
 // NewRecorder builds a flight recorder identified as node (the identity
@@ -57,30 +57,7 @@ func NewRecorder(node string, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCap
 	}
-	return &Recorder{node: node, recs: make([]spanRecord, 0, capacity)}
-}
-
-// Node returns the identity exported spans carry.
-func (r *Recorder) Node() string {
-	if r == nil {
-		return ""
-	}
-	return r.node
-}
-
-// internName returns name's index, appending on first sight. The vocabulary
-// is the fixed set of call sites (~20 names); index 255 absorbs overflow.
-func (r *Recorder) internName(name string) uint8 {
-	for i, v := range r.names {
-		if v == name {
-			return uint8(i)
-		}
-	}
-	if len(r.names) >= 255 {
-		return 255
-	}
-	r.names = append(r.names, name)
-	return uint8(len(r.names) - 1)
+	return &Recorder{node: node, recs: telemetry.NewRing[spanRecord](capacity)}
 }
 
 // record appends one completed span, overwriting the oldest once the ring is
@@ -104,14 +81,8 @@ func (r *Recorder) record(sc SpanContext, parent SpanID, name string, start, end
 	rec.refLen = uint8(n)
 
 	r.mu.Lock()
-	rec.name = r.internName(name)
-	r.total++
-	if len(r.recs) < cap(r.recs) {
-		r.recs = append(r.recs, rec)
-	} else {
-		r.recs[r.head] = rec
-		r.head = (r.head + 1) % len(r.recs)
-	}
+	rec.name = r.names.Index(name)
+	r.recs.Push(rec)
 	r.mu.Unlock()
 }
 
@@ -123,7 +94,7 @@ func (r *Recorder) Total() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.recs.Total()
 }
 
 // Dropped returns how many spans ring wrap-around has overwritten. Nil-safe.
@@ -133,7 +104,7 @@ func (r *Recorder) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total - uint64(len(r.recs))
+	return r.recs.Dropped()
 }
 
 // SpanData is the exported (wire/JSON) form of a recorded span. IDs are hex
@@ -161,22 +132,19 @@ type Filter struct {
 	Limit int
 }
 
-func (r *Recorder) unpack(rec spanRecord) SpanData {
+// data unpacks the record; names is the recorder's span-name table.
+func (rec spanRecord) data(node string, names *telemetry.Interner) SpanData {
 	var t TraceID
 	binary.BigEndian.PutUint64(t[:8], rec.traceHi)
 	binary.BigEndian.PutUint64(t[8:], rec.traceLo)
 	var sp, par SpanID
 	binary.BigEndian.PutUint64(sp[:], rec.span)
 	binary.BigEndian.PutUint64(par[:], rec.parent)
-	name := "?"
-	if int(rec.name) < len(r.names) {
-		name = r.names[rec.name]
-	}
 	d := SpanData{
 		TraceID: t.String(),
 		SpanID:  sp.String(),
-		Name:    name,
-		Node:    r.node,
+		Name:    names.Name(rec.name),
+		Node:    node,
 		StartNS: rec.start,
 		EndNS:   rec.end,
 		Ref:     string(rec.ref[:rec.refLen]),
@@ -195,16 +163,13 @@ func (r *Recorder) Snapshot(f Filter) []SpanData {
 		return nil
 	}
 	r.mu.Lock()
-	recs := make([]spanRecord, 0, len(r.recs))
-	recs = append(recs, r.recs[r.head:]...)
-	recs = append(recs, r.recs[:r.head]...)
-	names := append([]string(nil), r.names...)
+	recs := r.recs.AppendTo(nil)
+	names := r.names.Clone()
 	r.mu.Unlock()
 
-	view := &Recorder{node: r.node, names: names}
 	out := make([]SpanData, 0, len(recs))
 	for _, rec := range recs {
-		d := view.unpack(rec)
+		d := rec.data(r.node, &names)
 		if f.Trace != "" && d.TraceID != f.Trace {
 			continue
 		}

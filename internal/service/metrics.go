@@ -3,15 +3,15 @@ package service
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/telemetry"
 )
 
-// latWindow is how many recent job latencies back the p50/p99 estimates.
+// latWindow is how many recent job latencies back the exact p50/p99.
 const latWindow = 1024
 
 // metrics holds the daemon's counters. Gauges derived from live structures
@@ -34,46 +34,42 @@ type metrics struct {
 	pfCross4K atomic.Uint64 // ...of which crossed a 4KB page boundary
 
 	latMu sync.Mutex
-	lats  [latWindow]float64 // seconds, ring buffer
-	latN  uint64             // total observations
+	lats  *telemetry.Ring[time.Duration] // the newest latWindow job latencies
 
 	// queueWait distributes admission-to-pickup delay: how long jobs sit in
 	// the admission queue before a worker starts them. Under load this is
 	// the histogram that says whether the queue bound or the worker pool is
 	// the bottleneck.
-	queueWait cluster.Histogram
+	queueWait *telemetry.Histogram
 }
 
 func newMetrics() metrics {
-	return metrics{start: time.Now(), queueWait: cluster.NewLatencyHistogram()}
+	return metrics{
+		start:     time.Now(),
+		lats:      telemetry.NewRing[time.Duration](latWindow),
+		queueWait: telemetry.NewHistogram(telemetry.LatencyBounds...),
+	}
 }
 
 // observeLatency records one finished job's wall-clock duration.
 func (m *metrics) observeLatency(d time.Duration) {
 	m.latMu.Lock()
-	m.lats[m.latN%latWindow] = d.Seconds()
-	m.latN++
+	m.lats.Push(d)
 	m.latMu.Unlock()
 }
 
-// quantiles estimates job-latency quantiles over the recent window.
+// quantiles returns exact job-latency quantiles (seconds) over the window.
 func (m *metrics) quantiles(qs ...float64) []float64 {
 	m.latMu.Lock()
-	n := int(m.latN)
-	if n > latWindow {
-		n = latWindow
-	}
-	window := make([]float64, n)
-	copy(window, m.lats[:n])
+	window := m.lats.AppendTo(make([]time.Duration, 0, latWindow))
 	m.latMu.Unlock()
 	out := make([]float64, len(qs))
-	if n == 0 {
+	if len(window) == 0 {
 		return out
 	}
-	sort.Float64s(window)
+	slices.Sort(window)
 	for i, q := range qs {
-		idx := int(q * float64(n-1))
-		out[i] = window[idx]
+		out[i] = window[int(q*float64(len(window)-1))].Seconds()
 	}
 	return out
 }
@@ -140,8 +136,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 	}
 	gauge("psimd_sims_per_second", "Executed simulations per second of uptime.", fmt.Sprintf("%.3f", rate))
 
-	m.queueWait.Write(w, "psimd_queue_wait_seconds",
-		"Seconds between job admission and worker pickup.")
+	m.queueWait.WritePrometheus(w, "psimd_queue_wait_seconds",
+		"Seconds between job admission and worker pickup.", 1e9)
 
 	q := m.quantiles(0.5, 0.99)
 	fmt.Fprintf(w, "# HELP psimd_job_latency_seconds Recent job wall-clock latency quantiles.\n# TYPE psimd_job_latency_seconds gauge\n")

@@ -540,7 +540,7 @@ func (s *Server) runJob(j *jobState) {
 	j.emitLocked("running")
 	j.mu.Unlock()
 
-	s.m.queueWait.Observe(time.Since(j.enqueuedAt).Seconds())
+	s.m.queueWait.Observe(uint64(time.Since(j.enqueuedAt)))
 	// job.run is the server-side root of the job's span tree, parented under
 	// the submitting client's span when the request carried a traceparent.
 	// job.queue_wait hangs off it, backdated to admission, so the trace shows

@@ -422,6 +422,7 @@ func TestSubmitRejectsInvalidConfig(t *testing.T) {
 		{"L2.Ways", func(cfg *sim.Config) { cfg.L2.Ways = 17 }},
 		{"DRAM.RowBytes", func(cfg *sim.Config) { cfg.DRAM.RowBytes = 32 }},
 		{"PhysBytes", func(cfg *sim.Config) { cfg.PhysBytes = 1 << 40 }},
+		{"LLC.Sets", func(cfg *sim.Config) { cfg.LLC.Sets = 1 << 30 }},
 	}
 	for _, tc := range cases {
 		cfg := sim.DefaultConfig()

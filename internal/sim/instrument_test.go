@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/tracecheck"
 )
 
 func instrumentedRun(t *testing.T, ins *Instrumentation, spec PrefSpec, name string, opt RunOpt) Result {
@@ -167,6 +168,33 @@ func TestTracerAttribution(t *testing.T) {
 	}
 	if sized2m == 0 {
 		t.Error("no 2MB-attributed events on a 2MB-heavy workload")
+	}
+}
+
+// TestLifecycleChromeExportIsLoadable exports CI's sample lifecycle trace
+// (libquantum, spp PSA-SD, with collector and tracer attached) at a short
+// window through the shared trace_event checks: integer lanes, each named by
+// a thread_name record.
+func TestLifecycleChromeExportIsLoadable(t *testing.T) {
+	ins := &Instrumentation{
+		Collector:         telemetry.NewCollector(),
+		Tracer:            telemetry.NewTracer(0),
+		EpochInstructions: 10_000,
+	}
+	opt := RunOpt{Warmup: 10_000, Instructions: 40_000, Seed: 1, Samples: 8}
+	instrumentedRun(t, ins, PrefSpec{Base: "spp", Variant: core.PSASD}, "libquantum", opt)
+	var buf bytes.Buffer
+	if err := ins.Tracer.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var slices int
+	for _, e := range tracecheck.ValidateChromeTrace(t, buf.Bytes()) {
+		if e["ph"] == "X" {
+			slices++
+		}
+	}
+	if slices == 0 {
+		t.Fatal("the export holds no prefetch fill slices")
 	}
 }
 

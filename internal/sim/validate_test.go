@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
@@ -42,6 +43,35 @@ var configRules = []struct {
 	{"DRAM.RowMissLatency", func(c *Config) { c.DRAM.RowMissLatency = -1 }, false},
 	{"PhysBytes", func(c *Config) { c.PhysBytes = 32 << 20 }, true},
 	{"PhysBytes", func(c *Config) { c.PhysBytes = 1 << 40 }, false},
+	// Geometry bounds: each of these would build, allocating up to hundreds
+	// of GiB, so they are never handed to newSystem.
+	{"Core.Width", func(c *Config) { c.Core.Width = maxWidth + 1 }, false},
+	{"Core.ROBSize", func(c *Config) { c.Core.ROBSize = maxROBSize + 1 }, false},
+	{"LLC.Sets", func(c *Config) { c.LLC.Sets = 1 << 30 }, false},
+	{"L1D.Sets", func(c *Config) { c.L1D.Sets = maxSets + 1 }, false},
+	{"L2.MSHREntries", func(c *Config) { c.L2.MSHREntries = maxMSHREntries + 1 }, false},
+	{"MMU.L1Entries", func(c *Config) { c.MMU.L1Entries = 2 * maxTLBEntries }, false},
+	{"MMU.L2Entries", func(c *Config) { c.MMU.L2Entries = maxTLBEntries + c.MMU.L2Ways }, false},
+	{"MMU.WalkCacheEntries", func(c *Config) { c.MMU.WalkCacheEntries = maxWalkCacheEntries + 1 }, false},
+	{"DRAM.Channels", func(c *Config) { c.DRAM.Channels = maxChannels + 1 }, false},
+	{"DRAM.BanksPerChan", func(c *Config) { c.DRAM.BanksPerChan = maxBanksPerChan + 1 }, false},
+}
+
+// TestValidateAcceptsTheBounds: every geometry bound is inclusive, so the
+// largest accepted machine still validates.
+func TestValidateAcceptsTheBounds(t *testing.T) {
+	c := DefaultConfig()
+	c.Core.Width, c.Core.ROBSize = maxWidth, maxROBSize
+	for _, l := range []*cache.Config{&c.L1I, &c.L1D, &c.L2, &c.LLC} {
+		l.Sets, l.MSHREntries = maxSets, maxMSHREntries
+	}
+	c.MMU.L1Entries, c.MMU.L1Ways = maxTLBEntries, 16
+	c.MMU.L2Entries, c.MMU.L2Ways = maxTLBEntries, 16
+	c.MMU.WalkCacheEntries = maxWalkCacheEntries
+	c.DRAM.Channels, c.DRAM.BanksPerChan = maxChannels, maxBanksPerChan
+	if err := c.Validate(); err != nil {
+		t.Fatalf("the largest accepted geometry fails Validate: %v", err)
+	}
 }
 
 // configErrorFor extracts the *ConfigError naming field from err.

@@ -1,29 +1,41 @@
-// Package telemetry is the simulator's zero-dependency instrumentation
-// layer. It provides three pieces:
+// Package telemetry is the repo's zero-dependency observability substrate:
+// the simulator's instrumentation, and the one ring, histogram and Chrome
+// trace writer that dtrace's flight recorder and psimd's metrics share.
 //
+//   - Ring and Interner (ring.go): a preallocated ring keeping the newest
+//     values, and the string table that keeps ring records pointer-free.
 //   - Histogram: allocation-free atomic bucket counts that a producer
-//     bumps on its hot path and readers snapshot concurrently.
+//     bumps on its hot path and readers snapshot concurrently or write in
+//     Prometheus exposition format.
+//   - ChromeEvent and WriteChrome (chrome.go): the Chrome trace_event writer
+//     every exporter calls.
 //   - Collector: an epoch-series sampler. Components register probes once
 //     (cumulative counters, instantaneous gauges, or derived ratios); the
 //     run loop calls EndEpoch at each epoch boundary and the collector turns
 //     cumulative values into per-epoch deltas, building a time series
 //     exportable as JSONL or CSV.
-//   - Tracer (tracer.go): a preallocated ring of prefetch lifecycle events
+//   - Tracer (tracer.go): a ring of prefetch lifecycle events
 //     (issue→fill→first-use/evict) exportable as JSONL or Chrome
 //     trace_event JSON.
 //
 // Everything is observational: probes read component state, they never
 // mutate it, so an instrumented run retires the same instructions in the
-// same cycles as an uninstrumented one. All exported types tolerate nil
-// receivers on their hot-path methods so call sites need no telemetry-off
-// branches.
+// same cycles as an uninstrumented one. The simulator's hot-path types
+// tolerate nil receivers so call sites need no telemetry-off branches.
 package telemetry
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"sync/atomic"
 )
+
+// LatencyBounds are the service's latency buckets in nanoseconds, 1 ms..10 s:
+// from a cross-node cache fetch to a proxied simulation or a long queue wait.
+var LatencyBounds = []uint64{
+	1e6, 2.5e6, 5e6, 1e7, 2.5e7, 5e7, 1e8, 2.5e8, 5e8, 1e9, 2.5e9, 5e9, 1e10,
+}
 
 // Histogram counts observations into explicit upper-bound buckets plus an
 // overflow bucket. Bounds are inclusive upper edges and must be ascending.
@@ -91,6 +103,22 @@ func (h *Histogram) Sum() uint64 {
 		return 0
 	}
 	return h.sum.Load()
+}
+
+// WritePrometheus writes the histogram in Prometheus text exposition format,
+// bounds and sum divided by scale (1e9 turns ns into seconds). The +Inf
+// bucket and _count are one loaded total, consistent under concurrent Observe.
+func (h *Histogram) WritePrometheus(w io.Writer, name, help string, scale float64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	var cum uint64
+	for i, b := range h.bounds {
+		cum += h.counts[i].Load()
+		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, float64(b)/scale, cum)
+	}
+	cum += h.counts[len(h.bounds)].Load()
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sum.Load())/scale)
+	fmt.Fprintf(w, "%s_count %d\n", name, cum)
 }
 
 // Mean returns the average observed value (0 when empty).

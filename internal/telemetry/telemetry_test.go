@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/tracecheck"
@@ -236,7 +237,67 @@ func TestChromeTraceStructure(t *testing.T) {
 	// Structural validation is shared with the dtrace exporter: one
 	// definition of Perfetto-loadable across the repo.
 	events := tracecheck.ValidateChromeTrace(t, buf.Bytes())
-	if len(events) != 4 {
-		t.Fatalf("events = %d, want 4", len(events))
+	var n int
+	lanes := map[string]bool{}
+	for _, e := range events {
+		if e["ph"] != "M" {
+			n++
+		} else if e["name"] == "thread_name" {
+			lanes[e["args"].(map[string]any)["name"].(string)] = true
+		}
 	}
+	if n != 4 || len(lanes) != 2 || !lanes["L2"] || !lanes["LLC"] {
+		t.Fatalf("%d events on lanes %v, want 4 on L2 and LLC", n, lanes)
+	}
+}
+
+// TestWritePrometheusLatencyBounds: the nanosecond LatencyBounds expose as
+// the seconds labels 0.001..10, and while goroutines Observe concurrently
+// every scrape's _count equals its +Inf bucket.
+func TestWritePrometheusLatencyBounds(t *testing.T) {
+	h := NewHistogram(LatencyBounds...)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for v := uint64(g); ; v += 7919 {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(v % 2e10)
+				}
+			}
+		}(g)
+	}
+	want := []string{"0.001", "0.0025", "0.005", "0.01", "0.025", "0.05", "0.1", "0.25", "0.5", "1", "2.5", "5", "10", "+Inf"}
+	for scrape := 0; scrape < 50; scrape++ {
+		var buf bytes.Buffer
+		h.WritePrometheus(&buf, "x_seconds", "help", 1e9)
+		var les []string
+		var inf, count string
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			name, value, _ := strings.Cut(line, " ")
+			switch {
+			case strings.HasPrefix(name, `x_seconds_bucket{le="`):
+				le := strings.TrimSuffix(strings.TrimPrefix(name, `x_seconds_bucket{le="`), `"}`)
+				les = append(les, le)
+				if le == "+Inf" {
+					inf = value
+				}
+			case name == "x_seconds_count":
+				count = value
+			}
+		}
+		if strings.Join(les, " ") != strings.Join(want, " ") {
+			t.Fatalf("le labels = %v, want %v", les, want)
+		}
+		if inf == "" || count != inf {
+			t.Fatalf("scrape %d: _count %s, +Inf bucket %s", scrape, count, inf)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // EventKind is a prefetch lifecycle transition.
@@ -74,7 +73,7 @@ type jsonEvent struct {
 type record struct {
 	kind     EventKind
 	level    uint8 // index into Tracer.levels
-	pageSize uint8 // 1+index into Tracer.pageSizes; 0 = unknown
+	pageSize uint8 // index into Tracer.pageSizes ("" when unknown)
 	flags    uint8
 	prefID   uint8
 	core     uint8
@@ -90,19 +89,16 @@ const (
 )
 
 // Tracer records lifecycle events into a preallocated ring: recording is a
-// bounds check and a pointer-free struct store, no allocation, so tracing
-// large runs keeps the newest Cap events instead of growing without bound.
-// A nil Tracer drops events for free, which is the telemetry-off fast path.
+// pointer-free struct store, no allocation, so tracing large runs keeps the
+// newest Cap events instead of growing without bound. A nil Tracer drops
+// events for free, which is the telemetry-off fast path.
 //
 // Tracer is not safe for concurrent Record calls; each simulation owns its
 // tracer and exports after the run.
 type Tracer struct {
-	records []record
-	head    int    // next write position
-	total   uint64 // lifetime records
-
-	levels    []string // interned Event.Level values
-	pageSizes []string // interned Event.PageSize values
+	ring      *Ring[record]
+	levels    Interner // Event.Level values
+	pageSizes Interner // Event.PageSize values
 }
 
 // DefaultTraceCap is the default event-ring capacity (~3MB of records).
@@ -114,25 +110,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Tracer{records: make([]record, 0, capacity)}
-}
-
-// intern returns s's index in table, appending on first sight. Tables hold
-// a handful of distinct values (cache names, page sizes); the linear scan's
-// first comparison is almost always an identical string header from the
-// same call site. Index 255 absorbs any further values once a table is
-// full, which cannot happen with the simulator's fixed name sets.
-func intern(table *[]string, s string) uint8 {
-	for i, v := range *table {
-		if v == s {
-			return uint8(i)
-		}
-	}
-	if len(*table) >= 255 {
-		return 255
-	}
-	*table = append(*table, s)
-	return uint8(len(*table) - 1)
+	return &Tracer{ring: NewRing[record](capacity)}
 }
 
 // Record appends an event, overwriting the oldest once the ring is full.
@@ -141,19 +119,16 @@ func (t *Tracer) Record(e Event) {
 	if t == nil {
 		return
 	}
-	t.total++
 	r := record{
-		kind:   e.Kind,
-		level:  intern(&t.levels, e.Level),
-		prefID: e.PrefID,
-		core:   e.Core,
-		block:  e.Block,
-		pc:     e.PC,
-		issue:  e.Issue,
-		at:     e.At,
-	}
-	if e.PageSize != "" {
-		r.pageSize = intern(&t.pageSizes, e.PageSize) + 1
+		kind:     e.Kind,
+		level:    t.levels.Index(e.Level),
+		pageSize: t.pageSizes.Index(e.PageSize),
+		prefID:   e.PrefID,
+		core:     e.Core,
+		block:    e.Block,
+		pc:       e.PC,
+		issue:    e.Issue,
+		at:       e.At,
 	}
 	if e.CrossedPage {
 		r.flags |= flagCrossed
@@ -161,12 +136,7 @@ func (t *Tracer) Record(e Event) {
 	if e.Late {
 		r.flags |= flagLate
 	}
-	if len(t.records) < cap(t.records) {
-		t.records = append(t.records, r)
-		return
-	}
-	t.records[t.head] = r
-	t.head = (t.head + 1) % len(t.records)
+	t.ring.Push(r)
 }
 
 // Total returns the lifetime number of records (including overwritten
@@ -175,7 +145,7 @@ func (t *Tracer) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.total
+	return t.ring.Total()
 }
 
 // Dropped returns how many events were overwritten by ring wrap-around.
@@ -183,27 +153,7 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.total - uint64(len(t.records))
-}
-
-// unpack reconstructs the exported event form of a ring record.
-func (t *Tracer) unpack(r record) Event {
-	e := Event{
-		Kind:        r.kind,
-		Level:       t.levels[r.level],
-		Block:       r.block,
-		PC:          r.pc,
-		Issue:       r.issue,
-		At:          r.at,
-		CrossedPage: r.flags&flagCrossed != 0,
-		Late:        r.flags&flagLate != 0,
-		PrefID:      r.prefID,
-		Core:        r.core,
-	}
-	if r.pageSize > 0 {
-		e.PageSize = t.pageSizes[r.pageSize-1]
-	}
-	return e
+	return t.ring.Dropped()
 }
 
 // Events returns the retained events oldest-first. Nil-safe.
@@ -211,12 +161,22 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(t.records))
-	for _, r := range t.records[t.head:] {
-		out = append(out, t.unpack(r))
-	}
-	for _, r := range t.records[:t.head] {
-		out = append(out, t.unpack(r))
+	recs := t.ring.AppendTo(nil)
+	out := make([]Event, len(recs))
+	for i, r := range recs {
+		out[i] = Event{
+			Kind:        r.kind,
+			Level:       t.levels.Name(r.level),
+			Block:       r.block,
+			PC:          r.pc,
+			Issue:       r.issue,
+			At:          r.at,
+			PageSize:    t.pageSizes.Name(r.pageSize),
+			CrossedPage: r.flags&flagCrossed != 0,
+			Late:        r.flags&flagLate != 0,
+			PrefID:      r.prefID,
+			Core:        r.core,
+		}
 	}
 	return out
 }
@@ -232,30 +192,29 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// chromeEvent is one trace_event record; see the Chrome Trace Event Format.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    int64          `json:"ts"`
-	Dur   int64          `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   string         `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-// WriteChromeTrace writes the retained events in Chrome trace_event JSON
-// (the array form chrome://tracing and Perfetto load directly). Fill events
-// become complete ("X") slices spanning issue→fill; uses, evicts, and drops
-// become instant ("i") events. Timestamps are simulated cycles presented as
-// microseconds, emitted in non-decreasing order.
+// WriteChromeTrace writes the retained events in Chrome trace_event JSON.
+// Each core is a process ("core N") and each cache level a lane within it,
+// named by the level ("L2C", "LLC"); a lane's tid is 1 + the level's index
+// in the tracer's table. Fill events become complete ("X") slices spanning
+// issue→fill; uses, evicts, and drops become instant ("i") events.
+// Timestamps are simulated cycles presented as microseconds.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	events := t.Events()
-	out := make([]chromeEvent, 0, len(events))
+	named := map[[2]int]bool{} // (pid, tid) with a metadata record; tid 0 is the process
+	out := make([]ChromeEvent, 0, len(events))
 	for _, e := range events {
-		ce := chromeEvent{
-			PID: int(e.Core),
-			TID: e.Level,
+		pid, tid := int(e.Core), 1+int(t.levels.Index(e.Level))
+		if !named[[2]int{pid, 0}] {
+			named[[2]int{pid, 0}] = true
+			out = append(out, ChromeMeta("process_name", pid, 0, fmt.Sprintf("core %d", pid)))
+		}
+		if !named[[2]int{pid, tid}] {
+			named[[2]int{pid, tid}] = true
+			out = append(out, ChromeMeta("thread_name", pid, tid, e.Level))
+		}
+		ce := ChromeEvent{
+			PID: pid,
+			TID: tid,
 			Args: map[string]any{
 				"block":     fmt.Sprintf("%#x", e.Block),
 				"page_size": e.PageSize,
@@ -281,8 +240,5 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 		out = append(out, ce)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	return WriteChrome(w, out)
 }

@@ -1,11 +1,13 @@
 // Package tracecheck validates Chrome trace_event JSON structurally — the
-// invariants Perfetto and chrome://tracing loading depend on — so every
-// exporter in the repo (the telemetry lifecycle tracer, the dtrace span
-// stitcher) is held to one definition of "loadable".
+// invariants Perfetto and chrome://tracing loading depend on, plus the lane
+// naming telemetry.WriteChrome's callers share — so every exporter in the
+// repo (the telemetry lifecycle tracer, the dtrace span stitcher) is held to
+// one definition of "loadable".
 package tracecheck
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -18,6 +20,8 @@ import (
 //   - complete ("X") events have a positive "dur"
 //   - instant ("i") events carry a scope "s"
 //   - metadata ("M") events are process_name/thread_name with an args.name
+//   - every event's "pid" and "tid" are integers
+//   - every "X" and "i" event's lane (pid, tid) has a thread_name record
 //
 // It returns the decoded events for exporter-specific assertions.
 func ValidateChromeTrace(t testing.TB, data []byte) []map[string]any {
@@ -25,6 +29,17 @@ func ValidateChromeTrace(t testing.TB, data []byte) []map[string]any {
 	var events []map[string]any
 	if err := json.Unmarshal(data, &events); err != nil {
 		t.Fatalf("chrome trace is not a JSON array: %v", err)
+	}
+	named := map[[2]any]bool{} // lanes (pid, tid) with a thread_name record
+	for i, e := range events {
+		for _, k := range []string{"pid", "tid"} {
+			if v, ok := e[k].(float64); !ok || v != math.Trunc(v) {
+				t.Fatalf("event %d: %s is not an integer: %v", i, k, e)
+			}
+		}
+		if e["ph"] == "M" && e["name"] == "thread_name" {
+			named[[2]any{e["pid"], e["tid"]}] = true
+		}
 	}
 	lastTS := -1.0
 	for i, e := range events {
@@ -34,6 +49,9 @@ func ValidateChromeTrace(t testing.TB, data []byte) []map[string]any {
 		}
 		if _, ok := e["name"]; !ok {
 			t.Fatalf("event %d missing name: %v", i, e)
+		}
+		if (ph == "X" || ph == "i") && !named[[2]any{e["pid"], e["tid"]}] {
+			t.Errorf("event %d: lane pid %v tid %v has no thread_name record", i, e["pid"], e["tid"])
 		}
 		if ph == "M" {
 			name := e["name"]
