@@ -72,7 +72,6 @@ func run() int {
 		maxBatch = flag.Int("max-batch", 4096, "maximum simulations per request")
 		timeout  = flag.Duration("timeout", 0, "default per-job deadline (0: none)")
 		drain    = flag.Duration("drain", 60*time.Second, "graceful-drain bound on SIGTERM before in-flight jobs are canceled")
-		noTel    = flag.Bool("no-telemetry", false, "disable live simulation telemetry (SSE job snapshots and psimd_live_* gauges)")
 
 		clustered = flag.Bool("cluster", false, "join a psimd cluster (requires the result cache)")
 		peers     = flag.String("peers", "", "comma-separated seed peers: id=http://host:port or bare URLs")
@@ -85,12 +84,11 @@ func run() int {
 	flag.Parse()
 
 	cfg := service.Config{
-		Workers:          *workers,
-		SimParallelism:   *par,
-		QueueDepth:       *queue,
-		MaxBatch:         *maxBatch,
-		DefaultTimeout:   *timeout,
-		DisableTelemetry: *noTel,
+		Workers:        *workers,
+		SimParallelism: *par,
+		QueueDepth:     *queue,
+		MaxBatch:       *maxBatch,
+		DefaultTimeout: *timeout,
 	}
 	if !*noCache {
 		store, err := simcache.New(*cacheDir)

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -100,9 +102,9 @@ func (o *traceObserver) OnPrefetchLifecycle(level string, ev cache.LifecycleEven
 // attach wires the instrumentation into an assembled system. The tracer
 // becomes each cache's lifecycle sink — a dedicated hook off the per-access
 // observer path, so the prefetch engine's feedback chain is untouched and
-// demand accesses pay nothing. The collector registers probes over the
-// system's counters; counter probes baseline at registration, so attaching
-// after warm-up keeps warm-up counts out of the first epoch.
+// demand accesses pay nothing. The collector binds the shared probe table to
+// the system; counter rows baseline at binding, so attaching after warm-up
+// keeps warm-up counts out of the first epoch.
 func (ins *Instrumentation) attach(sys *system) {
 	if !ins.enabled() {
 		return
@@ -116,114 +118,150 @@ func (ins *Instrumentation) attach(sys *system) {
 		sys.llc.SetLifecycleObserver(obs)
 	}
 	if ins.Collector != nil {
-		ins.registerProbes(sys)
+		table := plainProbes
+		if sys.nodes[0].engine != nil {
+			table = engineProbes
+		}
+		ins.Collector.Bind(table(), sys)
 	}
 }
 
-// registerProbes installs the standard probe set over a single-core system
-// (node 0): per-level cache counters and derived ratios, prefetch-engine
-// counters with page-size attribution, TLB and page-walk traffic by page
-// size, DRAM traffic and row-buffer behaviour, and occupancy gauges.
-func (ins *Instrumentation) registerProbes(sys *system) {
-	c := ins.Collector
-	n := sys.nodes[0]
+// engineProbes and plainProbes are the standard probe tables over a
+// single-core system (node 0), with and without the prefetch engine's rows
+// (spec "none" has no engine). Each is built on first use and then shared
+// read-only by every run, so binding a collector costs no closures or names
+// per run, and programs that never instrument a run never build them.
+var (
+	engineProbes = sync.OnceValue(func() []telemetry.Probe { return probeTable(true) })
+	plainProbes  = sync.OnceValue(func() []telemetry.Probe { return probeTable(false) })
+)
 
-	cacheProbes(c, "l1d", n.l1d, n)
-	cacheProbes(c, "l2", n.l2, n)
-	cacheProbes(c, "llc", sys.llc, n)
+// probeTable lists per-level cache counters and derived ratios, prefetch
+// engine counters with page-size attribution, TLB and page-walk traffic by
+// page size, DRAM traffic and row-buffer behaviour, and occupancy gauges.
+// Derived rows follow the rows they look up.
+func probeTable(engine bool) []telemetry.Probe {
+	var t []telemetry.Probe
+	t = append(t, cacheRows("l1d", func(s *system) *cache.Cache { return s.nodes[0].l1d })...)
+	t = append(t, cacheRows("l2", func(s *system) *cache.Cache { return s.nodes[0].l2 })...)
+	t = append(t, cacheRows("llc", func(s *system) *cache.Cache { return s.llc })...)
 
-	// Prefetch engine (absent for spec "none").
-	if e := n.engine; e != nil {
-		c.AddCounter("pf_proposed", func() uint64 { return e.Stats.Proposed })
-		c.AddCounter("pf_issued", func() uint64 { return e.Stats.Issued })
-		c.AddCounter("pf_cross4k", func() uint64 { return e.Stats.CrossedPage4K })
-		c.AddCounter("pf_discarded_boundary", func() uint64 { return e.Stats.DiscardedBoundary })
-		c.AddCounter("pf_queue_dropped", func() uint64 { return e.Stats.QueueDropped })
-		c.AddCounter("ppm_4k", func() uint64 { return e.Stats.PPM4K })
-		c.AddCounter("ppm_2m", func() uint64 { return e.Stats.PPM2M })
-		c.AddDerived("pf_cross4k_rate", func(lk telemetry.Lookup) float64 {
-			return ratio(lk("pf_cross4k"), lk("pf_issued"))
-		})
-		c.AddGauge("psasd_psel", func() float64 { return float64(e.Csel()) })
-		c.AddGauge("psasd_winner", func() float64 {
-			if e.PrefersB() {
-				return 1
-			}
-			return 0
-		})
+	if engine {
+		st := func(s *system) *core.Stats { return &s.nodes[0].engine.Stats }
+		t = append(t,
+			counter("pf_proposed", func(s *system) uint64 { return st(s).Proposed }),
+			counter("pf_issued", func(s *system) uint64 { return st(s).Issued }),
+			counter("pf_cross4k", func(s *system) uint64 { return st(s).CrossedPage4K }),
+			counter("pf_discarded_boundary", func(s *system) uint64 { return st(s).DiscardedBoundary }),
+			counter("pf_queue_dropped", func(s *system) uint64 { return st(s).QueueDropped }),
+			counter("ppm_4k", func(s *system) uint64 { return st(s).PPM4K }),
+			counter("ppm_2m", func(s *system) uint64 { return st(s).PPM2M }),
+			derived("pf_cross4k_rate", func(lk telemetry.Lookup) float64 {
+				return ratio(lk("pf_cross4k"), lk("pf_issued"))
+			}),
+			gauge("psasd_psel", func(s *system) float64 { return float64(s.nodes[0].engine.Csel()) }),
+			gauge("psasd_winner", func(s *system) float64 {
+				if s.nodes[0].engine.PrefersB() {
+					return 1
+				}
+				return 0
+			}),
+		)
 	}
 
 	// TLB hierarchy and page walks, by page size where the paper cares.
-	l1tlb, l2tlb := n.mmu.L1(), n.mmu.L2()
-	c.AddCounter("tlb_l1_hits", func() uint64 { return l1tlb.Hits })
-	c.AddCounter("tlb_l1_misses", func() uint64 { return l1tlb.Misses })
-	c.AddCounter("tlb_l2_hits", func() uint64 { return l2tlb.Hits })
-	c.AddCounter("tlb_l2_misses", func() uint64 { return l2tlb.Misses })
-	c.AddCounter("tlb_hits_4k", func() uint64 {
-		return l1tlb.HitsBy[0] + l2tlb.HitsBy[0]
-	})
-	c.AddCounter("tlb_hits_2m", func() uint64 {
-		return l1tlb.HitsBy[1] + l2tlb.HitsBy[1]
-	})
-	c.AddCounter("walks", func() uint64 { return n.mmu.Walks })
-	c.AddCounter("walks_4k", func() uint64 { return n.mmu.WalksBy[0] })
-	c.AddCounter("walks_2m", func() uint64 { return n.mmu.WalksBy[1] })
+	t = append(t,
+		counter("tlb_l1_hits", func(s *system) uint64 { return s.nodes[0].mmu.L1().Hits }),
+		counter("tlb_l1_misses", func(s *system) uint64 { return s.nodes[0].mmu.L1().Misses }),
+		counter("tlb_l2_hits", func(s *system) uint64 { return s.nodes[0].mmu.L2().Hits }),
+		counter("tlb_l2_misses", func(s *system) uint64 { return s.nodes[0].mmu.L2().Misses }),
+		counter("tlb_hits_4k", func(s *system) uint64 {
+			m := s.nodes[0].mmu
+			return m.L1().HitsBy[0] + m.L2().HitsBy[0]
+		}),
+		counter("tlb_hits_2m", func(s *system) uint64 {
+			m := s.nodes[0].mmu
+			return m.L1().HitsBy[1] + m.L2().HitsBy[1]
+		}),
+		counter("walks", func(s *system) uint64 { return s.nodes[0].mmu.Walks }),
+		counter("walks_4k", func(s *system) uint64 { return s.nodes[0].mmu.WalksBy[0] }),
+		counter("walks_2m", func(s *system) uint64 { return s.nodes[0].mmu.WalksBy[1] }),
 
-	// DRAM.
-	d := sys.dramDev
-	c.AddCounter("dram_reads", func() uint64 { return d.Stats.Reads })
-	c.AddCounter("dram_writes", func() uint64 { return d.Stats.Writes })
-	c.AddCounter("dram_row_hits", func() uint64 { return d.Stats.RowHits })
-	c.AddCounter("dram_row_misses", func() uint64 { return d.Stats.RowMisses })
-	c.AddDerived("dram_row_hit_rate", func(lk telemetry.Lookup) float64 {
-		return ratio(lk("dram_row_hits"), lk("dram_row_hits")+lk("dram_row_misses"))
-	})
+		// DRAM.
+		counter("dram_reads", func(s *system) uint64 { return s.dramDev.Stats.Reads }),
+		counter("dram_writes", func(s *system) uint64 { return s.dramDev.Stats.Writes }),
+		counter("dram_row_hits", func(s *system) uint64 { return s.dramDev.Stats.RowHits }),
+		counter("dram_row_misses", func(s *system) uint64 { return s.dramDev.Stats.RowMisses }),
+		derived("dram_row_hit_rate", func(lk telemetry.Lookup) float64 {
+			return ratio(lk("dram_row_hits"), lk("dram_row_hits")+lk("dram_row_misses"))
+		}),
 
-	// Core and allocator gauges plus the headline derived series.
-	c.AddGauge("rob_occupancy", func() float64 { return float64(n.cpu.ROBOccupancy()) })
-	c.AddGauge("dram_busy_banks", func() float64 {
-		return float64(d.BusyBanks(n.cpu.Cycle))
-	})
-	c.AddGauge("frac_2m", func() float64 { return sys.alloc.Frac2M() })
-	c.AddDerived("ipc", func(lk telemetry.Lookup) float64 {
-		return ratio(lk("instructions"), lk("cycles"))
-	})
+		// Core and allocator gauges plus the headline derived series.
+		gauge("rob_occupancy", func(s *system) float64 { return float64(s.nodes[0].cpu.ROBOccupancy()) }),
+		gauge("dram_busy_banks", func(s *system) float64 {
+			return float64(s.dramDev.BusyBanks(s.nodes[0].cpu.Cycle))
+		}),
+		gauge("frac_2m", func(s *system) float64 { return s.alloc.Frac2M() }),
+		derived("ipc", func(lk telemetry.Lookup) float64 {
+			return ratio(lk("instructions"), lk("cycles"))
+		}),
+	)
+	return t
 }
 
-// cacheProbes registers one cache level's counters, gauges, and derived
-// ratios under the given prefix.
-func cacheProbes(c *telemetry.Collector, prefix string, cc *cache.Cache, n *coreNode) {
-	c.AddCounter(prefix+"_demand_hits", func() uint64 { return cc.Stats.DemandHits })
-	c.AddCounter(prefix+"_demand_misses", func() uint64 { return cc.Stats.DemandMisses })
-	c.AddCounter(prefix+"_pf_issued", func() uint64 { return cc.Stats.PrefetchIssued })
-	c.AddCounter(prefix+"_pf_useful", func() uint64 { return cc.Stats.PrefetchUseful })
-	c.AddCounter(prefix+"_pf_late", func() uint64 { return cc.Stats.PrefetchLate })
-	c.AddCounter(prefix+"_pf_unused", func() uint64 { return cc.Stats.PrefetchUnused })
-	c.AddCounter(prefix+"_pf_dropped", func() uint64 { return cc.Stats.PrefetchDropped })
-	c.AddGauge(prefix+"_mshr_busy", func() float64 {
-		return float64(cc.MSHRBusy(n.cpu.Cycle))
-	})
-	c.AddDerived(prefix+"_mpki", func(lk telemetry.Lookup) float64 {
-		instr := lk("instructions")
-		if instr == 0 {
-			return 0
-		}
-		return lk(prefix+"_demand_misses") / instr * 1000
-	})
-	c.AddDerived(prefix+"_hit_ratio", func(lk telemetry.Lookup) float64 {
-		h := lk(prefix + "_demand_hits")
-		return ratio(h, h+lk(prefix+"_demand_misses"))
-	})
-	// Accuracy counts late prefetches as useful (cache.Stats.Accuracy);
-	// coverage credits fully hidden misses only (cache.Stats.Coverage).
-	c.AddDerived(prefix+"_accuracy", func(lk telemetry.Lookup) float64 {
-		good := lk(prefix+"_pf_useful") + lk(prefix+"_pf_late")
-		return ratio(good, good+lk(prefix+"_pf_unused"))
-	})
-	c.AddDerived(prefix+"_coverage", func(lk telemetry.Lookup) float64 {
-		u := lk(prefix + "_pf_useful")
-		return ratio(u, u+lk(prefix+"_demand_misses"))
-	})
+// cacheRows lists one cache level's counters, gauge and derived ratios under
+// the given prefix. The names the derived rows look up are built here, once.
+func cacheRows(prefix string, level func(*system) *cache.Cache) []telemetry.Probe {
+	hits, misses := prefix+"_demand_hits", prefix+"_demand_misses"
+	useful, late, unused := prefix+"_pf_useful", prefix+"_pf_late", prefix+"_pf_unused"
+	st := func(s *system) *cache.Stats { return &level(s).Stats }
+	return []telemetry.Probe{
+		counter(hits, func(s *system) uint64 { return st(s).DemandHits }),
+		counter(misses, func(s *system) uint64 { return st(s).DemandMisses }),
+		counter(prefix+"_pf_issued", func(s *system) uint64 { return st(s).PrefetchIssued }),
+		counter(useful, func(s *system) uint64 { return st(s).PrefetchUseful }),
+		counter(late, func(s *system) uint64 { return st(s).PrefetchLate }),
+		counter(unused, func(s *system) uint64 { return st(s).PrefetchUnused }),
+		counter(prefix+"_pf_dropped", func(s *system) uint64 { return st(s).PrefetchDropped }),
+		gauge(prefix+"_mshr_busy", func(s *system) float64 {
+			return float64(level(s).MSHRBusy(s.nodes[0].cpu.Cycle))
+		}),
+		derived(prefix+"_mpki", func(lk telemetry.Lookup) float64 {
+			instr := lk("instructions")
+			if instr == 0 {
+				return 0
+			}
+			return lk(misses) / instr * 1000
+		}),
+		derived(prefix+"_hit_ratio", func(lk telemetry.Lookup) float64 {
+			h := lk(hits)
+			return ratio(h, h+lk(misses))
+		}),
+		// Accuracy counts late prefetches as useful (cache.Stats.Accuracy);
+		// coverage credits fully hidden misses only (cache.Stats.Coverage).
+		derived(prefix+"_accuracy", func(lk telemetry.Lookup) float64 {
+			good := lk(useful) + lk(late)
+			return ratio(good, good+lk(unused))
+		}),
+		derived(prefix+"_coverage", func(lk telemetry.Lookup) float64 {
+			u := lk(useful)
+			return ratio(u, u+lk(misses))
+		}),
+	}
+}
+
+// counter, gauge and derived build one probe-table row; counter and gauge
+// rows read the *system the table is bound to.
+func counter(name string, fn func(*system) uint64) telemetry.Probe {
+	return telemetry.Probe{Name: name, Counter: func(src any) uint64 { return fn(src.(*system)) }}
+}
+
+func gauge(name string, fn func(*system) float64) telemetry.Probe {
+	return telemetry.Probe{Name: name, Gauge: func(src any) float64 { return fn(src.(*system)) }}
+}
+
+func derived(name string, fn func(telemetry.Lookup) float64) telemetry.Probe {
+	return telemetry.Probe{Name: name, Derived: fn}
 }
 
 // ratio returns num/den with 0/0 = 0.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -72,6 +73,61 @@ var telemetrySchema = []string{
 	"tlb_hits_2m", "tlb_hits_4k",
 	"tlb_l1_hits", "tlb_l1_misses", "tlb_l2_hits", "tlb_l2_misses",
 	"walks", "walks_2m", "walks_4k",
+}
+
+// TestProbeTableIntegrity checks both shared probe tables. A derived row
+// that looks up a misspelled or later name reads 0 every epoch, which no
+// schema check sees, so each derived row runs once against a spy Lookup
+// that accepts only earlier rows and the builtins. The engine table's names
+// are the golden schema; the plain table drops exactly the engine's rows.
+func TestProbeTableIntegrity(t *testing.T) {
+	engineRow := func(name string) bool {
+		return strings.HasPrefix(name, "pf_") || strings.HasPrefix(name, "ppm_") || strings.HasPrefix(name, "psasd_")
+	}
+	for _, tc := range []struct {
+		name  string
+		table []telemetry.Probe
+	}{{"engine", engineProbes()}, {"plain", plainProbes()}} {
+		seen := map[string]bool{"instructions": true, "cycles": true}
+		var names []string
+		for _, p := range tc.table {
+			fns := 0
+			for _, set := range []bool{p.Counter != nil, p.Gauge != nil, p.Derived != nil} {
+				if set {
+					fns++
+				}
+			}
+			if fns != 1 {
+				t.Errorf("%s table: row %q sets %d functions, want exactly 1", tc.name, p.Name, fns)
+			}
+			if seen[p.Name] {
+				t.Errorf("%s table: name %q is not unique", tc.name, p.Name)
+			}
+			if p.Derived != nil {
+				p.Derived(func(name string) float64 {
+					if !seen[name] {
+						t.Errorf("%s table: derived row %q looks up %q, neither an earlier row nor a builtin", tc.name, p.Name, name)
+					}
+					return 1 // nonzero, so no guard skips a later lookup
+				})
+			}
+			seen[p.Name] = true
+			names = append(names, p.Name)
+		}
+		sort.Strings(names)
+		want := telemetrySchema
+		if tc.name == "plain" {
+			want = nil
+			for _, n := range telemetrySchema {
+				if !engineRow(n) {
+					want = append(want, n)
+				}
+			}
+		}
+		if !reflect.DeepEqual(names, want) {
+			t.Errorf("%s table names:\ngot  %v\nwant %v", tc.name, names, want)
+		}
+	}
 }
 
 // TestTelemetrySchemaGolden pins the emitted schema: every epoch carries
@@ -211,11 +267,10 @@ func TestInstrumentationContextCarrier(t *testing.T) {
 	}
 }
 
-// BenchmarkTelemetryOverhead guards the cost of instrumentation: the enabled
-// run (collector + tracer, default epoch) must stay within a few percent of
-// the disabled run, and the disabled path must not allocate on the hot path.
-// CI runs it with -benchtime 1x as a smoke guard; run locally with real
-// benchtime to measure the overhead ratio.
+// BenchmarkTelemetryOverhead measures the cost of instrumentation: the
+// enabled run (collector + tracer, default epoch) against the disabled run.
+// Run it with a real benchtime to read the overhead ratio; the objects a
+// collector adds are gated by TestInstrumentationAllocBudget.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	w, err := trace.ByName("libquantum")
 	if err != nil {

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -10,27 +9,23 @@ import (
 	"sync"
 )
 
-// Lookup resolves a metric computed earlier in the same epoch (registration
+// Lookup resolves a metric computed earlier in the same epoch (table
 // order), plus the builtin "instructions" and "cycles" deltas. Unknown names
 // resolve to 0.
 type Lookup func(name string) float64
 
-// probeKind distinguishes how a probe's epoch value is produced.
-type probeKind uint8
-
-const (
-	counterProbe probeKind = iota // cumulative source → per-epoch delta
-	gaugeProbe                    // instantaneous value at the boundary
-	derivedProbe                  // computed from this epoch's values
-)
-
-type probe struct {
-	name    string
-	kind    probeKind
-	u64     func() uint64
-	f64     func() float64
-	derived func(Lookup) float64
-	last    uint64 // previous cumulative value (counter probes)
+// Probe is one row of a probe table: a metric name and exactly one of three
+// ways to produce its epoch value. Counter reads a cumulative count from the
+// bound source and the epoch records its delta since the previous boundary;
+// Gauge reads an instantaneous value at the boundary; Derived computes from
+// values recorded earlier in the same epoch. A table is built once and
+// shared read-only by every collector bound to it, so binding costs no
+// closures or names per run.
+type Probe struct {
+	Name    string
+	Counter func(src any) uint64
+	Gauge   func(src any) float64
+	Derived func(Lookup) float64
 }
 
 // Epoch is one sampled interval of the series.
@@ -41,67 +36,51 @@ type Epoch struct {
 	Metrics      map[string]float64 `json:"metrics"`
 }
 
-// Collector samples registered probes at epoch boundaries into a time
-// series. Registration happens once at system construction; EndEpoch runs
-// on the simulation goroutine at epoch boundaries only, so nothing here is
-// on the per-access hot path. Latest and Series may be called concurrently
-// with EndEpoch (psimd scrapes live runs).
+// Collector samples a bound probe table at epoch boundaries into a time
+// series. Binding happens once at system construction; EndEpoch runs on the
+// simulation goroutine at epoch boundaries only, so nothing here is on the
+// per-access hot path. Latest and Epochs may be called concurrently with
+// EndEpoch (psimd scrapes live runs).
 type Collector struct {
 	mu        sync.Mutex
-	probes    []probe
-	seen      map[string]bool
+	table     []Probe
+	src       any
+	last      []uint64 // previous cumulative value of each Counter row
 	epochs    []Epoch
 	lastInstr uint64
 	lastCycle uint64
 	latest    map[string]float64
 }
 
-// NewCollector creates an empty collector.
+// NewCollector creates an unbound collector.
 func NewCollector() *Collector {
-	return &Collector{seen: map[string]bool{}}
+	return &Collector{}
 }
 
-func (c *Collector) register(p probe) {
+// Bind attaches a probe table and the source its Counter and Gauge rows
+// read. Counter rows baseline at their current value, so counts accumulated
+// before binding (e.g. during warm-up) never leak into the first epoch's
+// delta. A collector holds one table; binding a second panics. Nil-safe.
+func (c *Collector) Bind(table []Probe, src any) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.seen[p.name] {
-		panic(fmt.Sprintf("telemetry: duplicate probe %q", p.name))
+	if c.last != nil {
+		panic("telemetry: collector already bound")
 	}
-	c.seen[p.name] = true
-	if p.kind == counterProbe {
-		// Snapshot the current cumulative value as the baseline, so counts
-		// accumulated before registration (e.g. during warm-up) never leak
-		// into the first epoch's delta.
-		p.last = p.u64()
+	c.table, c.src = table, src
+	c.last = make([]uint64, len(table))
+	for i, p := range table {
+		if p.Counter != nil {
+			c.last[i] = p.Counter(src)
+		}
 	}
-	c.probes = append(c.probes, p)
-}
-
-// AddCounter registers a cumulative counter source; each epoch records the
-// delta since the previous boundary (the value at registration time is the
-// baseline). Nil-safe.
-func (c *Collector) AddCounter(name string, fn func() uint64) {
-	c.register(probe{name: name, kind: counterProbe, u64: fn})
-}
-
-// AddGauge registers an instantaneous value sampled at each boundary.
-// Nil-safe.
-func (c *Collector) AddGauge(name string, fn func() float64) {
-	c.register(probe{name: name, kind: gaugeProbe, f64: fn})
-}
-
-// AddDerived registers a metric computed from values already recorded this
-// epoch (probes registered before it, plus "instructions" and "cycles").
-// Nil-safe.
-func (c *Collector) AddDerived(name string, fn func(Lookup) float64) {
-	c.register(probe{name: name, kind: derivedProbe, derived: fn})
 }
 
 // EndEpoch closes the current epoch at the given cumulative instruction and
-// cycle counts, sampling every probe. Nil-safe.
+// cycle counts, sampling every row of the bound table. Nil-safe.
 func (c *Collector) EndEpoch(instructions, cycles uint64) {
 	if c == nil {
 		return
@@ -112,35 +91,36 @@ func (c *Collector) EndEpoch(instructions, cycles uint64) {
 		Index:        len(c.epochs),
 		Instructions: instructions - c.lastInstr,
 		Cycles:       cycles - c.lastCycle,
-		Metrics:      make(map[string]float64, len(c.probes)),
+		Metrics:      make(map[string]float64, len(c.table)),
 	}
 	c.lastInstr, c.lastCycle = instructions, cycles
+	// The lookup captures copies, not ep, so ep stays off the heap.
+	metrics, instr, cyc := ep.Metrics, float64(ep.Instructions), float64(ep.Cycles)
 	lookup := func(name string) float64 {
 		switch name {
 		case "instructions":
-			return float64(ep.Instructions)
+			return instr
 		case "cycles":
-			return float64(ep.Cycles)
+			return cyc
 		}
-		return ep.Metrics[name]
+		return metrics[name]
 	}
-	for i := range c.probes {
-		p := &c.probes[i]
-		switch p.kind {
-		case counterProbe:
-			cur := p.u64()
-			ep.Metrics[p.name] = float64(cur - p.last)
-			p.last = cur
-		case gaugeProbe:
-			ep.Metrics[p.name] = finite(p.f64())
-		case derivedProbe:
+	for i, p := range c.table {
+		switch {
+		case p.Counter != nil:
+			cur := p.Counter(c.src)
+			ep.Metrics[p.Name] = float64(cur - c.last[i])
+			c.last[i] = cur
+		case p.Gauge != nil:
+			ep.Metrics[p.Name] = finite(p.Gauge(c.src))
+		case p.Derived != nil:
 			// Zero-cycle or zero-instruction epochs (back-to-back boundaries,
 			// e.g. a final flush landing on a period edge) make naive rate
 			// probes divide by zero. encoding/json rejects NaN/Inf outright,
 			// so one bad sample would abort the whole JSONL export; record 0
 			// instead — "no activity this epoch" — and keep the series
 			// machine-readable.
-			ep.Metrics[p.name] = finite(p.derived(lookup))
+			ep.Metrics[p.Name] = finite(p.Derived(lookup))
 		}
 	}
 	c.epochs = append(c.epochs, ep)

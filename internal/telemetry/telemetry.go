@@ -9,11 +9,11 @@
 //     Prometheus exposition format.
 //   - ChromeEvent and WriteChrome (chrome.go): the Chrome trace_event writer
 //     every exporter calls.
-//   - Collector: an epoch-series sampler. Components register probes once
-//     (cumulative counters, instantaneous gauges, or derived ratios); the
-//     run loop calls EndEpoch at each epoch boundary and the collector turns
-//     cumulative values into per-epoch deltas, building a time series
-//     exportable as JSONL or CSV.
+//   - Collector: an epoch-series sampler. A run binds it to a static Probe
+//     table (cumulative counters, instantaneous gauges, or derived ratios)
+//     built once per process; the run loop calls EndEpoch at each epoch
+//     boundary and the collector turns cumulative values into per-epoch
+//     deltas, building a time series exportable as JSONL or CSV.
 //   - Tracer (tracer.go): a ring of prefetch lifecycle events
 //     (issue→fill→first-use/evict) exportable as JSONL or Chrome
 //     trace_event JSON.

@@ -52,11 +52,13 @@ func TestHistogramBuckets(t *testing.T) {
 func TestCollectorDeltasAndDerived(t *testing.T) {
 	var cum uint64
 	c := NewCollector()
-	c.AddCounter("misses", func() uint64 { return cum })
-	c.AddGauge("level", func() float64 { return float64(cum) / 2 })
-	c.AddDerived("mpki", func(get Lookup) float64 {
-		return get("misses") / get("instructions") * 1000
-	})
+	c.Bind([]Probe{
+		{Name: "misses", Counter: func(src any) uint64 { return *src.(*uint64) }},
+		{Name: "level", Gauge: func(src any) float64 { return float64(*src.(*uint64)) / 2 }},
+		{Name: "mpki", Derived: func(get Lookup) float64 {
+			return get("misses") / get("instructions") * 1000
+		}},
+	}, &cum)
 
 	cum = 10
 	c.EndEpoch(1000, 2000)
@@ -85,19 +87,50 @@ func TestCollectorDeltasAndDerived(t *testing.T) {
 	}
 }
 
+// One table serves every collector bound to it: each binding reads its own
+// source and baselines its counters at the value it holds when bound, so
+// counts from before binding (warm-up) stay out of the first epoch.
+func TestCollectorBindSharesTableAndBaselines(t *testing.T) {
+	table := []Probe{{Name: "n", Counter: func(src any) uint64 { return *src.(*uint64) }}}
+	a, b := uint64(7), uint64(100)
+	ca, cb := NewCollector(), NewCollector()
+	ca.Bind(table, &a)
+	cb.Bind(table, &b)
+	a, b = 10, 150
+	ca.EndEpoch(10, 10)
+	cb.EndEpoch(10, 10)
+	if got := ca.Latest()["n"]; got != 3 {
+		t.Errorf("first collector's delta = %v, want 3", got)
+	}
+	if got := cb.Latest()["n"]; got != 50 {
+		t.Errorf("second collector's delta = %v, want 50", got)
+	}
+
+	var nilc *Collector
+	nilc.Bind(table, &a) // nil-safe
+	defer func() {
+		if recover() == nil {
+			t.Error("binding a second table did not panic")
+		}
+	}()
+	ca.Bind(table, &a)
+}
+
 // A zero-cycle (or zero-instruction) epoch turns naive rate probes into 0/0.
 // The collector must record 0 instead of NaN/Inf: encoding/json rejects
 // non-finite values, so a single poisoned sample would abort the whole JSONL
 // export.
 func TestCollectorZeroCycleEpochStaysFinite(t *testing.T) {
 	c := NewCollector()
-	c.AddDerived("ipc", func(get Lookup) float64 {
-		return get("instructions") / get("cycles") // unguarded on purpose
-	})
-	c.AddDerived("inf", func(get Lookup) float64 {
-		return (get("instructions") + 1) / get("cycles")
-	})
-	c.AddGauge("gnan", func() float64 { return math.NaN() })
+	c.Bind([]Probe{
+		{Name: "ipc", Derived: func(get Lookup) float64 {
+			return get("instructions") / get("cycles") // unguarded on purpose
+		}},
+		{Name: "inf", Derived: func(get Lookup) float64 {
+			return (get("instructions") + 1) / get("cycles")
+		}},
+		{Name: "gnan", Gauge: func(any) float64 { return math.NaN() }},
+	}, nil)
 
 	c.EndEpoch(1000, 2000)
 	c.EndEpoch(1000, 2000) // back-to-back boundary: zero-delta epoch
@@ -130,7 +163,7 @@ func TestCollectorZeroCycleEpochStaysFinite(t *testing.T) {
 func TestCollectorJSONLRoundTrips(t *testing.T) {
 	c := NewCollector()
 	n := uint64(0)
-	c.AddCounter("n", func() uint64 { return n })
+	c.Bind([]Probe{{Name: "n", Counter: func(src any) uint64 { return *src.(*uint64) }}}, &n)
 	n = 5
 	c.EndEpoch(100, 200)
 	n = 9
@@ -158,8 +191,10 @@ func TestCollectorJSONLRoundTrips(t *testing.T) {
 func TestCollectorCSV(t *testing.T) {
 	c := NewCollector()
 	v := uint64(0)
-	c.AddCounter("b", func() uint64 { return v })
-	c.AddCounter("a", func() uint64 { return v * 2 })
+	c.Bind([]Probe{
+		{Name: "b", Counter: func(src any) uint64 { return *src.(*uint64) }},
+		{Name: "a", Counter: func(src any) uint64 { return *src.(*uint64) * 2 }},
+	}, &v)
 	v = 3
 	c.EndEpoch(10, 20)
 
