@@ -43,12 +43,15 @@ vet:
 fuzz-seeds:
 	$(GO) test -race -run=Fuzz ./internal/trace/ ./internal/service/ ./internal/vm/ ./internal/dtrace/ ./internal/prefetch/pangloss/ ./internal/prefetch/vamp/ ./internal/cache/ ./internal/prefetch/spp/ ./internal/telemetry/
 
-# golden-update regenerates the checked-in figure snapshots and the
-# full-stats digest golden (TestGoldenStatsDigest) after an intentional
-# behaviour change. Inspect the diff before committing: a digest line names
-# the job whose results moved.
+# golden-update regenerates the checked-in figure snapshots, the
+# full-stats digest golden (TestGoldenStatsDigest) and the workload stream
+# golden (TestWorkloadStreamGolden: a digest of each catalogue generator's
+# first accesses) after an intentional behaviour change. Inspect the diff
+# before committing: a digest line names the job, or the workload and seed,
+# whose output moved.
 golden-update:
 	$(GO) test ./internal/experiments -run TestGolden -update
+	$(GO) test ./internal/trace -run TestWorkloadStreamGolden -update
 
 # staticcheck runs when the binary is available (CI installs it; locally
 # `go install honnef.co/go/tools/cmd/staticcheck@latest`) and is skipped

@@ -451,15 +451,19 @@ func New(cfg Config, next mem.Port) *Cache {
 		panic(fmt.Sprintf("cache %s: MSHR entries must be positive", cfg.Name))
 	}
 	partialWords := (cfg.Ways + 7) / 8
+	// order, setGen and partial are carved from one slab: one allocation
+	// instead of three, with capacities capped so none can grow into the next.
+	sets := cfg.Sets
+	words := make([]uint64, (2+partialWords)*sets)
 	c := &Cache{
 		cfg:          cfg,
 		lines:        make([]line, cfg.Sets*cfg.Ways),
 		tags:         make([]uint32, cfg.Sets*cfg.Ways),
-		order:        make([]uint64, cfg.Sets),
+		order:        words[:sets:sets],
 		mshrFree:     make([]mem.Cycle, cfg.MSHREntries),
-		partial:      make([]uint64, cfg.Sets*partialWords),
+		partial:      words[2*sets:],
 		partialWords: partialWords,
-		setGen:       make([]uint64, cfg.Sets),
+		setGen:       words[sets : 2*sets : 2*sets],
 		next:         next,
 		rng:          uint64(len(cfg.Name))*0x9e3779b97f4a7c15 + 1,
 	}

@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -317,5 +318,45 @@ func TestJobTelemetrySnapshot(t *testing.T) {
 	}
 	if progressed[1] == nil || progressed[1].Instructions != 2000 {
 		t.Errorf("second progress snapshot = %+v, want 2000 instructions", progressed[1])
+	}
+}
+
+// TestLiveCollectorOnlyForMultiEpochRuns: an executed simulation carries a
+// live telemetry collector only when it is longer than one epoch. A shorter
+// run closes its only epoch as it ends and its collector is detached as it
+// returns, so the psimd_live_* gauges could never show it.
+func TestLiveCollectorOnlyForMultiEpochRuns(t *testing.T) {
+	var mu sync.Mutex
+	instrumented := map[uint64]bool{}
+	fn := func(ctx context.Context, cfg sim.Config, spec sim.PrefSpec, w trace.Workload, opt sim.RunOpt) (sim.Result, error) {
+		mu.Lock()
+		instrumented[opt.Instructions] = sim.InstrumentationFrom(ctx) != nil
+		mu.Unlock()
+		return sim.Result{Workload: w.Name, Spec: spec.String(), IPC: 1}, nil
+	}
+	_, _, c := startServer(t, Config{Workers: 1}, fn)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, opt := range []sim.RunOpt{
+		{Warmup: 20_000, Instructions: 80_000, Seed: 1, Samples: 1},
+		{Warmup: 50_000, Instructions: 200_000, Seed: 1, Samples: 1},
+	} {
+		req := testRequest(1)
+		req.Opt = opt
+		v, err := c.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Follow(ctx, v.ID, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got, ok := instrumented[80_000]; !ok || got {
+		t.Errorf("20k+80k run: instrumented %v (ran %v), want an uninstrumented run", got, ok)
+	}
+	if got, ok := instrumented[200_000]; !ok || !got {
+		t.Errorf("50k+200k run: instrumented %v (ran %v), want a live collector", got, ok)
 	}
 }

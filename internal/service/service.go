@@ -618,8 +618,9 @@ func (s *Server) runJob(j *jobState) {
 // It is the terminal execution path of every route — local jobs, cluster
 // failover, and proxied owner requests all land here — and owns the
 // hit/executed metric accounting for this daemon. Each executed simulation
-// (cache hits never execute) carries a live collector that /metrics samples
-// while the run is in flight.
+// (cache hits never execute) longer than one telemetry epoch carries a live
+// collector that /metrics samples while the run is in flight; a shorter run
+// closes its only epoch as it ends, so the gauges could never show it.
 func (s *Server) execUnit(ctx context.Context, cfg sim.Config, u unit, opt sim.RunOpt) (sim.Result, bool, error) {
 	select {
 	case s.simSem <- struct{}{}:
@@ -635,12 +636,14 @@ func (s *Server) execUnit(ctx context.Context, cfg sim.Config, u unit, opt sim.R
 	var simEnd time.Time
 	run := func(ctx context.Context) (sim.Result, error) {
 		rctx, rs := dtrace.Start(ctx, "sim.run")
-		_, ts := dtrace.Start(rctx, "telemetry.attach")
-		col := telemetry.NewCollector()
-		s.addLive(col)
-		defer s.removeLive(col)
-		rctx = sim.WithInstrumentation(rctx, &sim.Instrumentation{Collector: col})
-		ts.End()
+		if opt.Instructions > sim.DefaultEpochInstructions {
+			_, ts := dtrace.Start(rctx, "telemetry.attach")
+			col := telemetry.NewCollector()
+			s.addLive(col)
+			defer s.removeLive(col)
+			rctx = sim.WithInstrumentation(rctx, &sim.Instrumentation{Collector: col})
+			ts.End()
+		}
 		r, err := s.simFn(rctx, cfg, u.spec, u.w, opt)
 		rs.Fail(err)
 		rs.End()

@@ -24,9 +24,9 @@ func TestConstructionBudget(t *testing.T) {
 		objects  float64 // heap objects per system
 		kb       float64 // heap KB per system
 	}{
-		{"libquantum", PrefSpec{Base: "spp", Variant: core.PSASD}, 91.5, 785.5},
-		{"mcf", PrefSpec{Base: "ppf", Variant: core.PSA}, 89, 918},
-		{"soplex", PrefSpec{Base: "vldp", Variant: core.Original}, 87, 755},
+		{"libquantum", PrefSpec{Base: "spp", Variant: core.PSASD}, 83.5, 785.5},
+		{"mcf", PrefSpec{Base: "ppf", Variant: core.PSA}, 81, 918},
+		{"soplex", PrefSpec{Base: "vldp", Variant: core.Original}, 79, 755},
 	}
 	const builds = 20
 	for _, row := range rows {

@@ -105,8 +105,12 @@ func (s *stencilReader) Next(a *Access) bool {
 // ---------------------------------------------------------------------------
 
 type chaseReader struct {
-	perm     []int32
-	pos      int32
+	// order is a prefix of the cycle's visit order (see chaseOrder); next
+	// indexes the node the next hop reaches.
+	order    []int32
+	next     int
+	seed     uint64
+	nodes    int
 	nodeSize mem.Addr
 	gap      int
 	// aux adds a small sequential side stream (node payload scanning).
@@ -114,50 +118,79 @@ type chaseReader struct {
 	auxAddr         mem.Addr
 }
 
-// chasePerms memoizes the Sattolo cycle per (seed, nodes): building one over a
-// million nodes costs more than a whole warmup chunk, every simulation of a
-// given workload rebuilds the identical permutation, and readers only ever
-// read it — so batches running simulations in parallel can share one slice. Bounded to keep long-running daemons flat.
-var chasePerms struct {
+// chaseFirstHops is the visit-order prefix built on a key's first use, about
+// what one short figure simulation hops through.
+const chaseFirstHops = 4096
+
+// chaseOrders memoizes, per (seed, nodes), a prefix of the Sattolo cycle's
+// visit order from node 0: order[k] is the node reached after k+1 hops. Every
+// simulation of a given workload reads the identical sequence, readers only
+// ever read it, and a run hops through a few thousand of a million nodes, so
+// the memo keeps only the prefix readers have reached (a full cycle costs
+// 4 bytes per node) and batches running simulations in parallel share it.
+// Bounded to keep long-running daemons flat.
+var chaseOrders struct {
 	sync.Mutex
 	m map[[2]uint64][]int32
 }
 
-func chasePerm(seed uint64, nodes int) []int32 {
+// chaseOrder returns a memoized visit-order prefix longer than have entries,
+// or the whole cycle: chaseFirstHops entries for a new reader (have 0),
+// otherwise at least double have, so a key is rebuilt at most
+// log2(nodes/chaseFirstHops) times per process.
+func chaseOrder(seed uint64, nodes, have int) []int32 {
 	key := [2]uint64{seed, uint64(nodes)}
-	chasePerms.Lock()
-	defer chasePerms.Unlock()
-	if p, ok := chasePerms.m[key]; ok {
-		return p
+	chaseOrders.Lock()
+	defer chaseOrders.Unlock()
+	if o, ok := chaseOrders.m[key]; ok && (len(o) > have || len(o) == nodes) {
+		return o
 	}
+	n := chaseFirstHops
+	if have > 0 {
+		n = 2 * have
+	}
+	o := buildChaseOrder(seed, nodes, min(n, nodes))
+	if chaseOrders.m == nil {
+		chaseOrders.m = make(map[[2]uint64][]int32)
+	}
+	if _, ok := chaseOrders.m[key]; !ok && len(chaseOrders.m) >= 64 {
+		for k := range chaseOrders.m {
+			delete(chaseOrders.m, k)
+			break
+		}
+	}
+	chaseOrders.m[key] = o
+	return o
+}
+
+// buildChaseOrder shuffles the nodes into one cycle (Sattolo's algorithm) and
+// copies out the first hops nodes of its walk from node 0; the permutation
+// itself is dropped.
+func buildChaseOrder(seed uint64, nodes, hops int) []int32 {
 	r := newRNG(seed)
 	perm := make([]int32, nodes)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	// Sattolo: a single cycle visiting every node.
 	for i := nodes - 1; i > 0; i-- {
 		j := r.intn(i)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
-	if chasePerms.m == nil {
-		chasePerms.m = make(map[[2]uint64][]int32)
+	order := make([]int32, hops)
+	pos := int32(0)
+	for k := range order {
+		pos = perm[pos]
+		order[k] = pos
 	}
-	if len(chasePerms.m) >= 64 {
-		for k := range chasePerms.m {
-			delete(chasePerms.m, k)
-			break
-		}
-	}
-	chasePerms.m[key] = perm
-	return perm
+	return order
 }
 
 // NewChase builds a pointer chase over nodes nodes arranged in one random
-// cycle (Sattolo's algorithm), with nodeSize bytes per node and auxLen
-// sequential payload accesses after each hop.
+// cycle (Sattolo's algorithm), starting at node 0, with nodeSize bytes per
+// node and auxLen sequential payload accesses after each hop.
 func NewChase(seed uint64, gap, nodes int, nodeSize mem.Addr, auxLen int) Reader {
-	return &chaseReader{perm: chasePerm(seed, nodes), nodeSize: nodeSize, gap: gap, auxLen: auxLen}
+	return &chaseReader{order: chaseOrder(seed, nodes, 0), seed: seed, nodes: nodes,
+		nodeSize: nodeSize, gap: gap, auxLen: auxLen}
 }
 
 func (c *chaseReader) Next(a *Access) bool {
@@ -170,9 +203,19 @@ func (c *chaseReader) Next(a *Access) bool {
 		a.Gap = c.gap
 		return true
 	}
-	c.pos = c.perm[c.pos]
+	if c.next == len(c.order) {
+		// Used up the prefix: past the whole cycle wrap (its last hop
+		// returned to node 0), otherwise take a longer one.
+		if len(c.order) == c.nodes {
+			c.next = 0
+		} else {
+			c.order = chaseOrder(c.seed, c.nodes, len(c.order))
+		}
+	}
+	pos := c.order[c.next]
+	c.next++
 	a.PC = 0x420000
-	a.VAddr = arrayBase(0) + mem.Addr(c.pos)*c.nodeSize
+	a.VAddr = arrayBase(0) + mem.Addr(pos)*c.nodeSize
 	a.Write = false
 	a.Gap = c.gap
 	if c.auxLen > 0 {
