@@ -6,15 +6,17 @@ build:
 	$(GO) build ./...
 
 # test includes the deterministic allocation gates: per-access allocations
-# over whole runs (TestAllocsPerAccessGate), construction cost per system
-# (TestConstructionBudget) and the zero-allocation steady state
-# (TestSteadyStateZeroAllocs).
+# over whole runs (TestAllocsPerAccessGate), bytes per run when it recycles
+# its predecessor's cache storage (TestRunBytesBudget), construction cost
+# per fresh system (TestConstructionBudget) and the zero-allocation steady
+# state (TestSteadyStateZeroAllocs).
 test:
 	$(GO) test ./...
 
 # race is the tier the determinism and cache-concurrency tests are written
 # for: runBatch at Parallelism 8, single-flight cache fills, concurrent
-# writers to one cache directory.
+# writers to one cache directory, and cache storage recycled across
+# goroutines running single-core jobs and 4-core mixes (TestRecycleConcurrent).
 race:
 	$(GO) test -race ./...
 
@@ -37,7 +39,8 @@ vet:
 # mapping scripts against the map-backed reference table and the TLB seeds
 # lookup/insert/flush scripts against the timestamp LRU model, the vamp seeds
 # compare every scan with the per-distance reference, the cache seeds replay
-# fill/touch scripts against the timestamp LRU model, the spp seeds replay
+# fill/touch scripts against the timestamp LRU model and access, fill and
+# prefetch scripts on recycled storage against fresh storage, the spp seeds replay
 # train/lookahead scripts against the map-backed pattern-table model, and the
 # telemetry seeds replay push scripts against the shared ring's slice model.
 fuzz-seeds:

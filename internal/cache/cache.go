@@ -346,7 +346,10 @@ func (t *tee) OnPrefetchLifecycle(cache string, ev LifecycleEvent) {
 
 // Cache is one level of the hierarchy.
 type Cache struct {
-	cfg   Config
+	cfg Config
+	// slab owns the storage that lines, tags, order, setGen and partial
+	// view; it outlives the cache through Release (see slab.go).
+	slab  *slab
 	lines []line // sets × ways
 	// tags holds each way's tag word — its block number, tagInvalid when the
 	// way is empty — in a dense array parallel to lines. It is the only copy
@@ -439,7 +442,9 @@ type Cache struct {
 }
 
 // New creates a cache over the given next level. next may be nil for leaf
-// testing (misses then cost only the local latency).
+// testing (misses then cost only the local latency). Its storage comes from
+// the slab pool when a released cache of the same geometry left one there,
+// and is allocated otherwise; Release hands it back.
 func New(cfg Config, next mem.Port) *Cache {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 {
 		panic(fmt.Sprintf("cache %s: bad geometry %d×%d", cfg.Name, cfg.Sets, cfg.Ways))
@@ -450,31 +455,29 @@ func New(cfg Config, next mem.Port) *Cache {
 	if cfg.MSHREntries <= 0 {
 		panic(fmt.Sprintf("cache %s: MSHR entries must be positive", cfg.Name))
 	}
-	partialWords := (cfg.Ways + 7) / 8
-	// order, setGen and partial are carved from one slab: one allocation
-	// instead of three, with capacities capped so none can grow into the next.
+	return newOn(cfg, next, getSlab(cfg.Sets, cfg.Ways))
+}
+
+// newOn builds a cache over next on storage s, which must be in its
+// construction state (newSlab's, or a reset one) for cfg's geometry.
+func newOn(cfg Config, next mem.Port, s *slab) *Cache {
+	// order, setGen and partial are carved from the slab's one word array,
+	// with capacities capped so none can grow into the next.
 	sets := cfg.Sets
-	words := make([]uint64, (2+partialWords)*sets)
 	c := &Cache{
 		cfg:          cfg,
-		lines:        make([]line, cfg.Sets*cfg.Ways),
-		tags:         make([]uint32, cfg.Sets*cfg.Ways),
-		order:        words[:sets:sets],
+		slab:         s,
+		lines:        s.lines,
+		tags:         s.tags,
+		order:        s.words[:sets:sets],
 		mshrFree:     make([]mem.Cycle, cfg.MSHREntries),
-		partial:      words[2*sets:],
-		partialWords: partialWords,
-		setGen:       words[sets : 2*sets : 2*sets],
+		partial:      s.words[2*sets:],
+		partialWords: partialWords(cfg.Ways),
+		setGen:       s.words[sets : 2*sets : 2*sets],
 		next:         next,
 		rng:          uint64(len(cfg.Name))*0x9e3779b97f4a7c15 + 1,
 	}
 	c.nextCache, _ = next.(*Cache)
-	for i := range c.tags {
-		c.tags[i] = tagInvalid
-	}
-	order := recency.Initial(cfg.Ways)
-	for i := range c.order {
-		c.order[i] = order
-	}
 	c.lastMissBlock = noBlock
 	c.memoBlock = noBlock
 	if cfg.Sets&(cfg.Sets-1) == 0 {
@@ -482,6 +485,29 @@ func New(cfg Config, next mem.Port) *Cache {
 	}
 	return c
 }
+
+// Release returns the cache's storage to the slab pool for the next cache of
+// the same geometry. The cache must not be used afterwards: its slices are
+// nil, so an access, Contains or InFlight panics instead of reading storage
+// another cache now owns. Stats, Name, Sets and MSHRBusy (the MSHR table
+// stays with the cache) remain readable. Releasing twice is a no-op. A cache
+// whose simulation panicked should be dropped, not released: its sets may
+// have been left half-mutated.
+func (c *Cache) Release() {
+	if s := c.detach(); s != nil {
+		putSlab(c.cfg.Sets, c.cfg.Ways, s)
+	}
+}
+
+// detach takes the storage away from the cache, nil once detached.
+func (c *Cache) detach() *slab {
+	s := c.slab
+	c.slab, c.lines, c.tags, c.order, c.setGen, c.partial = nil, nil, nil, nil, nil, nil
+	return s
+}
+
+// partialWords is the number of packed partial-tag words per set.
+func partialWords(ways int) int { return (ways + 7) / 8 }
 
 // tagInvalid marks an empty way in the tag array. tagOf never returns it, so
 // it cannot collide with a real block's tag word.

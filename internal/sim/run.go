@@ -60,6 +60,11 @@ func Run(cfg Config, spec PrefSpec, w trace.Workload, opt RunOpt) (Result, error
 // canceled run stops within one chunk and returns ctx.Err(). Results of
 // canceled runs are partial and must not be cached.
 //
+// Once the Result is copied out, finished and canceled runs alike release
+// their caches' storage for the next simulation (cache.Release); a run that
+// panics skips the release, so its possibly half-mutated storage is dropped
+// rather than recycled.
+//
 // The context may also carry an *Instrumentation (WithInstrumentation): the
 // run then additionally stops at every telemetry epoch boundary to sample the
 // collector's probes. Execution is chunk-invariant (the CPU model carries
@@ -73,6 +78,14 @@ func RunContext(ctx context.Context, cfg Config, spec PrefSpec, w trace.Workload
 	if err != nil {
 		return Result{}, err
 	}
+	res, err := runSingle(ctx, sys, spec, w, opt)
+	sys.release()
+	return res, err
+}
+
+// runSingle drives an assembled single-core system through the warm-up and
+// measured windows and copies its Result out.
+func runSingle(ctx context.Context, sys *system, spec PrefSpec, w trace.Workload, opt RunOpt) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -206,6 +219,7 @@ func RunMulti(cfg Config, spec PrefSpec, mix []trace.Workload, opt RunOpt) (Mult
 
 // RunMultiContext is RunMulti with cancellation, checked at every shared-time
 // epoch boundary (a few thousand cycles), so canceled mixes stop promptly.
+// Like RunContext, it releases the caches' storage once the result is out.
 // Physical memory scales to at least 4 GiB per core before Validate runs.
 func RunMultiContext(ctx context.Context, cfg Config, spec PrefSpec, mix []trace.Workload, opt RunOpt) (MultiResult, error) {
 	cfg.PhysBytes = maxAddr(cfg.PhysBytes, mem.Addr(len(mix))*(8<<30)/2)
@@ -216,7 +230,14 @@ func RunMultiContext(ctx context.Context, cfg Config, spec PrefSpec, mix []trace
 	if err != nil {
 		return MultiResult{}, err
 	}
+	res, err := runMulti(ctx, sys, mix, opt)
+	sys.release()
+	return res, err
+}
 
+// runMulti drives an assembled mix system through the shared warm-up and the
+// per-core measured windows and copies its MultiResult out.
+func runMulti(ctx context.Context, sys *system, mix []trace.Workload, opt RunOpt) (MultiResult, error) {
 	const epochCycles = 2000
 	n := len(sys.nodes)
 	drained := make([]bool, n)

@@ -140,6 +140,18 @@ func newSystem(cfg Config, spec PrefSpec, workloads []trace.Workload, seed uint6
 	return s, nil
 }
 
+// release returns every cache's storage to the slab pool (cache.Release).
+// The system must not run afterwards; the caches' Stats stay readable, which
+// is all the result copy and the collector's probes read.
+func (s *system) release() {
+	for _, n := range s.nodes {
+		n.l1i.Release()
+		n.l1d.Release()
+		n.l2.Release()
+	}
+	s.llc.Release()
+}
+
 // residentTranslator adapts an MMU's statistics-neutral TLB probe to the
 // engine's Translator hook: virtual candidates resolve only against
 // TLB-resident pages, so prefetch speculation never walks the page table.
