@@ -7,16 +7,22 @@ build:
 
 # test includes the deterministic allocation gates: per-access allocations
 # over whole runs (TestAllocsPerAccessGate), bytes per run when it recycles
-# its predecessor's cache storage (TestRunBytesBudget), construction cost
-# per fresh system (TestConstructionBudget) and the zero-allocation steady
-# state (TestSteadyStateZeroAllocs).
+# its predecessor's cache, VM and core storage, single-core and a 4-core mix
+# (TestRunBytesBudget), construction cost per fresh system
+# (TestConstructionBudget) and the zero-allocation steady state
+# (TestSteadyStateZeroAllocs); and the recycle tests: FuzzCacheRecycle's and
+# FuzzVMRecycle's scripted twins (TestCacheRecycleScripts,
+# TestVMRecycleScripts), TestCoreRecycle, the released-storage panics
+# (TestAccessAfterReleasePanics, TestTranslateAfterReleasePanics) and the
+# bounded pool tables (TestPoolTableBounded, internal/slabpool).
 test:
 	$(GO) test ./...
 
 # race is the tier the determinism and cache-concurrency tests are written
 # for: runBatch at Parallelism 8, single-flight cache fills, concurrent
-# writers to one cache directory, and cache storage recycled across
-# goroutines running single-core jobs and 4-core mixes (TestRecycleConcurrent).
+# writers to one cache directory, and cache, VM and core storage recycled
+# across goroutines running single-core jobs and 4-core mixes
+# (TestRecycleConcurrent).
 race:
 	$(GO) test -race ./...
 
@@ -40,7 +46,10 @@ vet:
 # lookup/insert/flush scripts against the timestamp LRU model, the vamp seeds
 # compare every scan with the per-distance reference, the cache seeds replay
 # fill/touch scripts against the timestamp LRU model and access, fill and
-# prefetch scripts on recycled storage against fresh storage, the spp seeds replay
+# prefetch scripts on recycled storage against fresh storage, the vm recycle
+# seeds (FuzzVMRecycle) replay translate, walk, lookup, frame and flush
+# scripts on recycled allocator, page-table and TLB storage against fresh
+# storage, the spp seeds replay
 # train/lookahead scripts against the map-backed pattern-table model, and the
 # telemetry seeds replay push scripts against the shared ring's slice model.
 fuzz-seeds:

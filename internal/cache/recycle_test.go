@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/slabpool"
 )
 
 // recycleGeometries are the (sets, ways) shapes the recycle scripts run on:
@@ -240,9 +241,11 @@ func TestAccessAfterReleasePanics(t *testing.T) {
 }
 
 // TestSlabPoolRecyclesStorage: a released cache's storage goes to the next
-// cache of the same geometry, reset, and never to a cache of another.
+// cache of the same geometry, reset, and never to a cache of another; each
+// geometry claims one entry of the shared pool table (slabpool.Table).
 func TestSlabPoolRecyclesStorage(t *testing.T) {
 	cfg := Config{Name: "c", Sets: 7, Ways: 5, Latency: 1, MSHREntries: 4}
+	before := PooledGeometries()
 	c := New(cfg, nil)
 	for b := mem.Addr(0); b < 40; b++ {
 		c.Access(load(b<<mem.BlockBits), mem.Cycle(b))
@@ -252,6 +255,9 @@ func TestSlabPoolRecyclesStorage(t *testing.T) {
 	other := New(Config{Name: "c", Sets: 5, Ways: 7, Latency: 1, MSHREntries: 4}, nil)
 	if other.slab == s {
 		t.Fatal("a 5×7 cache got a released 7×5 cache's storage")
+	}
+	if got := PooledGeometries(); before < slabpool.MaxKeys && got != min(before+2, slabpool.MaxKeys) {
+		t.Errorf("two new geometries took the pool table from %d to %d entries, want %d", before, got, min(before+2, slabpool.MaxKeys))
 	}
 	// sync.Pool may drop a Put (always under the race detector, now and
 	// then) or hand it to another processor, so reuse is not guaranteed;

@@ -1,10 +1,8 @@
 package cache
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/recency"
+	"repro/internal/slabpool"
 )
 
 // slab is a cache's storage: the line words and the tag array (sets × ways
@@ -64,87 +62,28 @@ func (s *slab) reset(sets, ways int) {
 	}
 }
 
-// MaxPooledGeometries bounds the slab pool table: the first this many
-// distinct geometries (sets, ways) a process constructs get a pool, and
-// caches of any later geometry allocate their storage and drop it on Release.
-// The figures use about ten; the bound keeps a daemon that accepts arbitrary
-// validated geometries from growing the table without limit.
-const MaxPooledGeometries = 16
-
-// slabPools is the pool table, one entry per geometry. An entry's geom is
-// its key (sets<<32 | ways), zero while the entry is unclaimed; a claimed
-// entry is never reassigned. Entries hold *slab, so neither Get nor Put
-// allocates, and sync.Pool drops what it holds over two collections, so the
-// pools retain nothing across an idle process's garbage collections.
-var slabPools [MaxPooledGeometries]struct {
-	geom atomic.Uint64
-	pool sync.Pool
-}
-
-// slabPool returns the pool for a geometry, claiming a free entry on first
-// use, or nil when every entry holds another geometry.
-func slabPool(sets, ways int) *sync.Pool {
-	key := uint64(sets)<<32 | uint64(ways)
-	for i := range slabPools {
-		e := &slabPools[i]
-		g := e.geom.Load()
-		if g == 0 {
-			if e.geom.CompareAndSwap(0, key) {
-				return &e.pool
-			}
-			g = e.geom.Load() // another goroutine claimed the entry first
-		}
-		if g == key {
-			return &e.pool
-		}
-	}
-	return nil
-}
-
-// filler is what putSlab parks in a pool's per-processor private slot ahead
-// of each slab. sync.Pool gives every processor one private slot that other
-// processors cannot reach, and a slab left there is lost to a goroutine that
-// resumes on another processor — after a collection, on two processors,
-// about half the time — until the victim cache drops it at the next
-// collection. With the slot taken by the filler, the slab goes to the
-// processor's shared chain, which every processor steals from, victim cache
-// included. getSlab skips fillers.
-var filler = new(slab)
+// slabs is the slab pool table, keyed by geometry, slabpool.Key(sets, ways).
+var slabs slabpool.Table[slab]
 
 // getSlab returns storage for a cache of the given geometry in its
 // construction state: a released slab when the geometry's pool holds one, a
 // newly allocated one otherwise.
 func getSlab(sets, ways int) *slab {
-	if p := slabPool(sets, ways); p != nil {
-		for x := p.Get(); x != nil; x = p.Get() {
-			if s := x.(*slab); s != filler {
-				return s
-			}
-		}
+	if s := slabs.Pool(slabpool.Key(sets, ways)).Get(); s != nil {
+		return s
 	}
 	return newSlab(sets, ways)
 }
 
 // putSlab resets s and offers it to the geometry's pool, or drops it when
-// the geometry has no pool.
+// the table holds no pool for the geometry.
 func putSlab(sets, ways int, s *slab) {
-	p := slabPool(sets, ways)
-	if p == nil {
-		return
+	if p := slabs.Pool(slabpool.Key(sets, ways)); p != nil {
+		s.reset(sets, ways)
+		p.Put(s)
 	}
-	s.reset(sets, ways)
-	p.Put(filler)
-	p.Put(s)
 }
 
-// PooledGeometries returns how many geometries hold a slab pool, at most
-// MaxPooledGeometries.
-func PooledGeometries() int {
-	n := 0
-	for i := range slabPools {
-		if slabPools[i].geom.Load() != 0 {
-			n++
-		}
-	}
-	return n
-}
+// PooledGeometries returns how many cache geometries hold a slab pool, at
+// most slabpool.MaxKeys.
+func PooledGeometries() int { return slabs.Keys() }

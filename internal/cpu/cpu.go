@@ -9,6 +9,7 @@ package cpu
 
 import (
 	"repro/internal/mem"
+	"repro/internal/slabpool"
 	"repro/internal/trace"
 )
 
@@ -40,6 +41,10 @@ type InstrFetcher interface {
 type Core struct {
 	cfg Config
 	ms  MemSystem
+
+	// slab owns the storage rob, robKind, sbFree and batch view; it
+	// outlives the core through Release.
+	slab *slab
 
 	// rob is a ring buffer of completion cycles. head and tail wrap by
 	// conditional reset rather than modulo (ROBSize is 352, not a power of
@@ -102,7 +107,9 @@ type Core struct {
 	StallLoad, StallStore, StallOther mem.Cycle
 }
 
-// New creates a core over the memory system.
+// New creates a core over the memory system. Its ROB, store buffer and
+// trace batch come from the pool when a released core of the same shape
+// left them there; Release hands them back.
 func New(cfg Config, ms MemSystem) *Core {
 	if cfg.Width <= 0 || cfg.ROBSize <= 0 {
 		panic("cpu: bad config")
@@ -111,12 +118,75 @@ func New(cfg Config, ms MemSystem) *Core {
 	if sb <= 0 {
 		sb = 64
 	}
-	c := &Core{cfg: cfg, ms: ms, rob: make([]mem.Cycle, cfg.ROBSize),
-		robKind: make([]uint8, cfg.ROBSize), sbFree: make([]mem.Cycle, sb)}
+	return newOn(cfg, ms, getSlab(cfg.ROBSize, sb))
+}
+
+// newOn builds a core over ms on storage s, which must be all clear (a new
+// slab or a reset one) and sized for cfg's ROB and store buffer.
+func newOn(cfg Config, ms MemSystem, s *slab) *Core {
+	rob := cfg.ROBSize
+	c := &Core{cfg: cfg, ms: ms, slab: s, rob: s.cycles[:rob:rob],
+		robKind: s.robKind, sbFree: s.cycles[rob:], batch: s.batch}
 	if f, ok := ms.(InstrFetcher); ok {
 		c.ifetch = f
 	}
 	return c
+}
+
+// slab is a core's storage: the ROB's completion cycles followed by the
+// store buffer's free cycles in one array, the ROB's entry kinds, and the
+// trace batch once a batching reader needed it. A slab outlives its core:
+// Release resets it and hands it to the next core with the same ROB and
+// store buffer.
+type slab struct {
+	cycles  []mem.Cycle
+	robKind []uint8
+	batch   []trace.Access
+}
+
+// slabs pools core storage by slabpool.Key(ROB entries, store-buffer
+// entries).
+var slabs slabpool.Table[slab]
+
+// getSlab returns all-clear storage for a core with rob ROB entries and sb
+// store-buffer entries: a released slab when the shape's pool holds one, a
+// newly allocated one otherwise.
+func getSlab(rob, sb int) *slab {
+	if s := slabs.Pool(slabpool.Key(rob, sb)).Get(); s != nil {
+		return s
+	}
+	return newSlab(rob, sb)
+}
+
+// newSlab allocates all-clear storage for a core with rob ROB entries and sb
+// store-buffer entries. The batch comes later, with the first batching
+// reader.
+func newSlab(rob, sb int) *slab {
+	return &slab{cycles: make([]mem.Cycle, rob+sb), robKind: make([]uint8, rob)}
+}
+
+// reset clears the ROB and the store buffer. The batch keeps its stale
+// accesses: a core reads it only up to what its reader decoded into it.
+func (s *slab) reset() {
+	clear(s.cycles)
+	clear(s.robKind)
+}
+
+// Release returns the core's storage to the pool for the next core with the
+// same ROB and store buffer. The core must not run afterwards; its counters
+// (Cycle, Instructions, Loads, Stores, the stall cycles) and ROBOccupancy
+// stay readable. Releasing twice is a no-op.
+func (c *Core) Release() {
+	s := c.slab
+	if s == nil {
+		return
+	}
+	key := slabpool.Key(len(c.rob), len(c.sbFree))
+	c.slab, c.rob, c.robKind, c.sbFree, c.batch = nil, nil, nil, nil, nil
+	if p := slabs.Pool(key); p != nil {
+		s.reset()
+		p.Put(s)
+	}
 }
 
 // batchSize is the decoded-slab length: long enough to amortise the batch
@@ -140,6 +210,7 @@ func (c *Core) nextAccess(r trace.Reader) bool {
 	if br, ok := r.(trace.BatchReader); ok {
 		if c.batch == nil {
 			c.batch = make([]trace.Access, batchSize)
+			c.slab.batch = c.batch
 		}
 		c.batchLen = br.NextBatch(c.batch)
 		if c.batchLen == 0 {

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -308,5 +310,56 @@ func TestRunUntilCycleBound(t *testing.T) {
 	c.RunUntil(r, 1<<60, 3000)
 	if c.Cycle < 3000 || c.Cycle > 3100 {
 		t.Errorf("second window ended at %d", c.Cycle)
+	}
+}
+
+// batchReader replays a fixed access list through trace.BatchReader.
+type batchReader struct{ sliceReader }
+
+func (b *batchReader) NextBatch(dst []trace.Access) int {
+	n := copy(dst, b.accs[b.i:])
+	b.i += n
+	return n
+}
+
+// mixedAccesses is a stream of loads and stores over a slow memory, so the
+// ROB fills and the store buffer saturates.
+func mixedAccesses(n int) []trace.Access {
+	out := make([]trace.Access, n)
+	for i := range out {
+		out[i] = trace.Access{PC: mem.Addr(0x400000 + 64*(i%7)), VAddr: mem.Addr(i) << 12, Write: i%3 == 0, Gap: i % 5}
+	}
+	return out
+}
+
+// TestCoreRecycle: a released core's storage is reset to all clear, and a
+// core built on it runs a stream exactly as a core on new storage does.
+func TestCoreRecycle(t *testing.T) {
+	cfg := Config{Width: 4, ROBSize: 48, StoreBuf: 6}
+	run := func(s *slab, accs []trace.Access) *Core {
+		c := newOn(cfg, &fixedMem{latency: 90}, s)
+		c.Run(&batchReader{sliceReader{accs: accs}}, 1<<30)
+		return c
+	}
+	used := run(newSlab(cfg.ROBSize, cfg.StoreBuf), mixedAccesses(3000))
+	s := used.slab
+	// Release offers s to the pool for this test's own shape, which no
+	// other core takes from.
+	used.Release()
+	used.Release() // a second release is a no-op
+	fresh := newSlab(cfg.ROBSize, cfg.StoreBuf)
+	if !slices.Equal(s.cycles, fresh.cycles) || !slices.Equal(s.robKind, fresh.robKind) {
+		t.Fatalf("released core storage is not all clear: cycles %v kinds %v", s.cycles, s.robKind)
+	}
+	if len(s.batch) != batchSize {
+		t.Fatalf("released core storage holds a %d-access batch, want its %d-access batch", len(s.batch), batchSize)
+	}
+	accs := mixedAccesses(2000)[1:]
+	got, want := run(s, accs), run(fresh, accs)
+	for _, c := range []*Core{got, want} {
+		c.slab, c.rob, c.robKind, c.sbFree, c.batch, c.batchSrc, c.ms = nil, nil, nil, nil, nil, nil, nil
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("core on recycled storage = %+v, on new storage %+v", *got, *want)
 	}
 }

@@ -17,10 +17,11 @@ import (
 // allows 5% above its recorded value; a structure that goes back to
 // per-entry allocation, or a slab pre-sized beyond what a run uses, fails
 // here before it shows up in the benchmark. This is the cost of a fresh
-// construction: each cache's storage is allocated, with the slab header the
-// pool recycles (one object per cache), and the pool's per-processor
-// tables are rebuilt after a collection. TestRunBytesBudget pins the
-// recycled case.
+// construction: each cache's, TLB's, page table's and core's storage and
+// the allocator's frame bitmap are allocated, with the slab header the
+// pools recycle (one object per cache, TLB, page table, core and
+// allocator), and the pools' per-processor tables are rebuilt after a
+// collection. TestRunBytesBudget pins the recycled case.
 func TestConstructionBudget(t *testing.T) {
 	rows := []struct {
 		workload string
@@ -28,9 +29,9 @@ func TestConstructionBudget(t *testing.T) {
 		objects  float64 // heap objects per system
 		kb       float64 // heap KB per system
 	}{
-		{"libquantum", PrefSpec{Base: "spp", Variant: core.PSASD}, 89, 785.5},
-		{"mcf", PrefSpec{Base: "ppf", Variant: core.PSA}, 87.5, 918},
-		{"soplex", PrefSpec{Base: "vldp", Variant: core.Original}, 85, 755},
+		{"libquantum", PrefSpec{Base: "spp", Variant: core.PSASD}, 94, 785.5},
+		{"mcf", PrefSpec{Base: "ppf", Variant: core.PSA}, 93.5, 918},
+		{"soplex", PrefSpec{Base: "vldp", Variant: core.Original}, 91, 755},
 	}
 	const builds = 20
 	for _, row := range rows {
@@ -44,9 +45,9 @@ func TestConstructionBudget(t *testing.T) {
 			}
 		}
 		build()
-		// Builds never release, and two collections empty the slab pools
-		// of what earlier tests' runs released: every build here allocates
-		// its cache storage fresh.
+		// Builds never release, and two collections empty the pools of
+		// what earlier tests' runs released: every build here allocates
+		// its storage fresh.
 		runtime.GC()
 		runtime.GC()
 		var before, after runtime.MemStats

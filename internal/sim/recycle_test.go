@@ -14,8 +14,11 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/slabpool"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/vm"
 )
 
 // pinPool runs the rest of the test with one processor and collection off,
@@ -47,48 +50,59 @@ func allocated(fn func()) uint64 {
 
 // TestRunBytesBudget pins the heap bytes a whole run allocates — construction,
 // a 20k-instruction warm-up and an 80k measured window — when it follows
-// another run: libquantum spp-PSA-SD and mcf ppf-PSA alternate, and every run
-// after the first of each recycles its predecessor's cache storage instead of
-// allocating 578 KB of it. Byte counts are deterministic with collection off
-// and one processor (pinPool), so each row allows 5% above its recorded
-// value. TestAllocsPerAccessGate counts objects only: storage that goes back
-// to one allocation per simulation keeps the object count and fails here.
+// another run: libquantum spp-PSA-SD, mcf ppf-PSA and a 4-core mix alternate,
+// and every run after the first of each recycles its predecessor's storage
+// (cache slabs, frame bitmap, page-table slabs, TLB arrays, the core's ROB
+// and trace batch) instead of allocating it anew: for one core, 578 KB of
+// cache storage and 166–262 KB of VM and core storage. The mix's allocator
+// covers its scaled physical memory, a bitmap of its own shape. Byte counts
+// are deterministic with collection off and one processor (pinPool), so
+// each row allows 5% above its recorded value. TestAllocsPerAccessGate
+// counts objects only: storage that goes back to one allocation per
+// simulation keeps the object count and fails here.
 func TestRunBytesBudget(t *testing.T) {
 	pinPool(t)
-	rows := []struct {
-		workload string
-		spec     PrefSpec
-		kb       float64 // heap KB per run after the first
-	}{
-		{"libquantum", PrefSpec{Base: "spp", Variant: core.PSASD}, 215.5},
-		{"mcf", PrefSpec{Base: "ppf", Variant: core.PSA}, 448.5},
-	}
 	opt := RunOpt{Warmup: 20_000, Instructions: 80_000, Seed: 1, Samples: 8}
-	runs := make([]func(), len(rows))
-	for i, row := range rows {
-		w := mustWorkload(t, row.workload)
-		runs[i] = func() {
-			if _, err := Run(DefaultConfig(), row.spec, w, opt); err != nil {
+	single := func(workload string, spec PrefSpec) func() {
+		w := mustWorkload(t, workload)
+		return func() {
+			if _, err := Run(DefaultConfig(), spec, w, opt); err != nil {
 				t.Fatal(err)
 			}
 		}
-		runs[i]() // first run: memoized generator tables, fresh storage
+	}
+	mix := []trace.Workload{mustWorkload(t, "libquantum"), mustWorkload(t, "mcf"),
+		mustWorkload(t, "milc"), mustWorkload(t, "pr.road")}
+	rows := []struct {
+		name string
+		run  func()
+		kb   float64 // heap KB per run after the first
+	}{
+		{"libquantum/spp-PSA-SD", single("libquantum", PrefSpec{Base: "spp", Variant: core.PSASD}), 49.5},
+		{"mcf/ppf-PSA", single("mcf", PrefSpec{Base: "ppf", Variant: core.PSA}), 186.5},
+		{"mix(4)/spp-PSA", func() {
+			if _, err := RunMulti(DefaultConfig(), PrefSpec{Base: "spp", Variant: core.PSA}, mix, opt); err != nil {
+				t.Fatal(err)
+			}
+		}, 114.5},
+	}
+	for _, row := range rows {
+		row.run() // first run: memoized generator tables, fresh storage
 	}
 	const rounds = 3
 	for i, row := range rows {
 		var total uint64
 		for r := 0; r < rounds; r++ {
 			for j := range rows {
-				if b := allocated(runs[j]); j == i {
+				if b := allocated(rows[j].run); j == i {
 					total += b
 				}
 			}
 		}
 		kb := float64(total) / rounds / 1024
-		t.Logf("%s/%s: %.1f KB per run", row.workload, row.spec.String(), kb)
+		t.Logf("%s: %.1f KB per run", row.name, kb)
 		if kb > row.kb*1.05 {
-			t.Errorf("%s/%s: a run after the first allocates %.1f KB, budget %.0f KB (+5%%)",
-				row.workload, row.spec.String(), kb, row.kb)
+			t.Errorf("%s: a run after the first allocates %.1f KB, budget %.1f KB (+5%%)", row.name, kb, row.kb)
 		}
 	}
 }
@@ -125,6 +139,10 @@ func (h *hookReader) Next(a *trace.Access) bool {
 // exact either way.
 func TestPanickedRunDropsStorage(t *testing.T) {
 	pinPool(t)
+	// Two collections empty the pools of what earlier tests released, so
+	// the only storage in play is what this test's runs release.
+	runtime.GC()
+	runtime.GC()
 	cfg := DefaultConfig()
 	spec := PrefSpec{Base: "spp", Variant: core.PSA}
 	w := mustWorkload(t, "libquantum")
@@ -197,25 +215,35 @@ func TestCanceledRunRecyclesExactly(t *testing.T) {
 }
 
 // TestProbesReadReleasedSystem: the collector keeps the *system after the
-// run, whose caches are released by then (the lifecycle tracer keeps only
-// the events it recorded). The probes read only Stats and the MSHR table,
-// which stay with the cache, so closing another epoch after the run must
-// neither panic nor change a counter.
+// run, whose storage is released by then (the lifecycle tracer keeps only
+// the events it recorded). The probes read only counters — cache Stats and
+// the MSHR table, TLB hits and misses, walks, the allocator's mapped bytes
+// and the core's clock — which stay with their owners, so closing another
+// epoch after the run must neither panic nor change a counter, and the
+// 2MB-fraction gauge must still read the run's final value.
 func TestProbesReadReleasedSystem(t *testing.T) {
 	ins := &Instrumentation{Collector: telemetry.NewCollector(), Tracer: telemetry.NewTracer(1 << 10)}
 	opt := RunOpt{Warmup: 5_000, Instructions: 20_000, Seed: 1, Samples: 2}
 	r, err := RunContext(WithInstrumentation(context.Background(), ins), DefaultConfig(),
-		PrefSpec{Base: "spp", Variant: core.PSASD}, mustWorkload(t, "libquantum"), opt)
+		PrefSpec{Base: "spp", Variant: core.PSASD}, mustWorkload(t, "mcf"), opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r.Walks == 0 || r.Frac2MFinal == 0 || r.Frac2MFinal == 1 {
+		t.Fatalf("the run must walk and map both page sizes: %d walks, 2MB fraction %v", r.Walks, r.Frac2MFinal)
 	}
 	ins.Collector.EndEpoch(r.Instructions, uint64(r.Cycles))
 	eps := ins.Collector.Epochs()
 	last := eps[len(eps)-1]
-	for _, name := range []string{"l1d_demand_misses", "l2_pf_issued", "llc_demand_hits"} {
-		if v := last.Metrics[name]; v != 0 {
-			t.Errorf("epoch closed after the run: %s = %v, want 0 (no accesses since)", name, v)
+	for _, name := range []string{"l1d_demand_misses", "l2_pf_issued", "llc_demand_hits",
+		"tlb_l1_hits", "tlb_l1_misses", "tlb_l2_hits", "tlb_l2_misses", "tlb_hits_4k", "tlb_hits_2m",
+		"walks", "walks_4k", "walks_2m"} {
+		if v, ok := last.Metrics[name]; !ok || v != 0 {
+			t.Errorf("epoch closed after the run: %s = %v (present %v), want 0 (no accesses since)", name, v, ok)
 		}
+	}
+	if v := last.Metrics["frac_2m"]; v != r.Frac2MFinal {
+		t.Errorf("epoch closed after the run: frac_2m = %v, want the run's final %v", v, r.Frac2MFinal)
 	}
 }
 
@@ -288,11 +316,12 @@ func TestRecycleConcurrent(t *testing.T) {
 	}
 }
 
-// TestPoolTableBounded runs 100 distinct LLC geometries through Run: the
-// slab pool table must stop at cache.MaxPooledGeometries, and the runs past
-// it must still succeed, allocating their storage as before. The table is
-// process-wide and never shrinks, so the test runs in a child process to
-// leave the other tests' geometries pooled.
+// TestPoolTableBounded runs 100 distinct LLC geometries and 30 distinct
+// physical memory sizes through Run: the cache slab table and the frame
+// bitmap table must each stop at slabpool.MaxKeys, and the runs past it must
+// still succeed, allocating their storage as before. The tables are
+// process-wide and never shrink, so the test runs in a child process to
+// leave the other tests' shapes pooled.
 func TestPoolTableBounded(t *testing.T) {
 	if os.Getenv("SIM_POOL_TABLE_CHILD") != "1" {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestPoolTableBounded$", "-test.v")
@@ -306,17 +335,27 @@ func TestPoolTableBounded(t *testing.T) {
 	}
 	w := mustWorkload(t, "libquantum")
 	opt := RunOpt{Instructions: 1_000, Seed: 1, Samples: 1}
-	for i := 0; i < 100; i++ {
-		cfg := DefaultConfig()
-		cfg.LLC.Sets = 1000 + i
-		if _, err := Run(cfg, PrefSpec{Base: "none"}, w, opt); err != nil {
-			t.Fatalf("LLC.Sets %d: %v", cfg.LLC.Sets, err)
+	for _, table := range []struct {
+		name  string
+		runs  int
+		vary  func(cfg *Config, i int)
+		count func() int
+	}{
+		{"cache slab", 100, func(cfg *Config, i int) { cfg.LLC.Sets = 1000 + i }, cache.PooledGeometries},
+		{"frame bitmap", 30, func(cfg *Config, i int) { cfg.PhysBytes = 1<<30 + mem.Addr(i)<<26 }, vm.PooledBitmaps},
+	} {
+		for i := 0; i < table.runs; i++ {
+			cfg := DefaultConfig()
+			table.vary(&cfg, i)
+			if _, err := Run(cfg, PrefSpec{Base: "none"}, w, opt); err != nil {
+				t.Fatalf("%s shape %d: %v", table.name, i, err)
+			}
+			if n := table.count(); n > slabpool.MaxKeys {
+				t.Fatalf("after %d %s shapes the table holds %d, cap %d", i+1, table.name, n, slabpool.MaxKeys)
+			}
 		}
-		if n := cache.PooledGeometries(); n > cache.MaxPooledGeometries {
-			t.Fatalf("after %d geometries the pool table holds %d, cap %d", i+1, n, cache.MaxPooledGeometries)
+		if n := table.count(); n != slabpool.MaxKeys {
+			t.Errorf("after %d %s shapes the table holds %d, want the cap %d", table.runs, table.name, n, slabpool.MaxKeys)
 		}
-	}
-	if n := cache.PooledGeometries(); n != cache.MaxPooledGeometries {
-		t.Errorf("after 100 geometries the pool table holds %d, want the cap %d", n, cache.MaxPooledGeometries)
 	}
 }

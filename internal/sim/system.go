@@ -140,16 +140,24 @@ func newSystem(cfg Config, spec PrefSpec, workloads []trace.Workload, seed uint6
 	return s, nil
 }
 
-// release returns every cache's storage to the slab pool (cache.Release).
-// The system must not run afterwards; the caches' Stats stay readable, which
-// is all the result copy and the collector's probes read.
+// release returns the system's fixed storage for the next simulation: every
+// cache's slab (cache.Release), each core's TLBs, page tables and ROB, and
+// the allocator's frame bitmap. The system must not run afterwards; the
+// counters stay readable — cache Stats, TLB hits and misses, walks, mapped
+// bytes and the core's clock — which is all the result copy and the
+// collector's probes read.
 func (s *system) release() {
 	for _, n := range s.nodes {
 		n.l1i.Release()
 		n.l1d.Release()
 		n.l2.Release()
+		n.mmu.Release()
+		n.space.Release()
+		n.codeSpace.Release()
+		n.cpu.Release()
 	}
 	s.llc.Release()
+	s.alloc.Release()
 }
 
 // residentTranslator adapts an MMU's statistics-neutral TLB probe to the

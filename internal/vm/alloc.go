@@ -38,8 +38,9 @@ type Allocator struct {
 	// smallUsed is a bitset over frame indices (one bit per 4KB frame, ~32KB
 	// per mapped GB); it replaced a map[uint64]struct{} whose hashing and
 	// growth dominated demand-fault time on 4KB-heavy workloads. The frame
-	// sequence is unchanged: same splitmix64 draws, same collision skips.
-	smallUsed  []uint64
+	// sequence is unchanged: same splitmix64 draws, same collision skips. It
+	// outlives the allocator through Release (see slab.go).
+	smallUsed  *frameBitmap
 	smallCount uint64 // number of set bits in smallUsed
 	rngState   uint64
 
@@ -51,8 +52,17 @@ type Allocator struct {
 
 // NewAllocator creates an allocator for a physical memory of physBytes bytes
 // (e.g. 8GB for the single-core configuration). Seed perturbs the 4KB frame
-// scattering.
+// scattering. Its frame bitmap comes from the pool when a released allocator
+// with the same small-region size left one there; Release hands it back.
 func NewAllocator(physBytes mem.Addr, seed uint64) *Allocator {
+	a := newAllocator(physBytes, seed)
+	a.smallUsed = getBitmap(a.smallFrames)
+	return a
+}
+
+// newAllocator lays out the regions of an allocator without its frame
+// bitmap, which the caller installs before the first Alloc4K.
+func newAllocator(physBytes mem.Addr, seed uint64) *Allocator {
 	if physBytes < 64<<20 {
 		panic(fmt.Sprintf("vm: physical memory too small: %d", physBytes))
 	}
@@ -82,8 +92,19 @@ func NewAllocator(physBytes mem.Addr, seed uint64) *Allocator {
 			a.smallFrames = uint64((gigaBase - a.smallBase) >> mem.PageBits4K)
 		}
 	}
-	a.smallUsed = make([]uint64, (a.smallFrames+63)/64)
 	return a
+}
+
+// Release returns the allocator's frame bitmap to the pool for the next
+// allocator with the same small region. The allocator must not allocate a
+// 4KB frame afterwards (Alloc4K panics); Bytes4K, Bytes2M, Bytes1G and what
+// reads only them — MappedBytes, Frac2M — stay readable, and so does
+// PageSizeOf. Releasing twice is a no-op.
+func (a *Allocator) Release() {
+	if b := a.smallUsed; b != nil {
+		a.smallUsed = nil
+		putBitmap(a.smallFrames, b)
+	}
 }
 
 // Alloc1G returns a fresh, 1GB-aligned, physically contiguous frame; it
@@ -138,10 +159,9 @@ func (a *Allocator) Alloc4K() mem.Addr {
 	}
 	for {
 		f := a.next64() % a.smallFrames
-		if a.smallUsed[f>>6]&(1<<(f&63)) != 0 {
+		if a.smallUsed.set(f) {
 			continue
 		}
-		a.smallUsed[f>>6] |= 1 << (f & 63)
 		a.smallCount++
 		a.Bytes4K += mem.PageSize4K
 		return a.smallBase + mem.Addr(f)<<mem.PageBits4K

@@ -144,6 +144,15 @@ func NewMMU(space *AddressSpace, cfg MMUConfig, core int, walkPort mem.Port) *MM
 	}
 }
 
+// Release returns both TLBs' storage for the next MMU of the same geometry
+// (TLB.Release). The MMU must not translate afterwards: Translate and the
+// resident probes panic. Walks, WalkRefs, WalksBy, TLBPrefetches and the
+// TLBs' counters stay readable. The address space is released on its own.
+func (m *MMU) Release() {
+	m.l1.Release()
+	m.l2.Release()
+}
+
 // SetWalkArena replaces the MMU's private walk-scratch arena; the assembled
 // system calls it so all cores draw from one per-simulation arena.
 func (m *MMU) SetWalkArena(a *mem.RequestArena) { m.walkArena = a }

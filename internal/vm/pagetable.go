@@ -82,6 +82,9 @@ func decodeLeafWord(w uint64) PTE {
 // footprint tracks the touched fraction of the virtual space.
 type PageTable struct {
 	alloc *Allocator
+	// slab owns the storage words and phys view; it outlives the table
+	// through Release (see slab.go).
+	slab  *ptSlab
 	words []uint64
 	phys  []mem.Addr
 	pages int // number of leaf mappings
@@ -95,28 +98,57 @@ type PageTable struct {
 const initialNodes = numLevels
 
 // NewPageTable creates an empty page table drawing node frames from alloc.
+// Its slab comes from the pool when a released table left one there;
+// Release hands it back.
 func NewPageTable(alloc *Allocator) *PageTable {
-	pt := &PageTable{
-		alloc: alloc,
-		words: make([]uint64, ptFanout, initialNodes*ptFanout),
-		phys:  make([]mem.Addr, 1, initialNodes),
-	}
+	return newPageTableOn(alloc, getPTSlab(initialNodes))
+}
+
+// newPageTableOn builds an empty page table on slab s, which must be in its
+// construction state (newPTSlab's, or a reset one); its capacity is
+// host-side only.
+func newPageTableOn(alloc *Allocator, s *ptSlab) *PageTable {
+	pt := &PageTable{alloc: alloc, slab: s, words: s.words, phys: s.phys}
 	pt.phys[0] = alloc.AllocPTNode()
 	return pt
+}
+
+// Release returns the table's slab to the pool for the next table. The table
+// must not be used afterwards: Map, Walk and Lookup panic instead of reading
+// storage another table now owns. Pages stays readable. Releasing twice is a
+// no-op.
+func (pt *PageTable) Release() {
+	if s := pt.detach(); s != nil {
+		putPTSlab(s)
+	}
+}
+
+// detach takes the slab away from the table, with its lengths brought up to
+// date; nil once detached.
+func (pt *PageTable) detach() *ptSlab {
+	s := pt.slab
+	if s != nil {
+		s.words, s.phys = pt.words, pt.phys
+	}
+	pt.slab, pt.words, pt.phys = nil, nil, nil
+	return s
 }
 
 // addNode appends a fresh zeroed node and returns its index.
 func (pt *PageTable) addNode(phys mem.Addr) uint64 {
 	n := uint64(len(pt.phys))
-	pt.phys = append(pt.phys, phys)
 	// Length and capacity are whole nodes, so a full slab has len == cap.
 	// Doubling keeps the bytes copied by growth below the final size;
-	// append's growth for large slices is only ~1.25x per step.
-	if len(pt.words) == cap(pt.words) {
-		grown := make([]uint64, len(pt.words), 2*cap(pt.words))
-		copy(grown, pt.words)
-		pt.words = grown
+	// append's growth for large slices is only ~1.25x per step. The full
+	// slab goes back to the pool for the next table that grows past it.
+	if len(pt.phys) == cap(pt.phys) {
+		grown := getPTSlab(2 * cap(pt.phys))
+		grown.words = append(grown.words[:0], pt.words...)
+		grown.phys = append(grown.phys[:0], pt.phys...)
+		putPTSlab(pt.detach())
+		pt.slab, pt.words, pt.phys = grown, grown.words, grown.phys
 	}
+	pt.phys = append(pt.phys, phys)
 	pt.words = pt.words[:len(pt.words)+ptFanout]
 	return n
 }

@@ -40,17 +40,27 @@ type GigaPolicy interface {
 // NewAddressSpace creates an address space over alloc with the given THP
 // policy. A nil policy maps everything with 4KB pages.
 func NewAddressSpace(alloc *Allocator, policy THPPolicy) *AddressSpace {
+	return newAddressSpaceOn(alloc, policy, NewPageTable(alloc))
+}
+
+// newAddressSpaceOn builds an address space over alloc whose page table is
+// pt.
+func newAddressSpaceOn(alloc *Allocator, policy THPPolicy, pt *PageTable) *AddressSpace {
 	if policy == nil {
 		policy = FractionTHP{Frac: 0}
 	}
 	return &AddressSpace{
 		alloc:     alloc,
-		pt:        NewPageTable(alloc),
+		pt:        pt,
 		policy:    policy,
 		decided:   make(map[mem.Addr]bool),
 		decided1G: make(map[mem.Addr]bool),
 	}
 }
+
+// Release returns the page table's storage for the next address space
+// (PageTable.Release). The address space must not translate afterwards.
+func (as *AddressSpace) Release() { as.pt.Release() }
 
 // PageTable exposes the underlying page table (for the walker).
 func (as *AddressSpace) PageTable() *PageTable { return as.pt }

@@ -32,6 +32,9 @@ type TLB struct {
 	// the geometry forces the generic path.
 	setMask mem.Addr
 
+	// slab owns the storage tags, order and frames view and the present
+	// marks; it outlives the TLB through Release (see slab.go).
+	slab *tlbSlab
 	// tags[s*ways+w] is the tag word of way w in set s (0 = invalid), with
 	// frames indexed identically.
 	tags   []uint64
@@ -45,8 +48,8 @@ type TLB struct {
 	// present[s] records whether an entry of page size s was ever inserted:
 	// Lookup skips probe passes for sizes the workload never maps (pure 4KB
 	// address spaces pay one probe instead of three). Conservatively sticky —
-	// Flush invalidates entries but keeps the marks.
-	present [mem.NumPageSizes]bool
+	// Flush invalidates entries but keeps the marks. It points into slab.
+	present *[mem.NumPageSizes]bool
 
 	Hits, Misses uint64
 	// HitsBy breaks Hits down by the hitting entry's page size, indexed by
@@ -55,7 +58,9 @@ type TLB struct {
 }
 
 // NewTLB creates a TLB with the given geometry. entries must be divisible by
-// ways, and ways at most recency.MaxWays.
+// ways, and ways at most recency.MaxWays. Its storage comes from the pool
+// when a released TLB of the same geometry left some there; Release hands it
+// back.
 func NewTLB(entries, ways int) *TLB {
 	if ways < 1 || ways > recency.MaxWays {
 		panic(fmt.Sprintf("vm: %d TLB ways, the recency order holds 1..%d", ways, recency.MaxWays))
@@ -63,24 +68,35 @@ func NewTLB(entries, ways int) *TLB {
 	if entries%ways != 0 {
 		panic("vm: TLB entries not divisible by ways")
 	}
+	return newTLBOn(entries, ways, getTLBSlab(entries, ways))
+}
+
+// newTLBOn builds a TLB on storage s, which must be in its construction
+// state (newTLBSlab's, or a reset one) for the geometry.
+func newTLBOn(entries, ways int, s *tlbSlab) *TLB {
 	t := &TLB{
-		sets:   entries / ways,
-		ways:   ways,
-		tags:   make([]uint64, entries),
-		frames: make([]mem.Addr, entries),
-		order:  make([]uint64, entries/ways),
+		sets:    entries / ways,
+		ways:    ways,
+		slab:    s,
+		tags:    s.words[:entries:entries],
+		frames:  s.frames,
+		order:   s.words[entries:],
+		present: &s.present,
 	}
 	if t.sets&(t.sets-1) == 0 {
 		t.setMask = mem.Addr(t.sets - 1)
 	}
-	t.resetOrder()
 	return t
 }
 
-func (t *TLB) resetOrder() {
-	o := recency.Initial(t.ways)
-	for i := range t.order {
-		t.order[i] = o
+// Release returns the TLB's storage to the pool for the next TLB of the
+// same geometry. The TLB must not be used afterwards: a Lookup or Insert
+// panics instead of reading storage another TLB now owns. Hits, Misses and
+// HitsBy stay readable. Releasing twice is a no-op.
+func (t *TLB) Release() {
+	if s := t.slab; s != nil {
+		t.slab, t.tags, t.frames, t.order, t.present = nil, nil, nil, nil, nil
+		putTLBSlab(t.sets*t.ways, t.ways, s)
 	}
 }
 
@@ -146,8 +162,6 @@ func (t *TLB) Insert(v mem.Addr, tr Translation) {
 
 // Flush invalidates all entries.
 func (t *TLB) Flush() {
-	for i := range t.tags {
-		t.tags[i] = 0
-	}
-	t.resetOrder()
+	clear(t.tags)
+	t.slab.resetOrder(len(t.tags), t.ways)
 }
