@@ -75,11 +75,12 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# e2e drives the daemon end to end: an httptest psimd serving real
-# simulations to concurrent experiment clients, with byte-parity and
-# cross-client dedup assertions.
+# e2e drives the daemon end to end (TestE2EServerParity): an httptest psimd
+# serving real simulations to concurrent experiment clients, with byte-parity
+# and cross-client dedup assertions. The TestE2ECluster* tests run in race and
+# e2e-cluster, not here.
 e2e:
-	$(GO) test -race -run 'TestE2E' -v ./internal/service/
+	$(GO) test -race -run '^TestE2EServerParity$$' -v ./internal/service/
 
 # e2e-cluster drives a 3-node in-process cluster: byte-identical figures vs
 # a local run, zero duplicate simulations cluster-wide (cross-node cache

@@ -17,7 +17,9 @@
 // With -server URL the batches are dispatched to a psimd daemon instead of
 // simulating locally: the daemon owns the cache and de-duplicates identical
 // requests across all its clients, so concurrent pexp runs of the same
-// figure cost one set of simulations.
+// figure cost one set of simulations. A comma-separated list of URLs
+// rotates batches across several daemons and moves a batch to the next one
+// when its endpoint is down or saturated; an empty list is a usage error.
 //
 // Ctrl-C (or SIGTERM) cancels cleanly: workers stop at the next simulation
 // boundary and no partial cache entries are left behind.
@@ -72,14 +74,14 @@ func writeHeapProfile(path string) {
 // flight-recorder dump, keeps the traces this run started, and writes the
 // result as Chrome trace_event JSON (load it in Perfetto or chrome://tracing:
 // one process track per node, one thread lane per trace).
-func writeStitchedTrace(mc *service.MultiClient, flight *dtrace.Recorder, path string) error {
+func writeStitchedTrace(c *service.Client, flight *dtrace.Recorder, path string) error {
 	local := flight.Snapshot(dtrace.Filter{})
 	sets := [][]dtrace.SpanData{local}
 	// A fresh context: the run's context is typically done (or canceled) by
 	// the time the trace is collected.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	for _, ep := range mc.Endpoints() {
+	for _, ep := range c.Endpoints() {
 		spans, err := service.NewClient(ep).Flight(ctx, "")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "trace-out: %s: %v (skipping)\n", ep, err)
@@ -108,7 +110,7 @@ func writeStitchedTrace(mc *service.MultiClient, flight *dtrace.Recorder, path s
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "trace: %d spans, %d trace(s), %d endpoint(s) -> %s\n",
-		len(spans), len(dtrace.TraceIDs(spans)), len(mc.Endpoints()), path)
+		len(spans), len(dtrace.TraceIDs(spans)), len(c.Endpoints()), path)
 	return nil
 }
 
@@ -133,7 +135,7 @@ func run() int {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		server     = flag.String("server", "", "dispatch simulations to psimd daemon(s): one base URL or a comma-separated cluster list (e.g. http://a:8080,http://b:8080)")
+		server     = flag.String("server", "", "dispatch simulations to psimd daemon(s): one base URL or a comma-separated list (e.g. http://a:8080,http://b:8080); batches rotate across the list and fail over to the next endpoint when one is down or answers 429")
 
 		telemetryDir = flag.String("telemetry-dir", "", "write per-job telemetry series under this directory (e.g. results/telemetry); cache-hit and remote jobs emit none")
 		epochLen     = flag.Uint64("epoch", 0, "telemetry epoch length in instructions (default: the simulator's standard epoch)")
@@ -201,18 +203,17 @@ func run() int {
 		return 2
 	}
 	var flight *dtrace.Recorder
-	var mc *service.MultiClient
+	var client *service.Client
 	switch {
 	case *server != "":
 		// The daemon owns caching and cross-client dedup; no local store.
 		// Several endpoints form a failover rotation over one cluster.
-		var err error
-		mc, err = service.NewMultiClient(service.ParseEndpoints(*server))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pexp:", err)
+		client = service.NewClient(strings.Split(*server, ",")...)
+		if len(client.Endpoints()) == 0 {
+			fmt.Fprintln(os.Stderr, "pexp: -server lists no endpoints")
 			return 2
 		}
-		o.Remote = mc
+		o.Remote = client
 		if *traceOut != "" {
 			// The client records its own batch/submit spans; every server
 			// span of the same traces is fetched and stitched in afterwards.
@@ -278,7 +279,7 @@ func run() int {
 			o.Cache.Dir(), s.Hits, s.Shared, s.Misses, s.HitRate()*100)
 	}
 	if flight != nil {
-		if err := writeStitchedTrace(mc, flight, *traceOut); err != nil {
+		if err := writeStitchedTrace(client, flight, *traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "trace-out:", err)
 			return 1
 		}

@@ -269,79 +269,11 @@ type LifecycleEvent struct {
 	Core   uint8
 }
 
-// LifecycleObserver is an optional extension of Observer: an observer that
-// also implements it receives prefetch lifecycle events. The cache resolves
-// the type assertion once in SetObserver, so the hot path pays only a nil
-// check when tracing is off.
+// LifecycleObserver receives prefetch lifecycle events, attached with
+// SetLifecycleObserver. The hot path pays only a nil check when tracing is
+// off.
 type LifecycleObserver interface {
 	OnPrefetchLifecycle(cache string, ev LifecycleEvent)
-}
-
-// tee fans observer callbacks out to several observers in order; lifecycle
-// events go to the children that implement LifecycleObserver, OnAccess to
-// the children that declared interest in it.
-type tee struct {
-	obs  []Observer
-	acc  []Observer
-	life []LifecycleObserver
-}
-
-// Tee combines observers into one (nil entries are skipped). A single
-// non-nil observer is returned unwrapped, so the common untraced
-// configuration pays no indirection.
-func Tee(os ...Observer) Observer {
-	t := &tee{}
-	for _, o := range os {
-		if o == nil {
-			continue
-		}
-		t.obs = append(t.obs, o)
-		if wantsOnAccess(o) {
-			t.acc = append(t.acc, o)
-		}
-		if lo, ok := o.(LifecycleObserver); ok {
-			t.life = append(t.life, lo)
-		}
-	}
-	switch {
-	case len(t.obs) == 0:
-		return nil
-	case len(t.obs) == 1:
-		return t.obs[0] // SetObserver re-resolves LifecycleObserver itself
-	}
-	return t
-}
-
-// WantsOnAccess implements AccessSink: a tee consumes accesses only when one
-// of its children does.
-func (t *tee) WantsOnAccess() bool { return len(t.acc) > 0 }
-
-// OnAccess implements Observer.
-func (t *tee) OnAccess(info AccessInfo) {
-	for _, o := range t.acc {
-		o.OnAccess(info)
-	}
-}
-
-// OnPrefetchUseful implements Observer.
-func (t *tee) OnPrefetchUseful(block mem.Addr, prefID uint8, core int) {
-	for _, o := range t.obs {
-		o.OnPrefetchUseful(block, prefID, core)
-	}
-}
-
-// OnPrefetchUnused implements Observer.
-func (t *tee) OnPrefetchUnused(block mem.Addr, prefID uint8, core int) {
-	for _, o := range t.obs {
-		o.OnPrefetchUnused(block, prefID, core)
-	}
-}
-
-// OnPrefetchLifecycle implements LifecycleObserver.
-func (t *tee) OnPrefetchLifecycle(cache string, ev LifecycleEvent) {
-	for _, o := range t.life {
-		o.OnPrefetchLifecycle(cache, ev)
-	}
 }
 
 // Cache is one level of the hierarchy.
@@ -432,8 +364,7 @@ type Cache struct {
 	// accObs is the observer iff it consumes OnAccess (see AccessSink);
 	// feedback-only observers leave it nil and the hot path skips dispatch.
 	accObs Observer
-	// life is the observer's LifecycleObserver facet, resolved once in
-	// SetObserver: the access path pays a nil check, never a type assertion.
+	// life receives prefetch lifecycle events (see SetLifecycleObserver).
 	life LifecycleObserver
 
 	rng uint64 // state for ReplRandom
@@ -548,24 +479,20 @@ func tagOverflow(block mem.Addr) {
 // blockOf is tagOf's inverse: the block address a valid tag word names.
 func blockOf(tag uint32) mem.Addr { return mem.Addr(tag) << mem.BlockBits }
 
-// SetObserver attaches the access/feedback observer. If the observer also
-// implements LifecycleObserver it additionally receives prefetch lifecycle
-// events; combine observers with Tee to trace alongside a prefetch engine.
+// SetObserver attaches the access/feedback observer.
 func (c *Cache) SetObserver(o Observer) {
 	c.observer = o
 	c.accObs = nil
 	if wantsOnAccess(o) {
 		c.accObs = o
 	}
-	c.life, _ = o.(LifecycleObserver)
 }
 
 // SetLifecycleObserver attaches (or, with nil, detaches) the prefetch
-// lifecycle sink without touching the access/feedback observer chain. This
-// keeps pure lifecycle consumers — the telemetry tracer — off the per-access
-// OnAccess dispatch path entirely: they cost a nil check except when a
-// prefetched block changes state. It replaces any lifecycle interest the
-// regular observer declared.
+// lifecycle sink without touching the access/feedback observer. This keeps
+// lifecycle consumers — the telemetry tracer — off the per-access OnAccess
+// dispatch path entirely: they cost a nil check except when a prefetched
+// block changes state.
 func (c *Cache) SetLifecycleObserver(lo LifecycleObserver) {
 	c.life = lo
 }

@@ -24,9 +24,8 @@ func (o *orderObserver) OnPrefetchUnused(b mem.Addr, id uint8, _ int) {
 	o.log = append(o.log, fmt.Sprintf("unused %#x", b))
 }
 
-// lifeObserver records lifecycle events (and nothing else).
+// lifeObserver records lifecycle events.
 type lifeObserver struct {
-	NopObserver
 	events []LifecycleEvent
 	levels []string
 }
@@ -74,7 +73,7 @@ func TestObserverOrderingOnMissFillPath(t *testing.T) {
 func TestLifecycleFillUseEvents(t *testing.T) {
 	c := smallCache(&fixedPort{latency: 100})
 	obs := &lifeObserver{}
-	c.SetObserver(obs)
+	c.SetLifecycleObserver(obs)
 
 	pf := &mem.Request{PAddr: 0x2000, Type: mem.Prefetch, FillL2: true,
 		PrefID: 3, PageSize: mem.Page2M, PageSizeKnown: true, CrossedPage: true}
@@ -105,7 +104,7 @@ func TestLifecycleLateUseAndEvict(t *testing.T) {
 	c := New(Config{Name: "c", Sets: 1, Ways: 1, Latency: 1, MSHREntries: 4},
 		&fixedPort{latency: 100})
 	obs := &lifeObserver{}
-	c.SetObserver(obs)
+	c.SetLifecycleObserver(obs)
 
 	// Late use: the demand lands while the fill is in flight.
 	c.Access(&mem.Request{PAddr: 0x40, Type: mem.Prefetch, FillL2: true}, 0)
@@ -141,7 +140,8 @@ func TestEvictDirtyPrefetchedLine(t *testing.T) {
 	c := New(Config{Name: "c", Sets: 1, Ways: 1, Latency: 1, MSHREntries: 4}, next)
 	fb := &orderObserver{}
 	life := &lifeObserver{}
-	c.SetObserver(Tee(fb, life))
+	c.SetObserver(fb)
+	c.SetLifecycleObserver(life)
 
 	const victim = mem.Addr(0x40)
 	c.Access(&mem.Request{PAddr: victim, Type: mem.Prefetch, FillL2: true, PrefID: 2}, 0)
@@ -184,7 +184,7 @@ func TestLifecycleDropEvent(t *testing.T) {
 	c := New(Config{Name: "c", Sets: 16, Ways: 4, Latency: 1, MSHREntries: 4},
 		&fixedPort{latency: 1000})
 	obs := &lifeObserver{}
-	c.SetObserver(obs)
+	c.SetLifecycleObserver(obs)
 	c.Access(load(0x1000), 0)
 	c.Access(load(0x2000), 0)
 	c.Access(load(0x3000), 0)
@@ -201,33 +201,10 @@ func TestLifecycleDropEvent(t *testing.T) {
 func TestLifecycleSilentForNoFillLevel(t *testing.T) {
 	c := smallCache(&fixedPort{latency: 100})
 	obs := &lifeObserver{}
-	c.SetObserver(obs)
+	c.SetLifecycleObserver(obs)
 	c.AccessNoFill(&mem.Request{PAddr: 0x4000, Type: mem.Prefetch}, 0)
 	if len(obs.events) != 0 {
 		t.Errorf("no-fill level emitted %d lifecycle events, want 0", len(obs.events))
-	}
-}
-
-func TestTeeFansOutAndResolvesLifecycle(t *testing.T) {
-	c := smallCache(&fixedPort{latency: 100})
-	a := &orderObserver{}
-	life := &lifeObserver{}
-	c.SetObserver(Tee(nil, a, life))
-
-	c.Access(&mem.Request{PAddr: 0x2000, Type: mem.Prefetch, FillL2: true}, 0)
-	c.Access(load(0x2000), 500)
-
-	if want := []string{"useful 0x2000", "access hit=true"}; !reflect.DeepEqual(a.log, want) {
-		t.Errorf("teed observer log = %v, want %v", a.log, want)
-	}
-	if len(life.events) != 2 {
-		t.Errorf("teed lifecycle observer saw %d events, want 2", len(life.events))
-	}
-	if Tee() != nil {
-		t.Error("empty Tee should be nil")
-	}
-	if Tee(nil, a) != Observer(a) {
-		t.Error("single-observer Tee should unwrap")
 	}
 }
 

@@ -57,6 +57,7 @@ func newRecycleRig(cfg Config, wantAccess bool, s *slab) *recycleRig {
 	r := &recycleRig{obs: &logObserver{wantAccess: wantAccess}, next: &fixedPort{latency: 40}}
 	r.c = newOn(cfg, r.next, s)
 	r.c.SetObserver(r.obs)
+	r.c.SetLifecycleObserver(r.obs)
 	return r
 }
 

@@ -49,7 +49,6 @@ type Membership struct {
 	peers    map[string]*peer // keyed by NodeInfo.ID, self excluded
 	draining bool             // self
 	ring     *Ring            // rebuilt on any liveness change
-	epoch    uint64           // bumped per rebuild, for cheap change detection
 }
 
 // NewMembership builds a table for self with the given seed peers (self is
@@ -84,7 +83,6 @@ func (m *Membership) rebuildLocked() {
 		}
 	}
 	m.ring = NewRing(ids, m.vnodes)
-	m.epoch++
 }
 
 // Ring returns the current routing ring (immutable; a membership change
@@ -115,21 +113,6 @@ func (m *Membership) Peers() []PeerState {
 	out := make([]PeerState, 0, len(m.peers))
 	for _, p := range m.peers {
 		out = append(out, PeerState{NodeInfo: p.info, Alive: p.alive, Draining: p.draining})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// AlivePeers returns the remote members currently routable (alive and not
-// draining), sorted by ID.
-func (m *Membership) AlivePeers() []NodeInfo {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]NodeInfo, 0, len(m.peers))
-	for _, p := range m.peers {
-		if p.alive && !p.draining {
-			out = append(out, p.info)
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -235,12 +218,4 @@ func (m *Membership) Draining() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.draining
-}
-
-// Epoch returns the ring-rebuild counter; two equal epochs mean the ring
-// has not changed between the calls.
-func (m *Membership) Epoch() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epoch
 }

@@ -109,18 +109,3 @@ func TestMembershipDraining(t *testing.T) {
 		t.Fatal("peer b not restored after drain ended")
 	}
 }
-
-// TestMembershipEpoch: the epoch moves only on ring changes, giving callers
-// cheap change detection.
-func TestMembershipEpoch(t *testing.T) {
-	m := newTestMembership("a", "b")
-	e0 := m.Epoch()
-	m.MarkAlive("b", false) // no state change
-	if m.Epoch() != e0 {
-		t.Error("no-op MarkAlive bumped the epoch")
-	}
-	m.MarkFailure("b", 1)
-	if m.Epoch() == e0 {
-		t.Error("ring change did not bump the epoch")
-	}
-}

@@ -21,37 +21,18 @@ type Options struct {
 	Self NodeInfo
 	// Seeds is the static bootstrap peer list (self tolerated and ignored).
 	Seeds []NodeInfo
-	// VirtualNodes per member on the ring (DefaultVirtualNodes if <= 0).
-	VirtualNodes int
 	// HeartbeatInterval between gossip rounds (default 1s; < 0 disables the
 	// background loop — tests drive HeartbeatOnce directly).
 	HeartbeatInterval time.Duration
-	// FailThreshold is how many consecutive missed heartbeats rule a peer
-	// dead (default 3). Proxy failures kill immediately regardless.
-	FailThreshold int
-	// Transport defaults to a fresh Transport over http.DefaultClient.
-	Transport *Transport
 	// Flight, when non-nil, records spans for the cluster protocol's server
 	// side (cache entries served to peers) into the node's flight ring. Nil
 	// disables span recording for free.
 	Flight *dtrace.Recorder
 }
 
-func (o Options) withDefaults() Options {
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = DefaultVirtualNodes
-	}
-	if o.HeartbeatInterval == 0 {
-		o.HeartbeatInterval = time.Second
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 3
-	}
-	if o.Transport == nil {
-		o.Transport = &Transport{}
-	}
-	return o
-}
+// failThreshold is how many consecutive missed heartbeats rule a peer dead.
+// Proxy failures kill immediately regardless (ReportFailure).
+const failThreshold = 3
 
 // Hooks is how the owning subsystem (psimd's service layer) plugs its store
 // and lifecycle into the cluster protocol. Both hooks must be safe for
@@ -91,12 +72,14 @@ type Node struct {
 // NewNode builds a node from options and hooks; call Start to launch the
 // heartbeat loop (tests may instead drive HeartbeatOnce manually).
 func NewNode(opts Options, hooks Hooks) *Node {
-	opts = opts.withDefaults()
+	if opts.HeartbeatInterval == 0 {
+		opts.HeartbeatInterval = time.Second
+	}
 	ctx, stop := context.WithCancel(context.Background())
 	return &Node{
 		opts:         opts,
-		mem:          NewMembership(opts.Self, opts.Seeds, opts.VirtualNodes),
-		tr:           opts.Transport,
+		mem:          NewMembership(opts.Self, opts.Seeds, DefaultVirtualNodes),
+		tr:           &Transport{},
 		proxyLatency: telemetry.NewHistogram(telemetry.LatencyBounds...),
 		loopCtx:      ctx,
 		loopStop:     stop,
@@ -193,7 +176,7 @@ func (n *Node) HeartbeatOnce(ctx context.Context) {
 		resp, err := n.tr.Heartbeat(hctx, p.URL, req)
 		cancel()
 		if err != nil {
-			n.mem.MarkFailure(p.ID, n.opts.FailThreshold)
+			n.mem.MarkFailure(p.ID, failThreshold)
 			continue
 		}
 		n.mem.MarkAlive(p.ID, resp.Draining)

@@ -114,26 +114,3 @@ func (r *Ring) successor(h uint64) int {
 	}
 	return i
 }
-
-// OwnerOrder returns up to n distinct members in preference order for key:
-// the owner first, then the members whose virtual nodes follow clockwise.
-// This is the failover order — when the owner is unreachable, the next entry
-// is the natural fallback every node agrees on.
-func (r *Ring) OwnerOrder(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.ids) {
-		n = len(r.ids)
-	}
-	out := make([]string, 0, n)
-	seen := map[string]bool{}
-	for i, start := 0, r.successor(hash64(key)); len(out) < n && i < len(r.points); i++ {
-		id := r.points[(start+i)%len(r.points)].id
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
-}

@@ -149,26 +149,3 @@ func TestRingEmptyAndSingle(t *testing.T) {
 		}
 	}
 }
-
-func TestOwnerOrder(t *testing.T) {
-	r := NewRing(nodeIDs(5), DefaultVirtualNodes)
-	for _, k := range testKeys(100) {
-		order := r.OwnerOrder(k, 3)
-		if len(order) != 3 {
-			t.Fatalf("OwnerOrder(%s, 3) = %v, want 3 distinct members", k, order)
-		}
-		if order[0] != r.Owner(k) {
-			t.Fatalf("OwnerOrder(%s)[0] = %s, want owner %s", k, order[0], r.Owner(k))
-		}
-		seen := map[string]bool{}
-		for _, id := range order {
-			if seen[id] {
-				t.Fatalf("OwnerOrder(%s) repeats %s: %v", k, id, order)
-			}
-			seen[id] = true
-		}
-	}
-	if got := r.OwnerOrder("k", 99); len(got) != 5 {
-		t.Errorf("OwnerOrder capped at %d members, want 5", len(got))
-	}
-}

@@ -12,8 +12,10 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dtrace"
@@ -22,24 +24,60 @@ import (
 	"repro/internal/sim"
 )
 
-// Client talks to a psimd daemon. It implements experiments.BatchRunner, so
-// `pexp -server URL` routes every figure's single-core batches through the
-// service — the existing experiment harness doubles as the daemon's traffic
-// generator.
+// Client talks to one or more psimd daemons. It implements
+// experiments.BatchRunner, so `pexp -server URL[,URL...]` routes every
+// figure's single-core batches through the service — the existing experiment
+// harness doubles as the daemon's traffic generator.
+//
+// RunBatch is the only call that spans endpoints: it rotates batches across
+// them and fails a batch over to the next one (see RunBatch). Submit, Job,
+// Cancel, Events, Follow and Flight address the first endpoint.
 type Client struct {
-	// BaseURL is the daemon's root, e.g. "http://localhost:8080".
-	BaseURL string
 	// HTTPClient defaults to a client without timeout (jobs are
 	// long-running; cancellation comes from the context).
 	HTTPClient *http.Client
-	// Backoff governs transient-failure retries in Submit. The zero value
-	// uses the defaults.
-	Backoff Backoff
+
+	endpoints []string
+	next      atomic.Uint64 // rotation: each batch starts one endpoint later
+	// backoffBase is the first retry cycle's nominal wait (defaultBackoff
+	// when zero); tests shorten it.
+	backoffBase time.Duration
 }
 
-// NewClient builds a client for the daemon at base.
-func NewClient(base string) *Client {
-	return &Client{BaseURL: strings.TrimRight(base, "/"), HTTPClient: &http.Client{}}
+// retries bounds a batch's retry cycles: after the first pass over the
+// endpoints fails everywhere, at most retries more passes are made, so a
+// batch makes at most len(endpoints)·(retries+1) submissions.
+const retries = 4
+
+// defaultBackoff is the nominal wait after the first failed cycle; each
+// further cycle doubles it.
+const defaultBackoff = 100 * time.Millisecond
+
+var errNoEndpoints = errors.New("psimd: no endpoints")
+
+// NewClient builds a client over the daemons at endpoints. Each entry is
+// trimmed of spaces and trailing slashes and empty entries are dropped, so
+// a comma-separated -server value can be passed split as it is.
+func NewClient(endpoints ...string) *Client {
+	c := &Client{HTTPClient: &http.Client{}}
+	for _, e := range endpoints {
+		if e = strings.TrimRight(strings.TrimSpace(e), "/"); e != "" {
+			c.endpoints = append(c.endpoints, e)
+		}
+	}
+	return c
+}
+
+// Endpoints returns the daemons' base URLs in rotation order.
+func (c *Client) Endpoints() []string { return slices.Clone(c.endpoints) }
+
+// first is the endpoint the single-job calls address ("" when there is
+// none, which fails each request before any I/O).
+func (c *Client) first() string {
+	if len(c.endpoints) == 0 {
+		return ""
+	}
+	return c.endpoints[0]
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -84,63 +122,24 @@ func transientErr(err error) bool {
 	return errors.Is(err, errStreamEnded) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF)
 }
 
-// Backoff is a jittered exponential retry schedule: attempt n waits
-// Base·2ⁿ capped at Max, then jittered to 50–100% of that to decorrelate
-// clients hammering a recovering daemon.
-type Backoff struct {
-	// Base is the first retry's nominal delay. Default 100ms.
-	Base time.Duration
-	// Max caps the exponential growth. Default 5s.
-	Max time.Duration
-	// Retries bounds transient-failure retries per call (backpressure 429s
-	// with a Retry-After hint are waited out without consuming retries —
-	// the daemon is healthy, just busy). Default 4.
-	Retries int
-}
-
-func (b Backoff) base() time.Duration {
-	if b.Base > 0 {
-		return b.Base
+// backoff is the wait after failed cycle n (0-based): backoffBase·2ⁿ,
+// jittered to 50–100% of that so clients retrying a recovering daemon
+// spread out.
+func (c *Client) backoff(n int) time.Duration {
+	d := c.backoffBase
+	if d <= 0 {
+		d = defaultBackoff
 	}
-	return 100 * time.Millisecond
-}
-
-func (b Backoff) max() time.Duration {
-	if b.Max > 0 {
-		return b.Max
-	}
-	return 5 * time.Second
-}
-
-func (b Backoff) retries() int {
-	if b.Retries > 0 {
-		return b.Retries
-	}
-	return 4
-}
-
-// delay computes the jittered wait before retry number attempt (0-based).
-func (b Backoff) delay(attempt int) time.Duration {
-	if attempt < 0 {
-		attempt = 0
-	}
-	d := b.base() << uint(attempt)
-	if d <= 0 || d > b.max() {
-		d = b.max()
-	}
-	half := d / 2
+	half := (d << uint(n)) / 2
 	return half + time.Duration(rand.Int63n(int64(half)+1))
 }
 
-// sleep waits the attempt's delay (or explicit, when the server supplied a
-// Retry-After hint), bounded by ctx.
-func (b Backoff) sleep(ctx context.Context, attempt int, explicit time.Duration) error {
-	wait := b.delay(attempt)
-	if explicit > 0 {
-		wait = explicit
-	}
+// sleep waits d, bounded by ctx.
+func sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
 	select {
-	case <-time.After(wait):
+	case <-t.C:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -157,55 +156,32 @@ func decodeError(resp *http.Response) error {
 	return &httpStatusError{resp.StatusCode, fmt.Sprintf("psimd: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))}
 }
 
-// Submit posts one batch, absorbing two kinds of trouble: backpressure
-// (429 with a Retry-After hint is waited out and resubmitted, indefinitely —
-// bounded only by ctx) and transient failures (connection errors, 5xx, or
-// hint-less 429s retry with jittered exponential backoff up to
-// Backoff.Retries times).
+// Submit posts one batch to the first endpoint, once: retrying is
+// RunBatch's job.
 func (c *Client) Submit(ctx context.Context, req SimRequest) (JobView, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return JobView{}, err
 	}
-	failures := 0
-	for {
-		v, retryAfter, err := c.trySubmit(ctx, body)
-		if err == nil {
-			return v, nil
-		}
-		if ctx.Err() != nil {
-			return JobView{}, ctx.Err()
-		}
-		if !transientErr(err) {
-			return JobView{}, err
-		}
-		if retryAfter <= 0 {
-			// A real failure, not advertised backpressure: count it.
-			failures++
-			if failures > c.Backoff.retries() {
-				return JobView{}, err
-			}
-		}
-		if serr := c.Backoff.sleep(ctx, failures-1, retryAfter); serr != nil {
-			return JobView{}, serr
-		}
-	}
+	v, _, err := c.submit(ctx, c.first(), body)
+	return v, err
 }
 
-// trySubmit performs one POST /v1/sims attempt. retryAfter is non-zero when
-// the daemon rejected with explicit backpressure advice.
-func (c *Client) trySubmit(ctx context.Context, body []byte) (v JobView, retryAfter time.Duration, err error) {
+// submit performs one POST /v1/sims to base. retryAfter is non-zero when
+// the daemon rejected with explicit backpressure advice (429 with a
+// Retry-After hint).
+func (c *Client) submit(ctx context.Context, base string, body []byte) (v JobView, retryAfter time.Duration, err error) {
 	// Each attempt is its own span; its context rides the traceparent header,
 	// so the daemon's job spans parent under the attempt that landed.
 	sctx, sp := dtrace.Start(ctx, "submit")
-	sp.Annotate(c.BaseURL)
+	sp.Annotate(base)
 	defer func() {
 		if sp != nil {
 			sp.Fail(err)
 			sp.End()
 		}
 	}()
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/sims", bytes.NewReader(body))
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/sims", bytes.NewReader(body))
 	if err != nil {
 		return JobView{}, 0, err
 	}
@@ -232,7 +208,11 @@ func (c *Client) trySubmit(ctx context.Context, body []byte) (v JobView, retryAf
 
 // Job fetches a job's current view (including results once done).
 func (c *Client) Job(ctx context.Context, id string) (JobView, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id, nil)
+	return c.job(ctx, c.first(), id)
+}
+
+func (c *Client) job(ctx context.Context, base, id string) (JobView, error) {
+	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id, nil)
 	if err != nil {
 		return JobView{}, err
 	}
@@ -253,7 +233,11 @@ func (c *Client) Job(ctx context.Context, id string) (JobView, error) {
 
 // Cancel requests cancellation of a queued or running job.
 func (c *Client) Cancel(ctx context.Context, id string) error {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.BaseURL+"/v1/jobs/"+id, nil)
+	return c.cancel(ctx, c.first(), id)
+}
+
+func (c *Client) cancel(ctx context.Context, base, id string) error {
+	hr, err := http.NewRequestWithContext(ctx, http.MethodDelete, base+"/v1/jobs/"+id, nil)
 	if err != nil {
 		return err
 	}
@@ -272,7 +256,7 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 // optionally filtered to one trace ID. A daemon running without a recorder
 // answers 404, which is returned as an error.
 func (c *Client) Flight(ctx context.Context, trace string) ([]dtrace.SpanData, error) {
-	u := c.BaseURL + "/debug/flight"
+	u := c.first() + "/debug/flight"
 	if trace != "" {
 		u += "?trace=" + url.QueryEscape(trace)
 	}
@@ -293,10 +277,13 @@ func (c *Client) Flight(ctx context.Context, trace string) ([]dtrace.SpanData, e
 
 // Events subscribes to a job's SSE stream, invoking fn for every event until
 // the terminal one (after which it returns nil) or until ctx/stream failure.
-// Every subscription replays the job's history from seq 1; fn must tolerate
-// replays (filter on Event.Seq) if it resubscribes.
+// Every subscription replays the job's history from seq 1.
 func (c *Client) Events(ctx context.Context, id string, fn func(Event)) error {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/events", nil)
+	return c.events(ctx, c.first(), id, fn)
+}
+
+func (c *Client) events(ctx context.Context, base, id string, fn func(Event)) error {
+	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		return err
 	}
@@ -335,41 +322,28 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event)) error {
 	return errStreamEnded
 }
 
-// Follow streams a job to completion — resubscribing with backoff if the
-// stream drops while the context is still live — and returns the final view
-// (with results for a done job). fn, which may be nil, observes each event
-// exactly once, in order.
+// Follow streams a job to completion and returns the final view (with
+// results for a done job). fn, which may be nil, observes each event in
+// order. A stream that fails before the terminal event is an error, unless
+// the job turns out to have finished meanwhile.
 func (c *Client) Follow(ctx context.Context, id string, fn func(Event)) (JobView, error) {
-	lastSeq := 0
-	for attempt := 0; ; attempt++ {
-		err := c.Events(ctx, id, func(e Event) {
-			if e.Seq <= lastSeq {
-				return // replayed history after a reconnect
-			}
-			lastSeq = e.Seq
-			if fn != nil {
-				fn(e)
-			}
-		})
-		if err == nil {
-			return c.Job(ctx, id)
-		}
+	return c.follow(ctx, c.first(), id, fn)
+}
+
+func (c *Client) follow(ctx context.Context, base, id string, fn func(Event)) (JobView, error) {
+	if fn == nil {
+		fn = func(Event) {}
+	}
+	if err := c.events(ctx, base, id, fn); err != nil {
 		if ctx.Err() != nil {
 			return JobView{}, ctx.Err()
 		}
-		// The job may have finished while the stream was down.
-		if v, jerr := c.Job(ctx, id); jerr == nil && v.Status.Terminal() {
+		if v, jerr := c.job(ctx, base, id); jerr == nil && v.Status.Terminal() {
 			return v, nil
 		}
-		if attempt >= 4 {
-			return JobView{}, err
-		}
-		select {
-		case <-time.After(time.Duration(attempt+1) * 200 * time.Millisecond):
-		case <-ctx.Done():
-			return JobView{}, ctx.Err()
-		}
+		return JobView{}, err
 	}
+	return c.job(ctx, base, id)
 }
 
 // buildSimRequest converts an experiment batch into the wire form,
@@ -402,13 +376,31 @@ type batchProgress struct {
 	done, hits int
 }
 
-// RunBatch implements experiments.BatchRunner: it ships the batch to the
+// RunBatch implements experiments.BatchRunner: it ships the batch to a
 // daemon, mirrors its progress events into the local tracker, and returns
 // results in job order. Only catalogue workloads can run remotely — a
 // trace-file replay's identity is its contents, which the daemon does not
 // have.
+//
+// RunBatch holds the batch's one retry loop. Each batch starts one endpoint
+// further along than the previous one. A transient failure — endpoint
+// unreachable, 5xx, 429, job lost mid-flight — moves the batch to the next
+// endpoint at once. Only after a full cycle of failures does it wait: the
+// smallest Retry-After hint when every endpoint answered 429 with one,
+// otherwise a jittered exponential backoff. After retries further cycles it
+// gives up, so a batch makes at most len(endpoints)·(retries+1) submissions.
+// The cluster's shared cache makes resubmission cheap: units a dead node
+// already finished were cached on their owners and replay as hits.
 func (c *Client) RunBatch(ctx context.Context, cfg sim.Config, jobs []experiments.Job, opt sim.RunOpt, tr *progress.Tracker) (res []sim.Result, err error) {
+	n := len(c.endpoints)
+	if n == 0 {
+		return nil, errNoEndpoints
+	}
 	req, err := buildSimRequest(ctx, cfg, jobs, opt)
+	if err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
@@ -420,15 +412,50 @@ func (c *Client) RunBatch(ctx context.Context, cfg sim.Config, jobs []experiment
 			sp.End()
 		}()
 	}
-	return c.runBatch(ctx, req, len(jobs), tr, &batchProgress{})
+	bp := &batchProgress{}
+	start := int(c.next.Add(1)-1) % n
+	var hint time.Duration // smallest Retry-After hint of the current cycle
+	saturated := true      // every endpoint of the current cycle sent a hint
+	for attempt := 0; ; attempt++ {
+		res, retryAfter, err := c.runOn(ctx, c.endpoints[(start+attempt)%n], body, len(jobs), tr, bp)
+		if err == nil {
+			return res, nil
+		}
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		if !transientErr(err) {
+			return nil, err
+		}
+		if retryAfter > 0 && (hint == 0 || retryAfter < hint) {
+			hint = retryAfter
+		}
+		saturated = saturated && retryAfter > 0
+		if (attempt+1)%n != 0 {
+			continue // untried endpoints remain in this cycle
+		}
+		cycle := (attempt + 1) / n
+		if cycle > retries {
+			return nil, fmt.Errorf("psimd: batch failed on all %d endpoint(s): %w", n, err)
+		}
+		wait := c.backoff(cycle - 1)
+		if saturated {
+			wait = hint
+		}
+		if serr := sleep(ctx, wait); serr != nil {
+			return nil, serr
+		}
+		hint, saturated = 0, true
+	}
 }
 
-// runBatch submits req and follows it to completion, stepping tr through bp
-// so retried batches never double-count progress.
-func (c *Client) runBatch(ctx context.Context, req SimRequest, njobs int, tr *progress.Tracker, bp *batchProgress) ([]sim.Result, error) {
-	sub, err := c.Submit(ctx, req)
+// runOn submits the batch to base and follows it to completion, stepping tr
+// through bp so retried batches never double-count progress. retryAfter is
+// the daemon's backpressure hint when it refused the batch.
+func (c *Client) runOn(ctx context.Context, base string, body []byte, njobs int, tr *progress.Tracker, bp *batchProgress) (res []sim.Result, retryAfter time.Duration, err error) {
+	sub, retryAfter, err := c.submit(ctx, base, body)
 	if err != nil {
-		return nil, err
+		return nil, retryAfter, err
 	}
 	step := func(e Event) {
 		if tr == nil || e.Done <= bp.done {
@@ -440,25 +467,25 @@ func (c *Client) runBatch(ctx context.Context, req SimRequest, njobs int, tr *pr
 		}
 		bp.done, bp.hits = e.Done, e.Hits
 	}
-	final, err := c.Follow(ctx, sub.ID, step)
+	final, err := c.follow(ctx, base, sub.ID, step)
 	if err != nil {
 		// Leave no orphaned work behind: a client giving up cancels its job.
 		if ctx.Err() != nil {
 			cctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_ = c.Cancel(cctx, sub.ID)
+			_ = c.cancel(cctx, base, sub.ID)
 			cancel()
 		}
-		return nil, err
+		return nil, 0, err
 	}
 	switch final.Status {
 	case StatusDone:
 		if len(final.Results) != njobs {
-			return nil, fmt.Errorf("psimd: job %s returned %d results for %d jobs", final.ID, len(final.Results), njobs)
+			return nil, 0, fmt.Errorf("psimd: job %s returned %d results for %d jobs", final.ID, len(final.Results), njobs)
 		}
-		return final.Results, nil
+		return final.Results, 0, nil
 	case StatusCanceled:
-		return nil, fmt.Errorf("psimd: job %s canceled", final.ID)
+		return nil, 0, fmt.Errorf("psimd: job %s canceled", final.ID)
 	default:
-		return nil, fmt.Errorf("psimd: job %s %s: %s", final.ID, final.Status, final.Error)
+		return nil, 0, fmt.Errorf("psimd: job %s %s: %s", final.ID, final.Status, final.Error)
 	}
 }

@@ -61,12 +61,8 @@ func TestE2ECluster(t *testing.T) {
 	for i, cn := range nodes {
 		endpoints[i] = cn.hs.URL
 	}
-	mc, err := NewMultiClient(endpoints)
-	if err != nil {
-		t.Fatal(err)
-	}
 	remote := o
-	remote.Remote = mc
+	remote.Remote = NewClient(endpoints...)
 
 	first, err := experiments.Figure8(remote)
 	if err != nil {
@@ -136,12 +132,8 @@ func TestE2EClusterNodeFailure(t *testing.T) {
 	}
 
 	// The client talks only to node 0; nodes 1 and 2 receive proxied work.
-	mc, err := NewMultiClient([]string{nodes[0].hs.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
 	remote := o
-	remote.Remote = mc
+	remote.Remote = NewClient(nodes[0].hs.URL)
 
 	type out struct {
 		fig *experiments.Fig8Result
@@ -232,11 +224,7 @@ func TestE2EClusterTrace(t *testing.T) {
 	for i, cn := range nodes {
 		endpoints[i] = cn.hs.URL
 	}
-	mc, err := NewMultiClient(endpoints)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Remote = mc
+	o.Remote = NewClient(endpoints...)
 	client := dtrace.NewRecorder("pexp", 0)
 	o.Context = dtrace.NewContext(context.Background(), client, dtrace.SpanContext{})
 	if _, err := experiments.Figure2(o); err != nil {

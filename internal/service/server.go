@@ -75,7 +75,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrQueueFull):
 		// Backpressure: tell the client when to come back rather than
 		// buffering unbounded work.
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
+		w.Header().Set("Retry-After", retryAfterSeconds)
 		writeJSON(w, http.StatusTooManyRequests, apiError{err.Error()})
 		return
 	case errors.Is(err, ErrDraining):

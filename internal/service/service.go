@@ -56,11 +56,6 @@ type Config struct {
 	// DefaultTimeout applies to jobs that do not set one; 0 means no
 	// deadline.
 	DefaultTimeout time.Duration
-	// RetryAfter is the backoff hint returned with 429 (default 1s).
-	RetryAfter time.Duration
-	// KeepFinished is how many terminal jobs remain queryable before the
-	// oldest are evicted (default 256).
-	KeepFinished int
 	// Cluster, when non-nil, joins this daemon to a psimd cluster: a
 	// consistent-hash ring over simcache keys routes each simulation to an
 	// owner node, and peers serve each other's warm cache entries. Requires
@@ -88,14 +83,15 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 4096
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.KeepFinished <= 0 {
-		c.KeepFinished = 256
-	}
 	return c
 }
+
+// retryAfterSeconds is the backoff hint sent with a 429.
+const retryAfterSeconds = "1"
+
+// keepFinished is how many terminal jobs remain queryable before the oldest
+// are evicted.
+const keepFinished = 256
 
 // Submission errors, mapped to HTTP statuses by the handlers.
 var (
@@ -490,7 +486,7 @@ func (s *Server) gcLocked() {
 			}
 		}
 	}
-	if finished <= s.cfg.KeepFinished {
+	if finished <= keepFinished {
 		return
 	}
 	keep := s.order[:0]
@@ -502,7 +498,7 @@ func (s *Server) gcLocked() {
 		j.mu.Lock()
 		t := j.status.Terminal()
 		j.mu.Unlock()
-		if t && finished > s.cfg.KeepFinished {
+		if t && finished > keepFinished {
 			delete(s.jobs, id)
 			finished--
 			continue

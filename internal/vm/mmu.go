@@ -163,9 +163,6 @@ func (m *MMU) L1() *TLB { return m.l1 }
 // L2 exposes the second-level TLB for statistics.
 func (m *MMU) L2() *TLB { return m.l2 }
 
-// Space returns the translated address space.
-func (m *MMU) Space() *AddressSpace { return m.space }
-
 // Translate resolves v at cycle `at` and returns the translation plus the
 // cycle at which it is available. The L1 TLB lookup is folded into the cache
 // access (VIPT first-level cache); misses add L2 TLB latency and, on an L2
