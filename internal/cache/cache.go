@@ -19,36 +19,19 @@ import (
 	"repro/internal/recency"
 )
 
-// ReplPolicy selects the replacement policy of a cache.
+// ReplPolicy names a cache replacement policy. LRU, the policy of the
+// paper's evaluation at every level (Table I), is the only one modelled: New
+// panics on any other value, and sim.Config.Validate rejects one at the edge.
 type ReplPolicy uint8
 
-// Replacement policies. The paper's evaluation uses LRU at every level; the
-// alternatives exist to show the page-size machinery is replacement-agnostic.
-const (
-	// ReplLRU is least-recently-used (the evaluation default, Table I).
-	ReplLRU ReplPolicy = iota
-	// ReplSRRIP is static re-reference interval prediction (2-bit RRPV).
-	ReplSRRIP
-	// ReplRandom picks victims pseudo-randomly.
-	ReplRandom
-)
-
-// String implements fmt.Stringer.
-func (p ReplPolicy) String() string {
-	switch p {
-	case ReplSRRIP:
-		return "srrip"
-	case ReplRandom:
-		return "random"
-	}
-	return "lru"
-}
+// ReplLRU is least-recently-used, the zero value.
+const ReplLRU ReplPolicy = 0
 
 // line is one cache block's state packed into one word: the fill-completion
 // cycle in the low lineReadyBits bits, then the dirty and prefetched flags,
-// the 2-bit SRRIP re-reference prediction value, the prefetcher ID and the
-// core that triggered the fill. The block and validity live only in the dense
-// tags array (tagInvalid ⇔ invalid), which keeps the record at 8 bytes.
+// two unused bits, the prefetcher ID and the core that triggered the fill.
+// The block and validity live only in the dense tags array (tagInvalid ⇔
+// invalid), which keeps the record at 8 bytes.
 type line uint64
 
 const (
@@ -58,14 +41,13 @@ const (
 	lineReadyMask   = 1<<lineReadyBits - 1
 	lineDirty       = 1 << lineReadyBits
 	linePrefetched  = lineDirty << 1 // filled by a prefetch and not yet demanded
-	lineRRPVShift   = 46
 	linePrefIDShift = 48
 	lineCoreShift   = 56
 )
 
 // newLine packs a freshly filled line's state.
-func newLine(readyAt mem.Cycle, dirty, prefetched bool, prefID, core, rrpv uint8) line {
-	l := line(prefID)<<linePrefIDShift | line(core)<<lineCoreShift | line(rrpv&3)<<lineRRPVShift
+func newLine(readyAt mem.Cycle, dirty, prefetched bool, prefID, core uint8) line {
+	l := line(prefID)<<linePrefIDShift | line(core)<<lineCoreShift
 	if dirty {
 		l |= lineDirty
 	}
@@ -98,11 +80,9 @@ func readyAtOverflow(c mem.Cycle) {
 
 func (l line) dirty() bool      { return l&lineDirty != 0 }
 func (l line) prefetched() bool { return l&linePrefetched != 0 }
-func (l line) rrpv() uint8      { return uint8(l>>lineRRPVShift) & 3 }
 func (l line) prefID() uint8    { return uint8(l >> linePrefIDShift) }
 func (l line) core() uint8      { return uint8(l >> lineCoreShift) }
 
-func (l *line) setRRPV(v uint8)  { *l = *l&^(3<<lineRRPVShift) | line(v&3)<<lineRRPVShift }
 func (l *line) markDirty()       { *l |= lineDirty }
 func (l *line) clearPrefetched() { *l &^= linePrefetched }
 
@@ -113,7 +93,7 @@ type Config struct {
 	Latency     mem.Cycle // tag+data access latency
 	MSHREntries int
 
-	// Replacement selects the victim policy (LRU by default).
+	// Replacement must be ReplLRU, the only policy modelled.
 	Replacement ReplPolicy
 
 	// PromoteLatency enables prefetch-to-demand MSHR promotion: a demand
@@ -289,8 +269,8 @@ type Cache struct {
 	// address.
 	tags []uint32
 	// order holds one recency word per set (see package recency). touchAt
-	// and fill promote under every policy, so rank 0 is always the set's most
-	// recently used way and, under LRU, the tail is the victim.
+	// and fill promote, so rank 0 is the set's most recently used way and
+	// the tail is the LRU victim.
 	order []uint64
 	// fills counts fills, the only events that change tags; the negative
 	// lookup memo is valid while it holds.
@@ -367,8 +347,6 @@ type Cache struct {
 	// life receives prefetch lifecycle events (see SetLifecycleObserver).
 	life LifecycleObserver
 
-	rng uint64 // state for ReplRandom
-
 	Stats Stats
 }
 
@@ -385,6 +363,9 @@ func New(cfg Config, next mem.Port) *Cache {
 	}
 	if cfg.MSHREntries <= 0 {
 		panic(fmt.Sprintf("cache %s: MSHR entries must be positive", cfg.Name))
+	}
+	if cfg.Replacement != ReplLRU {
+		panic(fmt.Sprintf("cache %s: replacement policy %d, only LRU (0) is modelled", cfg.Name, cfg.Replacement))
 	}
 	return newOn(cfg, next, getSlab(cfg.Sets, cfg.Ways))
 }
@@ -406,7 +387,6 @@ func newOn(cfg Config, next mem.Port, s *slab) *Cache {
 		partialWords: partialWords(cfg.Ways),
 		setGen:       s.words[sets : 2*sets : 2*sets],
 		next:         next,
-		rng:          uint64(len(cfg.Name))*0x9e3779b97f4a7c15 + 1,
 	}
 	c.nextCache, _ = next.(*Cache)
 	c.lastMissBlock = noBlock
@@ -522,10 +502,6 @@ func (c *Cache) SetIndex(a mem.Addr) int {
 		return int(mem.BlockNumber(a) & c.setMask)
 	}
 	return int(mem.BlockNumber(a)) % c.cfg.Sets
-}
-
-func (c *Cache) setLines(set int) []line {
-	return c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
 }
 
 func (c *Cache) find(block mem.Addr) *line {
@@ -665,45 +641,16 @@ func (c *Cache) allocMSHR(at mem.Cycle) (idx int, start mem.Cycle) {
 	return best, c.mshrFree[best]
 }
 
-// victim picks the replacement victim way in a set: an invalid way if any,
-// otherwise per the configured policy. si is the set's index; the invalid-way
-// scan reads the tags array, where tagInvalid marks an empty way.
-func (c *Cache) victim(si int, set []line) int {
-	if p := c.cfg.Replacement; p != ReplSRRIP && p != ReplRandom {
-		// LRU: the tail of the recency order, which is the first invalid
-		// way while any remain (see order).
-		return recency.Way(c.order[si], c.cfg.Ways-1)
-	}
-	base := si * c.cfg.Ways
-	for i, t := range c.tags[base : base+c.cfg.Ways] {
-		if t == tagInvalid {
-			return i
-		}
-	}
-	switch c.cfg.Replacement {
-	case ReplSRRIP:
-		// Find a distant-re-reference line, aging the set until one exists.
-		for {
-			for i := range set {
-				if set[i].rrpv() >= 3 {
-					return i
-				}
-			}
-			for i := range set {
-				set[i].setRRPV(set[i].rrpv() + 1)
-			}
-		}
-	default: // ReplRandom
-		c.rng = c.rng*6364136223846793005 + 1442695040888963407
-		return int(c.rng>>33) % len(set)
-	}
+// victim picks the replacement victim way of set si: the tail of its
+// recency order, which is the first invalid way while any remain (see order).
+func (c *Cache) victim(si int) int {
+	return recency.Way(c.order[si], c.cfg.Ways-1)
 }
 
 // touchAt updates replacement state on a hit of the way at global index gi in
 // set si. Bumping the set generation invalidates any hit memo formed there.
 func (c *Cache) touchAt(si, gi int) {
 	c.order[si] = recency.Promote(c.order[si], gi-si*c.cfg.Ways)
-	c.lines[gi].setRRPV(0)
 	c.setGen[si]++
 }
 
@@ -724,10 +671,9 @@ func (c *Cache) forward(req *mem.Request, at mem.Cycle) mem.Cycle {
 // poison the monotonic next-free state of shared downstream resources.
 func (c *Cache) fill(si int, block mem.Addr, readyAt, now mem.Cycle, req *mem.Request) {
 	tag := tagOf(block) // before the eviction: a refused block changes nothing
-	set := c.setLines(si)
-	vi := c.victim(si, set)
-	v := &set[vi]
+	vi := c.victim(si)
 	gi := si*c.cfg.Ways + vi
+	v := &c.lines[gi]
 	if oldTag := c.tags[gi]; oldTag != tagInvalid {
 		old := blockOf(oldTag)
 		if v.prefetched() {
@@ -757,8 +703,7 @@ func (c *Cache) fill(si int, block mem.Addr, readyAt, now mem.Cycle, req *mem.Re
 	c.setGen[si]++
 	c.setPartial(si, vi, partialOf(block))
 	*v = newLine(readyAt, req.Type == mem.Store || req.Type == mem.Writeback,
-		req.Type == mem.Prefetch, req.PrefID, uint8(req.Core),
-		2) // SRRIP long re-reference insertion
+		req.Type == mem.Prefetch, req.PrefID, uint8(req.Core))
 }
 
 // Access implements mem.Port. It resolves hit/miss, models MSHR occupancy and

@@ -12,17 +12,16 @@ import (
 type lineFields struct {
 	readyAt           mem.Cycle
 	dirty, prefetched bool
-	rrpv, prefID      uint8
-	core              uint8
+	prefID, core      uint8
 }
 
 func (f lineFields) pack() line {
-	return newLine(f.readyAt, f.dirty, f.prefetched, f.prefID, f.core, f.rrpv)
+	return newLine(f.readyAt, f.dirty, f.prefetched, f.prefID, f.core)
 }
 
 func unpack(l line) lineFields {
 	return lineFields{readyAt: l.readyAt(), dirty: l.dirty(), prefetched: l.prefetched(),
-		rrpv: l.rrpv(), prefID: l.prefID(), core: l.core()}
+		prefID: l.prefID(), core: l.core()}
 }
 
 func randomFields(rng *rand.Rand) lineFields {
@@ -30,7 +29,6 @@ func randomFields(rng *rand.Rand) lineFields {
 		readyAt:    mem.Cycle(rng.Int63n(lineReadyMask + 1)),
 		dirty:      rng.Intn(2) == 0,
 		prefetched: rng.Intn(2) == 0,
-		rrpv:       uint8(rng.Intn(4)),
 		prefID:     uint8(rng.Intn(256)),
 		core:       uint8(rng.Intn(256)),
 	}
@@ -62,14 +60,6 @@ func TestLineWordFieldsRoundTrip(t *testing.T) {
 			f = base
 			f.core = uint8(v)
 			check("core", f.pack(), f)
-		}
-		for v := uint8(0); v < 4; v++ {
-			f := base
-			f.rrpv = v
-			check("rrpv", f.pack(), f)
-			l := base.pack()
-			l.setRRPV(v)
-			check("setRRPV", l, f)
 		}
 		for _, c := range readyAts {
 			f := base

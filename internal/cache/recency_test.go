@@ -75,7 +75,7 @@ func runRecencyScript(t *testing.T, ways int, script []byte) {
 			step(1, script[i-1])
 		}
 		for si := range models {
-			if got, want := c.victim(si, c.setLines(si)), models[si].victim(); got != want {
+			if got, want := c.victim(si), models[si].victim(); got != want {
 				t.Fatalf("ways=%d set %d step %d: victim %d, timestamp model %d (order %#x)",
 					ways, si, i, got, want, c.order[si])
 			}

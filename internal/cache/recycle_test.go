@@ -114,8 +114,7 @@ func slabDiff(got, want *slab) string {
 }
 
 // runRecycleScript checks that recycled storage is exact. data[0] picks the
-// geometry, the replacement policy, the observer kind and whether promotion
-// is on; data[1] splits the rest into a first and a second script. The first
+// geometry, the observer kind and whether promotion is on; data[1] splits the rest into a first and a second script. The first
 // runs on a fresh cache, whose storage is then reset as Release resets it
 // and must equal a newly allocated slab word for word. The second runs on a
 // cache built over the recycled storage and on a fresh cache: every step's
@@ -129,9 +128,7 @@ func runRecycleScript(t *testing.T, data []byte) {
 	sel := int(data[0])
 	g := recycleGeometries[sel%len(recycleGeometries)]
 	sel /= len(recycleGeometries)
-	cfg := Config{Name: "c", Sets: g[0], Ways: g[1], Latency: 3, MSHREntries: 4,
-		Replacement: ReplPolicy(sel % 3)}
-	sel /= 3
+	cfg := Config{Name: "c", Sets: g[0], Ways: g[1], Latency: 3, MSHREntries: 4}
 	wantAccess := sel&1 == 1
 	if sel&2 != 0 {
 		cfg.PromoteLatency = 5
@@ -171,8 +168,8 @@ func runRecycleScript(t *testing.T, data []byte) {
 }
 
 // FuzzCacheRecycle is runRecycleScript as a fuzz target. The checked-in
-// corpus (testdata/fuzz/FuzzCacheRecycle) covers every geometry under each
-// policy, spread over the four observer and promotion settings.
+// corpus (testdata/fuzz/FuzzCacheRecycle) covers every geometry three times,
+// spread over the four observer and promotion settings.
 func FuzzCacheRecycle(f *testing.F) {
 	f.Add([]byte{0, 128, 0, 1, 8, 1, 3, 2, 0, 1})
 	f.Add([]byte{84, 200, 3, 9, 0, 9, 2, 30, 5, 9, 0, 40, 7, 9})
@@ -184,15 +181,15 @@ func FuzzCacheRecycle(f *testing.F) {
 	})
 }
 
-// TestCacheRecycleScripts runs random scripts over every geometry, policy,
-// observer kind and promotion setting.
+// TestCacheRecycleScripts runs random scripts over every geometry, observer
+// kind and promotion setting.
 func TestCacheRecycleScripts(t *testing.T) {
 	rng := uint64(1)
 	next := func() byte {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return byte(rng >> 56)
 	}
-	for sel := 0; sel < len(recycleGeometries)*3*4; sel++ {
+	for sel := 0; sel < len(recycleGeometries)*4; sel++ {
 		for n := 0; n < 8; n++ {
 			data := make([]byte, 2+2*(20+int(next())))
 			for i := range data {

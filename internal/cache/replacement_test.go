@@ -1,86 +1,23 @@
 package cache
 
 import (
+	"strings"
 	"testing"
-
-	"repro/internal/mem"
 )
 
-func TestReplPolicyString(t *testing.T) {
-	if ReplLRU.String() != "lru" || ReplSRRIP.String() != "srrip" || ReplRandom.String() != "random" {
-		t.Error("ReplPolicy strings wrong")
-	}
-}
-
-func policyCache(p ReplPolicy, ways int) *Cache {
-	next := &fixedPort{latency: 10}
-	return New(Config{Name: "c", Sets: 1, Ways: ways, Latency: 1, MSHREntries: 8, Replacement: p}, next)
-}
-
-func TestSRRIPKeepsReusedLines(t *testing.T) {
-	c := policyCache(ReplSRRIP, 4)
-	hot := mem.Addr(0x0)
-	c.Access(load(hot), 0)
-	// Touch hot repeatedly while streaming through many one-shot lines.
-	for i := 1; i <= 12; i++ {
-		c.Access(load(mem.Addr(i)*mem.BlockSize), mem.Cycle(i*20))
-		c.Access(load(hot), mem.Cycle(i*20+5))
-	}
-	if !c.Contains(hot) {
-		t.Error("SRRIP evicted a continuously reused line during a scan")
-	}
-}
-
-func TestSRRIPVictimIsDistantRRPV(t *testing.T) {
-	c := policyCache(ReplSRRIP, 2)
-	c.Access(load(0x0), 0)
-	c.Access(load(0x40), 10)
-	c.Access(load(0x0), 20) // rrpv(0x0)=0; rrpv(0x40)=2
-	c.Access(load(0x80), 30)
-	if c.Contains(0x40) {
-		t.Error("distant-RRPV line survived instead of being the victim")
-	}
-	if !c.Contains(0x0) {
-		t.Error("recently reused line evicted")
-	}
-}
-
-func TestRandomPolicyStillCachesAndIsDeterministic(t *testing.T) {
-	run := func() []bool {
-		c := policyCache(ReplRandom, 2)
-		for i := 0; i < 8; i++ {
-			c.Access(load(mem.Addr(i)*mem.BlockSize), mem.Cycle(i*10))
-		}
-		var present []bool
-		for i := 0; i < 8; i++ {
-			present = append(present, c.Contains(mem.Addr(i)*mem.BlockSize))
-		}
-		return present
-	}
-	a, b := run(), run()
-	live := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("random replacement not deterministic across identical runs")
-		}
-		if a[i] {
-			live++
-		}
-	}
-	if live != 2 {
-		t.Errorf("%d lines present in a 2-way set", live)
-	}
-}
-
-func TestPoliciesAgreeOnHitBehaviour(t *testing.T) {
-	// Hit/miss accounting must be identical across policies for a
-	// non-evicting access pattern.
-	for _, p := range []ReplPolicy{ReplLRU, ReplSRRIP, ReplRandom} {
-		c := policyCache(p, 4)
-		c.Access(load(0x0), 0)
-		c.Access(load(0x0), 10)
-		if c.Stats.DemandHits != 1 || c.Stats.DemandMisses != 1 {
-			t.Errorf("%v: hits/misses = %d/%d", p, c.Stats.DemandHits, c.Stats.DemandMisses)
-		}
+// TestNewRejectsNonLRUPolicy: LRU is the only replacement policy modelled,
+// so any other Replacement value panics at construction, naming the cache,
+// like a bad geometry, instead of silently running LRU.
+func TestNewRejectsNonLRUPolicy(t *testing.T) {
+	for _, p := range []ReplPolicy{1, 2, 255} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "cache c: replacement policy") {
+					t.Errorf("Replacement %d: New panicked with %q, want the policy rejected", p, msg)
+				}
+			}()
+			New(Config{Name: "c", Sets: 1, Ways: 4, Latency: 1, MSHREntries: 8, Replacement: p}, nil)
+		}()
 	}
 }

@@ -39,7 +39,7 @@ func newSlab(sets, ways int) *slab {
 }
 
 // reset restores the construction state. Every mutation of a set — a touch,
-// a fill, a line's dirty, prefetched, RRPV or ready-cycle bits — happens
+// a fill, a line's dirty, prefetched or ready-cycle bits — happens
 // together with a bump of the set's generation (see touchAt and fill), so a
 // set whose generation is still zero is untouched and skipped: the reset
 // costs the sets the run used, not the cache's capacity.

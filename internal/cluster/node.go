@@ -51,7 +51,6 @@ type Hooks struct {
 type Node struct {
 	opts Options
 	mem  *Membership
-	tr   *Transport
 
 	// Cluster traffic counters (see StatsView / WriteMetrics).
 	remoteHits    atomic.Uint64 // results obtained from a peer (fetch or proxy hit)
@@ -79,7 +78,6 @@ func NewNode(opts Options, hooks Hooks) *Node {
 	return &Node{
 		opts:         opts,
 		mem:          NewMembership(opts.Self, opts.Seeds, DefaultVirtualNodes),
-		tr:           &Transport{},
 		proxyLatency: telemetry.NewHistogram(telemetry.LatencyBounds...),
 		loopCtx:      ctx,
 		loopStop:     stop,
@@ -173,7 +171,7 @@ func (n *Node) HeartbeatOnce(ctx context.Context) {
 	}
 	for _, p := range n.mem.Peers() {
 		hctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		resp, err := n.tr.Heartbeat(hctx, p.URL, req)
+		resp, err := Heartbeat(hctx, p.URL, req)
 		cancel()
 		if err != nil {
 			n.mem.MarkFailure(p.ID, failThreshold)
@@ -281,7 +279,7 @@ func (n *Node) Stats() StatsView {
 // base, accounting the round-trip.
 func (n *Node) FetchRemote(ctx context.Context, base, key string) ([]byte, bool, error) {
 	start := time.Now()
-	body, ok, err := n.tr.FetchEntry(ctx, base, key)
+	body, ok, err := FetchEntry(ctx, base, key)
 	n.ObserveRemote(time.Since(start))
 	return body, ok, err
 }

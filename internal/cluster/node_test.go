@@ -67,7 +67,7 @@ func TestHeartbeatGossip(t *testing.T) {
 	// A late joiner c announces itself to a only.
 	c := startTestNodes(t, "late", 1)[0]
 	req := HeartbeatRequest{From: c.Self(), Peers: c.Membership().Peers()}
-	resp, err := (&Transport{}).Heartbeat(context.Background(), a.srv.URL, req)
+	resp, err := Heartbeat(context.Background(), a.srv.URL, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +119,14 @@ func TestCacheTransfer(t *testing.T) {
 	a.store["deadbeef"] = entry
 	a.mu.Unlock()
 
-	tr := &Transport{}
-	body, ok, err := tr.FetchEntry(context.Background(), a.srv.URL, "deadbeef")
+	body, ok, err := FetchEntry(context.Background(), a.srv.URL, "deadbeef")
 	if err != nil || !ok || string(body) != string(entry) {
 		t.Fatalf("FetchEntry = %q, %v, %v", body, ok, err)
 	}
 	if a.Stats().EntriesServed != 1 {
 		t.Errorf("EntriesServed = %d, want 1", a.Stats().EntriesServed)
 	}
-	if _, ok, err := tr.FetchEntry(context.Background(), a.srv.URL, "missing"); ok || err != nil {
+	if _, ok, err := FetchEntry(context.Background(), a.srv.URL, "missing"); ok || err != nil {
 		t.Fatalf("missing key: ok=%v err=%v, want clean miss", ok, err)
 	}
 }

@@ -67,22 +67,12 @@ type StatsView struct {
 	EntriesServed uint64 `json:"entries_served"`
 }
 
-// Transport is the HTTP client side of the cluster protocol.
-type Transport struct {
-	// Client defaults to http.DefaultClient. Cluster calls are bounded by
-	// their context, not a client timeout, so long proxied simulations work.
-	Client *http.Client
-}
-
-func (t *Transport) client() *http.Client {
-	if t != nil && t.Client != nil {
-		return t.Client
-	}
-	return http.DefaultClient
-}
+// The client side of the cluster protocol runs on http.DefaultClient: calls
+// are bounded by their context, not a client timeout, so long proxied
+// simulations work.
 
 // postJSON round-trips a JSON request/response pair.
-func (t *Transport) postJSON(ctx context.Context, url string, in, out any) error {
+func postJSON(ctx context.Context, url string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
@@ -93,7 +83,7 @@ func (t *Transport) postJSON(ctx context.Context, url string, in, out any) error
 	}
 	req.Header.Set("Content-Type", "application/json")
 	dtrace.Inject(ctx, req.Header)
-	resp, err := t.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -109,9 +99,9 @@ func (t *Transport) postJSON(ctx context.Context, url string, in, out any) error
 }
 
 // Heartbeat exchanges liveness and peer views with the node at base.
-func (t *Transport) Heartbeat(ctx context.Context, base string, req HeartbeatRequest) (HeartbeatResponse, error) {
+func Heartbeat(ctx context.Context, base string, req HeartbeatRequest) (HeartbeatResponse, error) {
 	var resp HeartbeatResponse
-	err := t.postJSON(ctx, strings.TrimRight(base, "/")+PathHeartbeat, req, &resp)
+	err := postJSON(ctx, strings.TrimRight(base, "/")+PathHeartbeat, req, &resp)
 	return resp, err
 }
 
@@ -119,13 +109,13 @@ func (t *Transport) Heartbeat(ctx context.Context, base string, req HeartbeatReq
 // verifying the body against the peer's checksum. ok is false on a clean
 // 404 (the peer simply does not have it); any other failure — including a
 // checksum mismatch — is an error.
-func (t *Transport) FetchEntry(ctx context.Context, base, key string) (body []byte, ok bool, err error) {
+func FetchEntry(ctx context.Context, base, key string) (body []byte, ok bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(base, "/")+PathCache+key, nil)
 	if err != nil {
 		return nil, false, err
 	}
 	dtrace.Inject(ctx, req.Header)
-	resp, err := t.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, false, err
 	}

@@ -89,10 +89,8 @@ type DRAM struct {
 	openRow  []rowSlot
 	rowSlots int
 
-	// chanMask/rowShift/bankMask strength-reduce mapAddr's divisions to
-	// masks and shifts when the geometry is power-of-two (the default
-	// config is); rowShift < 0 selects the generic divide path. The two
-	// paths compute identical values.
+	// chanMask/rowShift/bankMask are mapAddr's masks and shift: the
+	// geometry is a power of two in channels, banks and row bytes.
 	chanMask mem.Addr
 	rowShift int
 	bankMask uint64
@@ -100,11 +98,11 @@ type DRAM struct {
 	Stats Stats
 }
 
-// New creates a DRAM model.
+// New creates a DRAM model. Channels, BanksPerChan and RowBytes must be
+// powers of two, and a row must hold at least one block.
 func New(cfg Config) *DRAM {
-	// A row must hold at least one block: mapAddr divides by the blocks
-	// per row.
-	if cfg.Channels <= 0 || cfg.BanksPerChan <= 0 || cfg.RowBytes < mem.BlockSize {
+	if !pow2(uint64(cfg.Channels)) || !pow2(uint64(cfg.BanksPerChan)) ||
+		!pow2(uint64(cfg.RowBytes)) || cfg.RowBytes < mem.BlockSize {
 		panic("dram: bad geometry")
 	}
 	if cfg.TransferMTps <= 0 || cfg.CoreGHz <= 0 {
@@ -120,15 +118,10 @@ func New(cfg Config) *DRAM {
 	if d.rowSlots <= 0 {
 		d.rowSlots = DefaultRowSlots
 	}
-	d.rowShift = -1
-	blocksPerRow := cfg.RowBytes >> mem.BlockBits
-	rowDiv := mem.Addr(cfg.Channels) * blocksPerRow
-	if pow2(uint64(cfg.Channels)) && pow2(uint64(cfg.BanksPerChan)) &&
-		blocksPerRow > 0 && pow2(uint64(rowDiv)) {
-		d.chanMask = mem.Addr(cfg.Channels - 1)
-		d.rowShift = bits.TrailingZeros64(uint64(rowDiv))
-		d.bankMask = uint64(cfg.BanksPerChan - 1)
-	}
+	d.chanMask = mem.Addr(cfg.Channels - 1)
+	// Consecutive rows are Channels × blocks-per-row blocks apart.
+	d.rowShift = bits.TrailingZeros64(uint64(cfg.Channels) * uint64(cfg.RowBytes>>mem.BlockBits))
+	d.bankMask = uint64(cfg.BanksPerChan - 1)
 	banks := cfg.Channels * cfg.BanksPerChan
 	d.busFree = make([]mem.Cycle, cfg.Channels)
 	d.bankFree = make([]mem.Cycle, banks)
@@ -158,17 +151,9 @@ func (d *DRAM) BusyBanks(at mem.Cycle) int {
 // land on different banks instead of thrashing one row buffer.
 func (d *DRAM) mapAddr(a mem.Addr) (ch, bank int, row mem.Addr) {
 	blk := mem.BlockNumber(a)
-	if d.rowShift >= 0 {
-		ch = int(blk & d.chanMask)
-		rowGlobal := blk >> d.rowShift
-		bank = int((uint64(rowGlobal) * 0x9e3779b9) >> 16 & d.bankMask)
-		return ch, bank, rowGlobal
-	}
-	ch = int(blk) % d.cfg.Channels
-	blocksPerRow := d.cfg.RowBytes >> mem.BlockBits
-	rowGlobal := blk / (mem.Addr(d.cfg.Channels) * blocksPerRow)
-	bank = int((uint64(rowGlobal) * 0x9e3779b9) >> 16 % uint64(d.cfg.BanksPerChan))
-	return ch, bank, rowGlobal
+	row = blk >> d.rowShift
+	bank = int((uint64(row) * 0x9e3779b9) >> 16 & d.bankMask)
+	return int(blk & d.chanMask), bank, row
 }
 
 func pow2(v uint64) bool { return v != 0 && v&(v-1) == 0 }

@@ -125,23 +125,16 @@ func TestChannelInterleave(t *testing.T) {
 }
 
 // TestRejectsRowSmallerThanBlock pins New's geometry check for rows that
-// hold no whole block: the blocks-per-row divisor in mapAddr would be zero,
-// so the first Access would divide by zero. The smallest legal row (one
-// block) and a non-power-of-two row (the generic divide path) still work.
+// hold no whole block or are not a power of two: mapAddr takes the row as a
+// shift of the block number, so neither has a row number. The smallest legal
+// row (one block) still works.
 func TestRejectsRowSmallerThanBlock(t *testing.T) {
-	for _, rowBytes := range []mem.Addr{0, 32, mem.BlockSize - 1} {
+	for _, rowBytes := range []mem.Addr{0, 32, mem.BlockSize - 1, 3 * mem.BlockSize} {
 		cfg := DefaultConfig()
 		cfg.RowBytes = rowBytes
-		func() {
-			defer func() {
-				if r := recover(); r != "dram: bad geometry" {
-					t.Errorf("RowBytes %d: New panicked with %v, want \"dram: bad geometry\"", rowBytes, r)
-				}
-			}()
-			New(cfg)
-		}()
+		mustRejectGeometry(t, cfg)
 	}
-	for _, rowBytes := range []mem.Addr{mem.BlockSize, 3 * mem.BlockSize} {
+	for _, rowBytes := range []mem.Addr{mem.BlockSize, 2 * mem.BlockSize} {
 		cfg := DefaultConfig()
 		cfg.RowBytes = rowBytes
 		d := New(cfg)
@@ -152,4 +145,28 @@ func TestRejectsRowSmallerThanBlock(t *testing.T) {
 			t.Errorf("RowBytes %d: Reads = %d, want 8", rowBytes, d.Stats.Reads)
 		}
 	}
+}
+
+// TestRejectsNonPowerOfTwoGeometry: channel and bank counts are masks in
+// mapAddr, so New refuses any that is not a power of two.
+func TestRejectsNonPowerOfTwoGeometry(t *testing.T) {
+	for _, n := range []int{-2, 0, 3, 6, 12} {
+		cfg := DefaultConfig()
+		cfg.Channels = n
+		mustRejectGeometry(t, cfg)
+		cfg = DefaultConfig()
+		cfg.BanksPerChan = n
+		mustRejectGeometry(t, cfg)
+	}
+}
+
+// mustRejectGeometry checks that New panics on cfg's geometry.
+func mustRejectGeometry(t *testing.T, cfg Config) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != "dram: bad geometry" {
+			t.Errorf("%+v: New panicked with %v, want \"dram: bad geometry\"", cfg, r)
+		}
+	}()
+	New(cfg)
 }

@@ -17,6 +17,9 @@
 package pangloss
 
 import (
+	"fmt"
+	"math/bits"
+
 	"repro/internal/mem"
 	"repro/internal/prefetch"
 )
@@ -31,7 +34,7 @@ type Config struct {
 	// way with the smallest counter).
 	DeltaWays int
 	// PageSets and PageWays size the set-associative page cache holding each
-	// tracked page's last offset and last delta.
+	// tracked page's last offset and last delta; PageSets is a power of two.
 	PageSets, PageWays int
 	// Degree bounds candidates proposed per trigger access.
 	Degree int
@@ -85,8 +88,7 @@ type Prefetcher struct {
 	pLRU   []uint64
 	tick   uint64
 
-	// setMask is PageSets-1 when PageSets is a power of two, else 0 (generic
-	// modulo path).
+	// setMask is PageSets-1: PageSets is a power of two.
 	setMask uint64
 }
 
@@ -96,8 +98,11 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 	if regionBits < mem.PageBits4K || regionBits > mem.PageBits2M {
 		panic("pangloss: regionBits outside [12, 21]")
 	}
+	if bits.OnesCount(uint(cfg.PageSets)) != 1 {
+		panic(fmt.Sprintf("pangloss: PageSets %d is not a power of two", cfg.PageSets))
+	}
 	rows := 2*cfg.MaxDelta + 1
-	p := &Prefetcher{
+	return &Prefetcher{
 		cfg:        cfg,
 		regionBits: regionBits,
 		dNext:      make([]int32, rows*cfg.DeltaWays),
@@ -106,11 +111,8 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 		pOff:       make([]int32, cfg.PageSets*cfg.PageWays),
 		pDelta:     make([]int32, cfg.PageSets*cfg.PageWays),
 		pLRU:       make([]uint64, cfg.PageSets*cfg.PageWays),
+		setMask:    uint64(cfg.PageSets - 1),
 	}
-	if cfg.PageSets&(cfg.PageSets-1) == 0 {
-		p.setMask = uint64(cfg.PageSets - 1)
-	}
-	return p
 }
 
 // Factory adapts New to prefetch.Factory.
@@ -123,11 +125,7 @@ func (p *Prefetcher) Name() string { return "pangloss" }
 
 // pageSet returns the index of way 0 of the page's set.
 func (p *Prefetcher) pageSet(pageNum uint64) int {
-	h := pageNum * 0x9e3779b97f4a7c15
-	if p.setMask != 0 {
-		return int(h&p.setMask) * p.cfg.PageWays
-	}
-	return int(h%uint64(p.cfg.PageSets)) * p.cfg.PageWays
+	return int(pageNum*0x9e3779b97f4a7c15&p.setMask) * p.cfg.PageWays
 }
 
 // rowBase returns the index of way 0 of a delta's row in the delta cache.

@@ -140,3 +140,24 @@ func TestLFUReplacement(t *testing.T) {
 		t.Errorf("LFU eviction wrong: successor1 present=%v, new successor present=%v", seen1, seenNew)
 	}
 }
+
+// TestNewRejectsNonPowerOfTwoPageSets: the page cache's set index is a mask,
+// which over any other set count would reach only part of the table, so New
+// refuses such counts.
+func TestNewRejectsNonPowerOfTwoPageSets(t *testing.T) {
+	for _, n := range []int{0, -4, 3, 48} {
+		cfg := DefaultConfig()
+		cfg.PageSets = n
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted PageSets = %d", n)
+				}
+			}()
+			New(cfg, mem.PageBits4K)
+		}()
+	}
+	cfg := DefaultConfig()
+	cfg.PageSets = 1
+	New(cfg, mem.PageBits4K) // one set is a power of two
+}

@@ -7,6 +7,9 @@
 package ppf
 
 import (
+	"fmt"
+	"math/bits"
+
 	"repro/internal/mem"
 	"repro/internal/prefetch"
 	"repro/internal/prefetch/spp"
@@ -18,12 +21,12 @@ const numFeatures = 7
 // Config sizes PPF.
 type Config struct {
 	SPP           spp.Config // underlying proposer (aggressive thresholds)
-	TableEntries  int        // entries per feature weight table (1024)
+	TableEntries  int        // entries per feature weight table (1024; a power of two)
 	WeightMax     int        // weight saturation (±31)
 	ThresholdHi   int        // sum ≥ → fill L2
 	ThresholdLo   int        // sum ≥ → fill LLC, else reject
 	TrainMargin   int        // retrain while |sum| below this margin
-	RecordEntries int        // prefetch/reject recovery table entries
+	RecordEntries int        // prefetch/reject recovery table entries (a power of two)
 }
 
 // DefaultConfig returns the configuration used throughout the evaluation.
@@ -83,6 +86,9 @@ type Prefetcher struct {
 // New creates a PPF prefetcher; regionBits configures the underlying SPP's
 // Signature Table granularity (PPF itself keys features on 4KB geometry).
 func New(cfg Config, regionBits uint) *Prefetcher {
+	if bits.OnesCount(uint(cfg.TableEntries)) != 1 || bits.OnesCount(uint(cfg.RecordEntries)) != 1 {
+		panic(fmt.Sprintf("ppf: TableEntries %d and RecordEntries %d must be powers of two", cfg.TableEntries, cfg.RecordEntries))
+	}
 	p := &Prefetcher{
 		cfg: cfg,
 		spp: spp.New(cfg.SPP, regionBits),
@@ -102,13 +108,11 @@ func Factory(cfg Config) prefetch.Factory {
 // Name implements prefetch.Prefetcher.
 func (p *Prefetcher) Name() string { return "ppf" }
 
+// hash maps x to one of entries slots, a power of two.
 func hash(x uint64, entries int) int {
 	x *= 0x9e3779b97f4a7c15
 	x ^= x >> 32
-	if entries&(entries-1) == 0 {
-		return int(x) & (entries - 1) // identical to the modulo for pow2 sizes
-	}
-	return int(x % uint64(entries))
+	return int(x) & (entries - 1)
 }
 
 // features derives the perceptron feature indices for a candidate.

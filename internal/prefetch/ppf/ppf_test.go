@@ -147,3 +147,29 @@ func TestScale(t *testing.T) {
 		t.Errorf("Scale(2) = %+v", c)
 	}
 }
+
+// TestNewRejectsNonPowerOfTwoTables: the feature and record tables index
+// with a mask, which over any other size would reach only part of the table,
+// so New refuses such sizes (and SPP's, through spp.New).
+func TestNewRejectsNonPowerOfTwoTables(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"TableEntries 1000", func(c *Config) { c.TableEntries = 1000 }},
+		{"TableEntries 0", func(c *Config) { c.TableEntries = 0 }},
+		{"RecordEntries 1536", func(c *Config) { c.RecordEntries = 1536 }},
+		{"SPP.PTEntries 384", func(c *Config) { c.SPP.PTEntries = 384 }},
+	} {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: New accepted the size", tc.name)
+				}
+			}()
+			New(cfg, mem.PageBits4K)
+		}()
+	}
+}

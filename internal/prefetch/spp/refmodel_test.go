@@ -154,8 +154,7 @@ func (r *refPatternTable) lookahead(trigger mem.Addr, sig, off int, alpha float6
 // (address and FillL2), Meta and recorded region exit of each lookahead.
 //
 // hdr picks the configuration: bit 0 the region width (12 or 21 bits),
-// bits 1-2 DeltaSlots (1..4), bit 3 a power-of-two (16) or modulo (12)
-// Pattern Table, bits 4-7 CounterMax (1..15, 0 meaning 15). The script is
+// bits 1-2 DeltaSlots (1..4), bit 3 a 16- or 8-entry Pattern Table, bits 4-7 CounterMax (1..15, 0 meaning 15). The script is
 // 4-byte steps (a, b, c, d) over 64 signatures (a>>2): a&1 == 0 trains a
 // delta chosen by b%4 — small (int8 c), the region's extreme ±(blocks-1)
 // (sign from c), or any 16-bit value (c | d<<8) folded into the region —
@@ -172,7 +171,7 @@ func replayPatternTable(t *testing.T, hdr byte, script []byte) int {
 	cfg.DeltaSlots = int(hdr>>1&3) + 1
 	cfg.PTEntries = 16
 	if hdr&8 != 0 {
-		cfg.PTEntries = 12
+		cfg.PTEntries = 8
 	}
 	cfg.CounterMax = int(hdr >> 4)
 	if cfg.CounterMax == 0 {
@@ -271,7 +270,7 @@ func replayPatternTable(t *testing.T, hdr byte, script []byte) int {
 
 // TestPatternTableMatchesReference replays random scripts through every
 // configuration replayPatternTable's header selects — both region widths,
-// 1..4 slots, both table-index paths, every saturation point — and checks
+// 1..4 slots, both table sizes, every saturation point — and checks
 // that each region width proposes candidates at all.
 func TestPatternTableMatchesReference(t *testing.T) {
 	if got := unsafe.Sizeof(ptEntry{}); got != 18 {

@@ -12,6 +12,7 @@ package spp
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/prefetch"
@@ -19,8 +20,8 @@ import (
 
 // Config sizes SPP's structures and thresholds.
 type Config struct {
-	STSets, STWays int     // Signature Table geometry (256 entries default)
-	PTEntries      int     // Pattern Table entries (512 default)
+	STSets, STWays int     // Signature Table geometry (256 entries default; STSets a power of two)
+	PTEntries      int     // Pattern Table entries (512 default; a power of two)
 	SigBits        uint    // signature width (12 default)
 	DeltaSlots     int     // deltas tracked per PT entry (1..maxDeltaSlots, 4 default)
 	CounterMax     int     // saturation for c_delta / c_sig (1..maxCounter, 15 default)
@@ -111,9 +112,8 @@ type Prefetcher struct {
 	cfg        Config
 	regionBits uint
 	sigMask    uint16
-	// stMask/ptMask are STSets-1 / PTEntries-1 when the respective size is a
-	// power of two (the defaults are), replacing the hot-path modulos with
-	// masks; -1 selects the generic modulo path.
+	// stMask/ptMask are STSets-1 / PTEntries-1: both sizes are powers of
+	// two, so the tables index with masks.
 	stMask, ptMask int
 
 	st   []stEntry
@@ -138,23 +138,19 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 	if cfg.CounterMax < 1 || cfg.CounterMax > maxCounter {
 		panic(fmt.Sprintf("spp: CounterMax %d out of range 1..%d", cfg.CounterMax, maxCounter))
 	}
-	p := &Prefetcher{
+	if bits.OnesCount(uint(cfg.STSets)) != 1 || bits.OnesCount(uint(cfg.PTEntries)) != 1 {
+		panic(fmt.Sprintf("spp: STSets %d and PTEntries %d must be powers of two", cfg.STSets, cfg.PTEntries))
+	}
+	return &Prefetcher{
 		cfg:        cfg,
 		regionBits: regionBits,
 		sigMask:    uint16(1<<cfg.SigBits - 1),
-		stMask:     -1,
-		ptMask:     -1,
+		stMask:     cfg.STSets - 1,
+		ptMask:     cfg.PTEntries - 1,
 		st:         make([]stEntry, cfg.STSets*cfg.STWays),
 		pt:         make([]ptEntry, cfg.PTEntries),
 		ghr:        make([]ghrEntry, cfg.GHREntries),
 	}
-	if cfg.STSets&(cfg.STSets-1) == 0 {
-		p.stMask = cfg.STSets - 1
-	}
-	if cfg.PTEntries&(cfg.PTEntries-1) == 0 {
-		p.ptMask = cfg.PTEntries - 1
-	}
-	return p
 }
 
 // Factory adapts New to prefetch.Factory.
@@ -190,22 +186,12 @@ func (p *Prefetcher) stSet(region mem.Addr) []stEntry {
 	// streams into the same set and thrash it.
 	h := uint64(region) * 0x9e3779b97f4a7c15
 	h ^= h >> 29
-	var s int
-	if p.stMask >= 0 {
-		s = int(h) & p.stMask
-	} else {
-		s = int(h % uint64(p.cfg.STSets))
-	}
+	s := int(h) & p.stMask
 	return p.st[s*p.cfg.STWays : (s+1)*p.cfg.STWays]
 }
 
 // ptIndex maps a signature to its Pattern Table entry.
-func (p *Prefetcher) ptIndex(sig uint16) int {
-	if p.ptMask >= 0 {
-		return int(sig) & p.ptMask
-	}
-	return int(sig) % p.cfg.PTEntries
-}
+func (p *Prefetcher) ptIndex(sig uint16) int { return int(sig) & p.ptMask }
 
 func (p *Prefetcher) stLookup(region mem.Addr) *stEntry {
 	set := p.stSet(region)

@@ -279,6 +279,32 @@ func TestDeltaSlotsBounds(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNonPowerOfTwoTables: the Signature and Pattern Tables index
+// with masks, which over any other size would reach only part of the table,
+// so New refuses such sizes.
+func TestNewRejectsNonPowerOfTwoTables(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"STSets 48", func(c *Config) { c.STSets = 48 }},
+		{"STSets 0", func(c *Config) { c.STSets = 0 }},
+		{"PTEntries 12", func(c *Config) { c.PTEntries = 12 }},
+		{"PTEntries -512", func(c *Config) { c.PTEntries = -512 }},
+	} {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: New accepted the size", tc.name)
+				}
+			}()
+			New(cfg, mem.PageBits4K)
+		}()
+	}
+}
+
 // TestCounterMaxBounds: the lookahead's decay table covers counters up to
 // maxCounter, so New rejects saturation points outside 1..maxCounter, and
 // both ends of the range run.

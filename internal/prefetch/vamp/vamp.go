@@ -30,8 +30,8 @@ import (
 
 // Config sizes the access-map tracker.
 type Config struct {
-	// Regions is the number of tracked virtual regions (hash-indexed,
-	// direct-mapped: a colliding region replaces the old map).
+	// Regions is the number of tracked virtual regions, a power of two
+	// (hash-indexed, direct-mapped: a colliding region replaces the old map).
 	Regions int
 	// MaxDistance is the largest stride, in blocks, the pattern scan covers
 	// (1..64).
@@ -68,8 +68,7 @@ type Prefetcher struct {
 	words      int      // bitmap words per region
 	tags       []uint64 // regionNumber<<1|1, 0 = invalid
 	bits       []uint64 // Regions × words access bitmaps
-	// slotMask is Regions-1 when Regions is a power of two, else 0 (generic
-	// modulo path).
+	// slotMask is Regions-1: Regions is a power of two.
 	slotMask uint64
 	// distMask has one bit per scanned distance: bit k-1 for k ≤ MaxDistance.
 	distMask uint64
@@ -86,20 +85,20 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 	if cfg.Degree < 1 {
 		panic(fmt.Sprintf("vamp: Degree %d below 1", cfg.Degree))
 	}
+	if bits.OnesCount(uint(cfg.Regions)) != 1 {
+		panic(fmt.Sprintf("vamp: Regions %d is not a power of two", cfg.Regions))
+	}
 	blocks := 1 << (regionBits - mem.BlockBits)
 	words := (blocks + 63) / 64
-	p := &Prefetcher{
+	return &Prefetcher{
 		cfg:        cfg,
 		regionBits: regionBits,
 		words:      words,
 		tags:       make([]uint64, cfg.Regions),
 		bits:       make([]uint64, cfg.Regions*words),
+		slotMask:   uint64(cfg.Regions - 1),
 		distMask:   lowBits(uint(cfg.MaxDistance)),
 	}
-	if cfg.Regions&(cfg.Regions-1) == 0 {
-		p.slotMask = uint64(cfg.Regions - 1)
-	}
-	return p
 }
 
 // Factory adapts New to prefetch.Factory.
@@ -111,11 +110,7 @@ func Factory(cfg Config) prefetch.Factory {
 func (p *Prefetcher) Name() string { return "vamp" }
 
 func (p *Prefetcher) slot(region uint64) int {
-	h := region * 0x9e3779b97f4a7c15
-	if p.slotMask != 0 {
-		return int(h & p.slotMask)
-	}
-	return int(h % uint64(p.cfg.Regions))
+	return int(region * 0x9e3779b97f4a7c15 & p.slotMask)
 }
 
 // chunk returns the access-map word of the aligned 64-block chunk c (block

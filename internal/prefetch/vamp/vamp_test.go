@@ -284,7 +284,7 @@ func (tr oracleTrial) run(t *testing.T, rng *rand.Rand, n int) int {
 
 // TestOperateMatchesReference: the word-parallel scan proposes exactly the
 // per-distance loop's candidate sequence across random histories, region
-// table sizes (including non-powers of two and a single colliding region),
+// table sizes (including a single colliding region),
 // region widths, distances, degrees and the 4KB clamp, with histories near
 // address 0, near the top of the address space and straddling 2MB edges.
 func TestOperateMatchesReference(t *testing.T) {
@@ -299,7 +299,7 @@ func TestOperateMatchesReference(t *testing.T) {
 		0x7f0000000000 + mem.PageSize2M + 40*mem.BlockSize,
 	}
 	trials, compared := 0, 0
-	for _, regions := range []int{1, 3, 4, 128} {
+	for _, regions := range []int{1, 2, 4, 128} {
 		for _, rb := range []uint{12, 13, 16, 21} {
 			for _, base := range bases {
 				for rep := 0; rep < 28; rep++ {
@@ -333,6 +333,9 @@ func TestNewRejectsBadBounds(t *testing.T) {
 		{"MaxDistance 65", func(c *Config) { c.MaxDistance = 65 }},
 		{"Degree 0", func(c *Config) { c.Degree = 0 }},
 		{"Degree -1", func(c *Config) { c.Degree = -1 }},
+		{"Regions 0", func(c *Config) { c.Regions = 0 }},
+		{"Regions 3", func(c *Config) { c.Regions = 3 }},
+		{"Regions 96", func(c *Config) { c.Regions = 96 }},
 	} {
 		cfg := DefaultConfig()
 		tc.edit(&cfg)

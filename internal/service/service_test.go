@@ -423,6 +423,8 @@ func TestSubmitRejectsInvalidConfig(t *testing.T) {
 		{"DRAM.RowBytes", func(cfg *sim.Config) { cfg.DRAM.RowBytes = 32 }},
 		{"PhysBytes", func(cfg *sim.Config) { cfg.PhysBytes = 1 << 40 }},
 		{"LLC.Sets", func(cfg *sim.Config) { cfg.LLC.Sets = 1 << 30 }},
+		{"Replacement", func(cfg *sim.Config) { cfg.Replacement = 1 }},
+		{"DRAM.Channels", func(cfg *sim.Config) { cfg.DRAM.Channels = 3 }},
 	}
 	for _, tc := range cases {
 		cfg := sim.DefaultConfig()

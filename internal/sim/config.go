@@ -43,9 +43,9 @@ type Config struct {
 	// DisablePromotion turns off prefetch-to-demand MSHR promotion.
 	// Ablation knob.
 	DisablePromotion bool
-	// Replacement selects the cache replacement policy at every level
-	// (LRU per Table I when zero). The page-size machinery is
-	// replacement-agnostic.
+	// Replacement must be cache.ReplLRU, the policy of every level in
+	// Table I and the only one modelled; so must each level's own
+	// Replacement. Validate rejects any other value.
 	Replacement cache.ReplPolicy
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -311,29 +310,6 @@ func TestTLBPrefetchConfigWiredThrough(t *testing.T) {
 	}
 	if pref.Walks >= base.Walks {
 		t.Errorf("TLB prefetch did not reduce demand walks: %d vs %d", pref.Walks, base.Walks)
-	}
-}
-
-func TestPSAGainReplacementAgnostic(t *testing.T) {
-	// The page-size machinery must keep its win under a different
-	// replacement policy (SRRIP) — it never touches replacement state.
-	cfg := DefaultConfig()
-	cfg.Replacement = cache.ReplSRRIP
-	w, err := trace.ByName("libquantum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := RunOpt{Warmup: 80_000, Instructions: 300_000, Seed: 1, Samples: 1}
-	orig, err := Run(cfg, PrefSpec{Base: "spp", Variant: core.Original}, w, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	psa, err := Run(cfg, PrefSpec{Base: "spp", Variant: core.PSA}, w, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if psa.IPC <= orig.IPC {
-		t.Errorf("under SRRIP, PSA (%.3f) did not beat original (%.3f)", psa.IPC, orig.IPC)
 	}
 }
 

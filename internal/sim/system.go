@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -54,8 +56,13 @@ type system struct {
 
 // newSystem assembles cores sharing one LLC (sets scaled per core) and one
 // DRAM. Each core gets its own address space over the shared allocator, its
-// own trace reader, and its own prefetch engine.
+// own trace reader, and its own prefetch engine. Each level's Replacement
+// reaches cache.New, which panics unless it is LRU, as this does for the
+// top-level one.
 func newSystem(cfg Config, spec PrefSpec, workloads []trace.Workload, seed uint64) (*system, error) {
+	if cfg.Replacement != cache.ReplLRU {
+		panic(fmt.Sprintf("sim: replacement policy %d, only LRU (0) is modelled", cfg.Replacement))
+	}
 	s := &system{cfg: cfg, spec: spec}
 	s.alloc = vm.NewAllocator(cfg.PhysBytes, seed)
 	s.dramDev = dram.New(cfg.DRAM)
@@ -65,7 +72,6 @@ func newSystem(cfg Config, spec PrefSpec, workloads []trace.Workload, seed uint6
 	// the remaining path to DRAM.
 	dramLat := cfg.DRAM.RowMissLatency + s.dramDev.BurstCycles()
 	llcCfg := cfg.LLC
-	llcCfg.Replacement = cfg.Replacement
 	// Table I specifies the LLC per core (2MB): the shared LLC scales its
 	// capacity with the core count, and its MSHR pool grows at 16 entries
 	// per additional core beyond the single-core 64 — shared-LLC pressure
@@ -91,10 +97,8 @@ func newSystem(cfg Config, spec PrefSpec, workloads []trace.Workload, seed uint6
 		n := &coreNode{id: i, l1Kind: spec.L1}
 		n.space = vm.NewAddressSpace(s.alloc, w.THP)
 		l2Cfg := named(cfg.L2, i)
-		l2Cfg.Replacement = cfg.Replacement
 		l2Cfg.PromoteLatency = cfg.LLC.Latency + dramLat
 		l1Cfg := named(cfg.L1D, i)
-		l1Cfg.Replacement = cfg.Replacement
 		l1Cfg.PromoteLatency = cfg.L2.Latency + cfg.LLC.Latency + dramLat
 		if cfg.DisablePromotion {
 			l2Cfg.PromoteLatency = 0

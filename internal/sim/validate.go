@@ -75,6 +75,14 @@ func (c Config) Validate() error {
 		}
 	}
 
+	lruOnly := func(group string, p cache.ReplPolicy) {
+		if p != cache.ReplLRU {
+			bad(group, "Replacement", p, "must be 0: LRU is the only replacement policy modelled")
+		}
+	}
+	notPow2 := func(v uint64) bool { return v&(v-1) != 0 }
+
+	lruOnly("", c.Replacement)
 	inRange("Core.", "Width", c.Core.Width, 1, maxWidth)
 	inRange("Core.", "ROBSize", c.Core.ROBSize, 1, maxROBSize)
 
@@ -86,6 +94,7 @@ func (c Config) Validate() error {
 		inRange(l.group, "Ways", l.cfg.Ways, 1, recency.MaxWays)
 		inRange(l.group, "MSHREntries", l.cfg.MSHREntries, 1, maxMSHREntries)
 		nonNegative(l.group, "Latency", l.cfg.Latency)
+		lruOnly(l.group, l.cfg.Replacement)
 	}
 
 	for _, t := range []struct {
@@ -100,10 +109,18 @@ func (c Config) Validate() error {
 	nonNegative("MMU.", "L2Latency", c.MMU.L2Latency)
 	inRange("MMU.", "WalkCacheEntries", c.MMU.WalkCacheEntries, 0, maxWalkCacheEntries)
 
-	inRange("DRAM.", "Channels", c.DRAM.Channels, 1, maxChannels)
-	inRange("DRAM.", "BanksPerChan", c.DRAM.BanksPerChan, 1, maxBanksPerChan)
-	if c.DRAM.RowBytes < mem.BlockSize {
+	// dram.New maps addresses with masks and shifts alone.
+	if inRange("DRAM.", "Channels", c.DRAM.Channels, 1, maxChannels) && notPow2(uint64(c.DRAM.Channels)) {
+		bad("DRAM.", "Channels", c.DRAM.Channels, "must be a power of two")
+	}
+	if inRange("DRAM.", "BanksPerChan", c.DRAM.BanksPerChan, 1, maxBanksPerChan) && notPow2(uint64(c.DRAM.BanksPerChan)) {
+		bad("DRAM.", "BanksPerChan", c.DRAM.BanksPerChan, "must be a power of two")
+	}
+	switch {
+	case c.DRAM.RowBytes < mem.BlockSize:
 		bad("DRAM.", "RowBytes", c.DRAM.RowBytes, fmt.Sprintf("must be at least one %d-byte block", mem.BlockSize))
+	case notPow2(uint64(c.DRAM.RowBytes)):
+		bad("DRAM.", "RowBytes", c.DRAM.RowBytes, "must be a power of two")
 	}
 	if c.DRAM.TransferMTps <= 0 {
 		bad("DRAM.", "TransferMTps", c.DRAM.TransferMTps, "must be positive")

@@ -41,6 +41,12 @@ var configRules = []struct {
 	{"DRAM.CoreGHz", func(c *Config) { c.DRAM.CoreGHz = 0 }, true},
 	{"DRAM.CoreGHz", func(c *Config) { c.DRAM.CoreGHz = math.NaN() }, false},
 	{"DRAM.RowMissLatency", func(c *Config) { c.DRAM.RowMissLatency = -1 }, false},
+	{"Replacement", func(c *Config) { c.Replacement = 1 }, true},
+	{"L1I.Replacement", func(c *Config) { c.L1I.Replacement = 1 }, true},
+	{"LLC.Replacement", func(c *Config) { c.LLC.Replacement = 1 }, true},
+	{"DRAM.Channels", func(c *Config) { c.DRAM.Channels = 3 }, true},
+	{"DRAM.BanksPerChan", func(c *Config) { c.DRAM.BanksPerChan = 6 }, true},
+	{"DRAM.RowBytes", func(c *Config) { c.DRAM.RowBytes = 192 }, true},
 	{"PhysBytes", func(c *Config) { c.PhysBytes = 32 << 20 }, true},
 	{"PhysBytes", func(c *Config) { c.PhysBytes = 1 << 40 }, false},
 	// Geometry bounds: each of these would build, allocating up to hundreds

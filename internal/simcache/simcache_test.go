@@ -95,9 +95,9 @@ func TestKeySensitivity(t *testing.T) {
 			c.DRAM.TransferMTps *= 2
 			return Key(c, spec, w, opt)
 		},
-		"config/replacement": func() string {
+		"config/DRAM row slots": func() string {
 			c := cfg
-			c.Replacement = cache.ReplSRRIP
+			c.DRAM.RowSlots = 2
 			return Key(c, spec, w, opt)
 		},
 		"spec/base": func() string {

@@ -105,11 +105,7 @@ func (t *TLB) setOf(vpn mem.Addr) int {
 	if t.setMask != 0 {
 		return int(vpn & t.setMask)
 	}
-	s := int(vpn) % t.sets
-	if s < 0 {
-		s = -s
-	}
-	return s
+	return int(vpn) % t.sets // vpn < 2^52, so int(vpn) is never negative
 }
 
 // Lookup probes the TLB for v. On a hit it returns the translation.
