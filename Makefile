@@ -50,10 +50,17 @@ vet:
 # seeds (FuzzVMRecycle) replay translate, walk, lookup, frame and flush
 # scripts on recycled allocator, page-table and TLB storage against fresh
 # storage, the spp seeds replay
-# train/lookahead scripts against the map-backed pattern-table model, and the
-# telemetry seeds replay push scripts against the shared ring's slice model.
+# train/lookahead scripts against the map-backed pattern-table model
+# (FuzzSPPPatternTable) and access and global-history scripts against the
+# map-backed, timestamp-LRU signature-table model (FuzzSPPSignatureTable:
+# one-way and four-way sets, colliding regions, bootstraps, region 0 and the
+# largest region a way packs), the ppf seeds (FuzzPPFRecords) replay
+# classify, PrefetchUseful, PrefetchUnused and DemandMiss scripts against the
+# map-backed record and plain-int weight model (record collisions, rejects
+# and saturation, tables past what a byte indexes), and the telemetry seeds
+# replay push scripts against the shared ring's slice model.
 fuzz-seeds:
-	$(GO) test -race -run=Fuzz ./internal/trace/ ./internal/service/ ./internal/vm/ ./internal/dtrace/ ./internal/prefetch/pangloss/ ./internal/prefetch/vamp/ ./internal/cache/ ./internal/prefetch/spp/ ./internal/telemetry/
+	$(GO) test -race -run=Fuzz ./internal/trace/ ./internal/service/ ./internal/vm/ ./internal/dtrace/ ./internal/prefetch/pangloss/ ./internal/prefetch/vamp/ ./internal/cache/ ./internal/prefetch/spp/ ./internal/prefetch/ppf/ ./internal/telemetry/
 
 # golden-update regenerates the checked-in figure snapshots, the
 # full-stats digest golden (TestGoldenStatsDigest) and the workload stream

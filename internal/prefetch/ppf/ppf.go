@@ -21,7 +21,7 @@ const numFeatures = 7
 // Config sizes PPF.
 type Config struct {
 	SPP           spp.Config // underlying proposer (aggressive thresholds)
-	TableEntries  int        // entries per feature weight table (1024; a power of two)
+	TableEntries  int        // entries per feature weight table (1024; a power of two, at most 1<<16)
 	WeightMax     int        // weight saturation (±31)
 	ThresholdHi   int        // sum ≥ → fill L2
 	ThresholdLo   int        // sum ≥ → fill LLC, else reject
@@ -56,12 +56,42 @@ func (c Config) Scale(k int) Config {
 	return c
 }
 
+// maxTableEntries bounds Config.TableEntries, so a feature index fits the
+// uint16 a record stores.
+const maxTableEntries = 1 << 16
+
 // record remembers the feature indices of a recent decision so the outcome
-// can train the same weights.
+// can train the same weights. tag is the decision's block address with
+// recValid set; blocks are 64-byte aligned, so the bit is free, and the
+// zero record is empty.
 type record struct {
-	block mem.Addr
-	idx   [numFeatures]int
-	valid bool
+	tag mem.Addr
+	idx [numFeatures]uint16
+}
+
+// recValid marks a live record in its tag.
+const recValid = 1
+
+// set makes r the live record of a decision on block. It narrows idx into
+// r in place: a record built on the stack and copied in would reload the
+// fresh 16-bit stores as wider words, which defeats store forwarding and
+// was measured to slow PPF's classification.
+func (r *record) set(block mem.Addr, idx [numFeatures]int) {
+	r.tag = mem.BlockAlign(block) | recValid
+	for i, j := range idx {
+		r.idx[i] = uint16(j)
+	}
+}
+
+// hit reports whether r is live and records block.
+func (r *record) hit(block mem.Addr) bool { return r.tag == mem.BlockAlign(block)|recValid }
+
+// features returns r's feature indices.
+func (r *record) features() (idx [numFeatures]int) {
+	for i, j := range r.idx {
+		idx[i] = int(j)
+	}
+	return idx
 }
 
 // Prefetcher is a PPF instance.
@@ -88,6 +118,9 @@ type Prefetcher struct {
 func New(cfg Config, regionBits uint) *Prefetcher {
 	if bits.OnesCount(uint(cfg.TableEntries)) != 1 || bits.OnesCount(uint(cfg.RecordEntries)) != 1 {
 		panic(fmt.Sprintf("ppf: TableEntries %d and RecordEntries %d must be powers of two", cfg.TableEntries, cfg.RecordEntries))
+	}
+	if cfg.TableEntries > maxTableEntries {
+		panic(fmt.Sprintf("ppf: TableEntries %d above %d, the largest a record's feature index holds", cfg.TableEntries, maxTableEntries))
 	}
 	p := &Prefetcher{
 		cfg: cfg,
@@ -167,16 +200,15 @@ func (p *Prefetcher) Operate(ctx prefetch.Context, issue func(prefetch.Candidate
 func (p *Prefetcher) classify(c prefetch.Candidate, m spp.Meta) {
 	idx := p.features(p.opCtx, c.Addr, m)
 	s := p.sum(idx)
-	rec := record{block: mem.BlockAlign(c.Addr), idx: idx, valid: true}
 	switch {
 	case s >= p.cfg.ThresholdHi:
-		p.pft[recIndex(c.Addr, p.cfg.RecordEntries)] = rec
+		p.pft[recIndex(c.Addr, p.cfg.RecordEntries)].set(c.Addr, idx)
 		p.opIssue(prefetch.Candidate{Addr: c.Addr, FillL2: true})
 	case s >= p.cfg.ThresholdLo:
-		p.pft[recIndex(c.Addr, p.cfg.RecordEntries)] = rec
+		p.pft[recIndex(c.Addr, p.cfg.RecordEntries)].set(c.Addr, idx)
 		p.opIssue(prefetch.Candidate{Addr: c.Addr, FillL2: false})
 	default:
-		p.rjt[recIndex(c.Addr, p.cfg.RecordEntries)] = rec
+		p.rjt[recIndex(c.Addr, p.cfg.RecordEntries)].set(c.Addr, idx)
 	}
 }
 
@@ -188,11 +220,11 @@ func (p *Prefetcher) Train(ctx prefetch.Context) { p.spp.Train(ctx) }
 func (p *Prefetcher) PrefetchUseful(block mem.Addr) {
 	p.spp.PrefetchUseful(block)
 	r := &p.pft[recIndex(block, p.cfg.RecordEntries)]
-	if r.valid && r.block == mem.BlockAlign(block) {
-		if p.sum(r.idx) < p.cfg.TrainMargin {
-			p.adjust(r.idx, true)
+	if r.hit(block) {
+		if idx := r.features(); p.sum(idx) < p.cfg.TrainMargin {
+			p.adjust(idx, true)
 		}
-		r.valid = false
+		r.tag = 0
 	}
 }
 
@@ -201,11 +233,11 @@ func (p *Prefetcher) PrefetchUseful(block mem.Addr) {
 func (p *Prefetcher) PrefetchUnused(block mem.Addr) {
 	p.spp.PrefetchUnused(block)
 	r := &p.pft[recIndex(block, p.cfg.RecordEntries)]
-	if r.valid && r.block == mem.BlockAlign(block) {
-		if p.sum(r.idx) > -p.cfg.TrainMargin {
-			p.adjust(r.idx, false)
+	if r.hit(block) {
+		if idx := r.features(); p.sum(idx) > -p.cfg.TrainMargin {
+			p.adjust(idx, false)
 		}
-		r.valid = false
+		r.tag = 0
 	}
 }
 
@@ -213,10 +245,10 @@ func (p *Prefetcher) PrefetchUnused(block mem.Addr) {
 // candidate was rejected means the perceptron was wrong to reject.
 func (p *Prefetcher) DemandMiss(block mem.Addr) {
 	r := &p.rjt[recIndex(block, p.cfg.RecordEntries)]
-	if r.valid && r.block == mem.BlockAlign(block) {
-		if p.sum(r.idx) < p.cfg.TrainMargin {
-			p.adjust(r.idx, true)
+	if r.hit(block) {
+		if idx := r.features(); p.sum(idx) < p.cfg.TrainMargin {
+			p.adjust(idx, true)
 		}
-		r.valid = false
+		r.tag = 0
 	}
 }

@@ -90,12 +90,12 @@ func TestRejectThenDemandMissTrainsUp(t *testing.T) {
 		})
 	}
 	for _, r := range p.rjt {
-		if r.valid {
+		if r.tag&recValid != 0 {
 			rejectedSome = true
 			// A demand miss on the rejected block must raise its weights.
-			before := p.sum(r.idx)
-			p.DemandMiss(r.block)
-			after := p.sum(r.idx)
+			before := p.sum(r.features())
+			p.DemandMiss(r.tag &^ recValid)
+			after := p.sum(r.features())
 			if after <= before {
 				t.Errorf("DemandMiss did not train up: %d -> %d", before, after)
 			}
@@ -171,5 +171,33 @@ func TestNewRejectsNonPowerOfTwoTables(t *testing.T) {
 			}()
 			New(cfg, mem.PageBits4K)
 		}()
+	}
+}
+
+// TestTableEntriesBound: a record stores each feature index in 16 bits, so
+// New rejects weight tables past 1<<16 entries, and a filter at the bound
+// runs.
+func TestTableEntriesBound(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TableEntries = maxTableEntries << 1
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("New accepted TableEntries = %d", cfg.TableEntries)
+			}
+		}()
+		New(cfg, mem.PageBits4K)
+	}()
+	cfg.TableEntries = maxTableEntries
+	p := New(cfg, mem.PageBits4K)
+	n := 0
+	for i := 0; i < 32; i++ {
+		p.Operate(ctxAt(0x40000000+mem.Addr(i)*mem.BlockSize), func(c prefetch.Candidate) {
+			n++
+			p.PrefetchUseful(c.Addr)
+		})
+	}
+	if n == 0 {
+		t.Errorf("TableEntries = %d: nothing issued on a +1 stride", maxTableEntries)
 	}
 }

@@ -16,11 +16,12 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/prefetch"
+	"repro/internal/recency"
 )
 
 // Config sizes SPP's structures and thresholds.
 type Config struct {
-	STSets, STWays int     // Signature Table geometry (256 entries default; STSets a power of two)
+	STSets, STWays int     // Signature Table geometry (256 entries default; STSets a power of two, STWays 1..recency.MaxWays)
 	PTEntries      int     // Pattern Table entries (512 default; a power of two)
 	SigBits        uint    // signature width (12 default)
 	DeltaSlots     int     // deltas tracked per PT entry (1..maxDeltaSlots, 4 default)
@@ -54,20 +55,31 @@ func (c Config) Scale(k int) Config {
 	return c
 }
 
-type stEntry struct {
-	tag        mem.Addr
-	valid      bool
-	lastOffset int
-	sig        uint16
-	lru        uint64
+// A Signature Table way is one word: the signature in bits 0-15, the last
+// offset in bits 16-30 (a 2MB region holds 2^15 blocks) and region+1 in
+// bits 31-63, so the zero word is a way never filled. Regions at or above
+// stRegionLimit would lose high bits and alias, so a fill panics on them
+// (stWord).
+const (
+	stOffShift    = 16
+	stOffMask     = 1<<15 - 1
+	stKeyShift    = 31
+	stRegionLimit = 1<<(64-stKeyShift) - 1
+)
+
+// stWord packs a filled Signature Table way.
+func stWord(region mem.Addr, off int, sig uint16) uint64 {
+	if region >= stRegionLimit {
+		stOverflow(region)
+	}
+	return (uint64(region)+1)<<stKeyShift | uint64(off)<<stOffShift | uint64(sig)
 }
 
-// deltaSlot is one Pattern Table delta and its counter. New bounds
-// regionBits to 12..21, so |delta| < 2^15 blocks, and CounterMax to
-// maxCounter, so the counter fits a byte.
-type deltaSlot struct {
-	delta int16
-	c     uint8
+// stOverflow is stWord's panic, kept out of line so stWord stays inlinable.
+//
+//go:noinline
+func stOverflow(region mem.Addr) {
+	panic(fmt.Sprintf("spp: region %#x is past the Signature Table word's limit 2^33 - 1", region))
 }
 
 // maxDeltaSlots bounds Config.DeltaSlots: each Pattern Table entry holds its
@@ -75,7 +87,7 @@ type deltaSlot struct {
 const maxDeltaSlots = 4
 
 // maxCounter bounds Config.CounterMax, so every c_delta/c_sig pair indexes
-// counterRatio.
+// counterRatio and fits a nibble.
 const maxCounter = 15
 
 // counterRatio[c][s] is float64(c)/float64(s), the path-confidence decay
@@ -93,10 +105,23 @@ var counterRatio = func() (r [maxCounter + 1][maxCounter + 1]float64) {
 	return r
 }()
 
+// ptEntry is one Pattern Table entry. New bounds regionBits to 12..21, so
+// |delta| < 2^15 blocks, and CounterMax to maxCounter, so every counter is
+// a nibble of cnt: nibble 0 holds c_sig, nibble 1+i slot i's c_delta.
 type ptEntry struct {
-	csig   uint8
-	deltas [maxDeltaSlots]deltaSlot // deltas[:cfg.DeltaSlots] are live
+	cnt    uint32
+	deltas [maxDeltaSlots]int16 // deltas[:cfg.DeltaSlots] are live
 }
+
+// ptAgeMask clears the bit each nibble receives from its upper neighbour
+// when cnt shifts right by one, so one shift-and-mask halves every counter.
+const ptAgeMask = 0x77777
+
+// csig returns the entry's signature counter.
+func (e *ptEntry) csig() int { return int(e.cnt & 0xF) }
+
+// c returns slot i's delta counter.
+func (e *ptEntry) c(i int) int { return int(e.cnt >> (4 * uint(i+1)) & 0xF) }
 
 type ghrEntry struct {
 	valid      bool
@@ -116,10 +141,12 @@ type Prefetcher struct {
 	// two, so the tables index with masks.
 	stMask, ptMask int
 
-	st   []stEntry
-	pt   []ptEntry
-	ghr  []ghrEntry
-	tick uint64
+	// The Signature Table is one allocation: STSets*STWays way words
+	// (stWays, set s at s*STWays) then one recency word per set (stOrder).
+	stWays, stOrder []uint64
+	pt              []ptEntry
+	ghr             []ghrEntry
+	tick            uint64 // the GHR's recency clock
 
 	// Global accuracy throttle: path confidence is scaled by the observed
 	// useful/issued ratio, halved periodically to track phases.
@@ -141,16 +168,27 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 	if bits.OnesCount(uint(cfg.STSets)) != 1 || bits.OnesCount(uint(cfg.PTEntries)) != 1 {
 		panic(fmt.Sprintf("spp: STSets %d and PTEntries %d must be powers of two", cfg.STSets, cfg.PTEntries))
 	}
-	return &Prefetcher{
+	if cfg.STWays < 1 || cfg.STWays > recency.MaxWays {
+		panic(fmt.Sprintf("spp: STWays %d out of range 1..%d, the recency order's limit", cfg.STWays, recency.MaxWays))
+	}
+	n := cfg.STSets * cfg.STWays
+	st := make([]uint64, n+cfg.STSets)
+	p := &Prefetcher{
 		cfg:        cfg,
 		regionBits: regionBits,
 		sigMask:    uint16(1<<cfg.SigBits - 1),
 		stMask:     cfg.STSets - 1,
 		ptMask:     cfg.PTEntries - 1,
-		st:         make([]stEntry, cfg.STSets*cfg.STWays),
+		stWays:     st[:n:n],
+		stOrder:    st[n:],
 		pt:         make([]ptEntry, cfg.PTEntries),
 		ghr:        make([]ghrEntry, cfg.GHREntries),
 	}
+	initial := recency.Initial(cfg.STWays)
+	for s := range p.stOrder {
+		p.stOrder[s] = initial
+	}
+	return p
 }
 
 // Factory adapts New to prefetch.Factory.
@@ -180,78 +218,46 @@ func (p *Prefetcher) nextSig(sig uint16, delta int) uint16 {
 	return ((sig << 3) ^ uint16(enc)) & p.sigMask
 }
 
-func (p *Prefetcher) stSet(region mem.Addr) []stEntry {
+// stSet returns the Signature Table set that holds region.
+func (p *Prefetcher) stSet(region mem.Addr) int {
 	// The set index hashes the region number: physically contiguous 2MB
 	// pages are 512-page aligned, so raw low bits would map concurrent
 	// streams into the same set and thrash it.
 	h := uint64(region) * 0x9e3779b97f4a7c15
 	h ^= h >> 29
-	s := int(h) & p.stMask
-	return p.st[s*p.cfg.STWays : (s+1)*p.cfg.STWays]
+	return int(h) & p.stMask
 }
 
 // ptIndex maps a signature to its Pattern Table entry.
 func (p *Prefetcher) ptIndex(sig uint16) int { return int(sig) & p.ptMask }
 
-func (p *Prefetcher) stLookup(region mem.Addr) *stEntry {
-	set := p.stSet(region)
-	for i := range set {
-		if set[i].valid && set[i].tag == region {
-			p.tick++
-			set[i].lru = p.tick
-			return &set[i]
-		}
-	}
-	return nil
-}
-
-func (p *Prefetcher) stInsert(region mem.Addr, off int, sig uint16) *stEntry {
-	set := p.stSet(region)
-	v := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			v = &set[i]
-			break
-		}
-		if set[i].lru < v.lru {
-			v = &set[i]
-		}
-	}
-	p.tick++
-	*v = stEntry{tag: region, valid: true, lastOffset: off, sig: sig, lru: p.tick}
-	return v
-}
-
 // ptUpdate records the observed delta under the signature.
 func (p *Prefetcher) ptUpdate(sig uint16, delta int) {
 	e := &p.pt[p.ptIndex(sig)]
-	deltas := e.deltas[:p.cfg.DeltaSlots]
-	cmax := uint8(p.cfg.CounterMax)
-	if e.csig >= cmax {
+	cmax := p.cfg.CounterMax
+	if e.csig() >= cmax {
 		// Saturated: age all counters to keep ratios adaptive.
-		e.csig >>= 1
-		for i := range deltas {
-			deltas[i].c >>= 1
-		}
+		e.cnt = e.cnt >> 1 & ptAgeMask
 	}
-	e.csig++
+	e.cnt++ // c_sig < cmax ≤ 15 here: no carry out of nibble 0
 	slot := -1
 	minI := 0
-	for i := range deltas {
-		if deltas[i].c > 0 && int(deltas[i].delta) == delta {
+	for i := 0; i < p.cfg.DeltaSlots; i++ {
+		if e.c(i) > 0 && int(e.deltas[i]) == delta {
 			slot = i
 			break
 		}
-		if deltas[i].c < deltas[minI].c {
+		if e.c(i) < e.c(minI) {
 			minI = i
 		}
 	}
 	if slot < 0 {
-		deltas[minI] = deltaSlot{delta: int16(delta), c: 0}
+		e.deltas[minI] = int16(delta)
+		e.cnt &^= 0xF << (4 * uint(minI+1))
 		slot = minI
 	}
-	if deltas[slot].c < cmax {
-		deltas[slot].c++
+	if e.c(slot) < cmax {
+		e.cnt += 1 << (4 * uint(slot+1))
 	}
 }
 
@@ -351,22 +357,30 @@ func (p *Prefetcher) train(ctx prefetch.Context) (sig uint16, off int, ok bool) 
 	}
 	region := p.region(ctx.Addr)
 	off = p.offset(ctx.Addr)
-	if e := p.stLookup(region); e != nil {
-		delta := off - e.lastOffset
-		if delta == 0 {
-			return e.sig, off, true
+	set := p.stSet(region)
+	ways := p.stWays[set*p.cfg.STWays : (set+1)*p.cfg.STWays]
+	key := uint64(region) + 1
+	for i, w := range ways {
+		if w>>stKeyShift != key {
+			continue
 		}
-		p.ptUpdate(e.sig, delta)
-		e.sig = p.nextSig(e.sig, delta)
-		e.lastOffset = off
-		return e.sig, off, true
+		p.stOrder[set] = recency.Promote(p.stOrder[set], i)
+		sig = uint16(w)
+		delta := off - int(w>>stOffShift&stOffMask)
+		if delta == 0 {
+			return sig, off, true
+		}
+		p.ptUpdate(sig, delta)
+		sig = p.nextSig(sig, delta)
+		ways[i] = stWord(region, off, sig)
+		return sig, off, true
 	}
-	// First touch of this region: try to resume a cross-region path.
+	// First touch of this region: try to resume a cross-region path, and
+	// fill the set's tail way — its first never-filled way, else its LRU.
 	bootSig, found := p.ghrBootstrap(off)
-	if !found {
-		bootSig = 0
-	}
-	p.stInsert(region, off, bootSig)
+	v := recency.Way(p.stOrder[set], p.cfg.STWays-1)
+	ways[v] = stWord(region, off, bootSig)
+	p.stOrder[set] = recency.Promote(p.stOrder[set], v)
 	return bootSig, off, found
 }
 
@@ -398,19 +412,23 @@ func (p *Prefetcher) lookahead(trigger mem.Addr, sig uint16, off int,
 	alpha := path
 	for depth := 0; depth < p.cfg.MaxLookahead; depth++ {
 		e := &p.pt[p.ptIndex(sig)]
-		if e.csig == 0 {
+		csig := e.csig()
+		if csig == 0 {
 			return
 		}
 		bestC, bestDelta := 0, 0
-		for _, s := range e.deltas[:p.cfg.DeltaSlots] {
-			if s.c == 0 {
+		cnt := e.cnt
+		for _, d := range e.deltas[:p.cfg.DeltaSlots] {
+			cnt >>= 4 // the slot's c_delta to nibble 0
+			n := int(cnt & 0xF)
+			if n == 0 {
 				continue
 			}
-			conf := path * float64(s.c) / float64(e.csig)
+			conf := path * float64(n) / float64(csig)
 			if conf < p.cfg.LLCThreshold {
 				continue
 			}
-			delta := int(s.delta)
+			delta := int(d)
 			target := base + delta
 			cand := regionBase + mem.Addr(target)*mem.BlockSize
 			// Candidates may leave the indexing region (that is the whole
@@ -435,8 +453,8 @@ func (p *Prefetcher) lookahead(trigger mem.Addr, sig uint16, off int,
 			} else {
 				issue(c)
 			}
-			if int(s.c) > bestC {
-				bestC, bestDelta = int(s.c), delta
+			if n > bestC {
+				bestC, bestDelta = n, delta
 			}
 		}
 		if bestC == 0 {
@@ -445,7 +463,7 @@ func (p *Prefetcher) lookahead(trigger mem.Addr, sig uint16, off int,
 		// Path confidence decays by the delta ratio and by the global
 		// accuracy factor at every level, as in the original design — an
 		// inaccurate phase cuts lookahead short quickly.
-		path *= counterRatio[bestC][e.csig] * alpha
+		path *= counterRatio[bestC][csig] * alpha
 		if path < p.cfg.LLCThreshold {
 			return
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/prefetch"
+	"repro/internal/recency"
 )
 
 func ctxAt(addr mem.Addr) prefetch.Context {
@@ -235,10 +236,10 @@ func TestPTCounterSaturationAges(t *testing.T) {
 		p.ptUpdate(5, 1)
 	}
 	e := &p.pt[5]
-	if int(e.csig) > p.cfg.CounterMax || int(e.deltas[0].c) > p.cfg.CounterMax {
-		t.Errorf("counters exceeded saturation: csig=%d c=%d", e.csig, e.deltas[0].c)
+	if e.csig() > p.cfg.CounterMax || e.c(0) > p.cfg.CounterMax {
+		t.Errorf("counters exceeded saturation: csig=%d c=%d", e.csig(), e.c(0))
 	}
-	if e.deltas[0].c == 0 {
+	if e.c(0) == 0 {
 		t.Error("dominant delta lost after aging")
 	}
 }
@@ -272,9 +273,10 @@ func TestDeltaSlotsBounds(t *testing.T) {
 	for d := 1; d <= 6; d++ {
 		p.ptUpdate(5, d)
 	}
-	for i, s := range p.pt[5].deltas[cfg.DeltaSlots:] {
-		if s != (deltaSlot{}) {
-			t.Errorf("slot %d beyond DeltaSlots trained: %+v", cfg.DeltaSlots+i, s)
+	e := &p.pt[5]
+	for i := cfg.DeltaSlots; i < maxDeltaSlots; i++ {
+		if e.deltas[i] != 0 || e.c(i) != 0 {
+			t.Errorf("slot %d beyond DeltaSlots trained: delta %d count %d", i, e.deltas[i], e.c(i))
 		}
 	}
 }
@@ -377,5 +379,55 @@ func TestOperateMatchesOperateMeta(t *testing.T) {
 			t.Fatalf("regionBits=%d: no candidates proposed", rb)
 		}
 		t.Logf("regionBits=%d: %d candidates agree", rb, total)
+	}
+}
+
+// TestSTWaysBounds: each Signature Table set keeps its LRU order in one
+// recency word, so New rejects associativities the word cannot order, and
+// accepts the largest it can.
+func TestSTWaysBounds(t *testing.T) {
+	for _, n := range []int{0, -1, recency.MaxWays + 1} {
+		cfg := DefaultConfig()
+		cfg.STWays = n
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted STWays = %d", n)
+				}
+			}()
+			New(cfg, mem.PageBits4K)
+		}()
+	}
+	cfg := DefaultConfig()
+	cfg.STWays = recency.MaxWays
+	offsets := make([]int, 16)
+	for i := range offsets {
+		offsets[i] = i
+	}
+	if cands := drive(New(cfg, mem.PageBits4K), 0x40000000, offsets); len(cands) == 0 {
+		t.Errorf("STWays = %d: no candidates after a +1 stride", recency.MaxWays)
+	}
+}
+
+// TestSignatureTableRegionLimit: a Signature Table way packs region+1 into
+// its top 33 bits. The largest region that fits is tracked like any other,
+// and the first past it panics on fill rather than alias onto a smaller
+// region or onto a way never filled.
+func TestSignatureTableRegionLimit(t *testing.T) {
+	for _, rb := range []uint{mem.PageBits4K, mem.PageBits2M} {
+		p := New(DefaultConfig(), rb)
+		top := mem.Addr(stRegionLimit-1) << rb
+		p.Train(ctxAt(top))
+		if sig, off, ok := p.train(ctxAt(top + 3*mem.BlockSize)); !ok || off != 3 || sig != p.nextSig(0, 3) {
+			t.Errorf("regionBits %d: the largest region was not tracked: sig %#x offset %d ok %v", rb, sig, off, ok)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("regionBits %d: a fill of region %#x did not panic", rb, mem.Addr(stRegionLimit))
+				}
+			}()
+			p.Train(ctxAt(mem.Addr(stRegionLimit) << rb))
+		}()
 	}
 }

@@ -29,8 +29,8 @@ func TestConstructionBudget(t *testing.T) {
 		objects  float64 // heap objects per system
 		kb       float64 // heap KB per system
 	}{
-		{"libquantum", PrefSpec{Base: "spp", Variant: core.PSASD}, 94, 785.5},
-		{"mcf", PrefSpec{Base: "ppf", Variant: core.PSA}, 93.5, 918},
+		{"libquantum", PrefSpec{Base: "spp", Variant: core.PSASD}, 94, 766},
+		{"mcf", PrefSpec{Base: "ppf", Variant: core.PSA}, 93.5, 814},
 		{"soplex", PrefSpec{Base: "vldp", Variant: core.Original}, 91, 755},
 	}
 	const builds = 20

@@ -54,8 +54,11 @@ func allocated(fn func()) uint64 {
 // and every run after the first of each recycles its predecessor's storage
 // (cache slabs, frame bitmap, page-table slabs, TLB arrays, the core's ROB
 // and trace batch) instead of allocating it anew: for one core, 578 KB of
-// cache storage and 166–262 KB of VM and core storage. The mix's allocator
-// covers its scaled physical memory, a bitmap of its own shape. Byte counts
+// cache storage and 166–262 KB of VM and core storage. What is left is
+// mostly the prefetchers' tables, allocated per run: 9.1 KB per SPP
+// instance (PSA-SD builds two) and 65 KB per PPF instance. The mix's
+// allocator covers its scaled physical memory, a bitmap of its own shape.
+// Byte counts
 // are deterministic with collection off and one processor (pinPool), so
 // each row allows 5% above its recorded value. TestAllocsPerAccessGate
 // counts objects only: storage that goes back to one allocation per
@@ -78,13 +81,13 @@ func TestRunBytesBudget(t *testing.T) {
 		run  func()
 		kb   float64 // heap KB per run after the first
 	}{
-		{"libquantum/spp-PSA-SD", single("libquantum", PrefSpec{Base: "spp", Variant: core.PSASD}), 49.5},
-		{"mcf/ppf-PSA", single("mcf", PrefSpec{Base: "ppf", Variant: core.PSA}), 186.5},
+		{"libquantum/spp-PSA-SD", single("libquantum", PrefSpec{Base: "spp", Variant: core.PSASD}), 28.5},
+		{"mcf/ppf-PSA", single("mcf", PrefSpec{Base: "ppf", Variant: core.PSA}), 80},
 		{"mix(4)/spp-PSA", func() {
 			if _, err := RunMulti(DefaultConfig(), PrefSpec{Base: "spp", Variant: core.PSA}, mix, opt); err != nil {
 				t.Fatal(err)
 			}
-		}, 114.5},
+		}, 72},
 	}
 	for _, row := range rows {
 		row.run() // first run: memoized generator tables, fresh storage

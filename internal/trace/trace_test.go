@@ -62,10 +62,24 @@ func TestSuiteGrouping(t *testing.T) {
 	}
 }
 
+// TestByName: ByName resolves every workload of All to itself, allocates
+// nothing for an intensive or a non-intensive name (it runs once per
+// simulation a server resolves), and errors on an unknown name.
 func TestByName(t *testing.T) {
-	w, err := ByName("milc")
-	if err != nil || w.Name != "milc" {
-		t.Errorf("ByName(milc) = %v, %v", w.Name, err)
+	for _, want := range All() {
+		w, err := ByName(want.Name)
+		if err != nil || w.Name != want.Name || w.Suite != want.Suite || w.Intensive != want.Intensive {
+			t.Errorf("ByName(%s) = %s/%s intensive=%v, %v", want.Name, w.Name, w.Suite, w.Intensive, err)
+		}
+	}
+	for _, name := range []string{"milc", "perlbench"} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := ByName(name); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("ByName(%s) allocates %.1f objects, want 0", name, n)
+		}
 	}
 	if _, err := ByName("nonexistent"); err == nil {
 		t.Error("ByName of unknown workload did not error")

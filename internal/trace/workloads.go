@@ -222,11 +222,17 @@ func All() []Workload {
 	return append(Intensive(), nonIntensive...)
 }
 
-// ByName finds a workload in the full set.
+// ByName finds a workload in the full set, All's, in All's order; it
+// searches the catalogue in place rather than build All's copy.
 func ByName(name string) (Workload, error) {
-	for _, w := range All() {
-		if w.Name == name {
-			return w, nil
+	for i := range catalogue {
+		if catalogue[i].Intensive && catalogue[i].Name == name {
+			return catalogue[i], nil
+		}
+	}
+	for i := range nonIntensive {
+		if nonIntensive[i].Name == name {
+			return nonIntensive[i], nil
 		}
 	}
 	return Workload{}, fmt.Errorf("trace: unknown workload %q", name)
