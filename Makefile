@@ -90,8 +90,9 @@ e2e:
 	$(GO) test -race -run '^TestE2EServerParity$$' -v ./internal/service/
 
 # e2e-cluster drives a 3-node in-process cluster: byte-identical figures vs
-# a local run, zero duplicate simulations cluster-wide (cross-node cache
-# fills), and survival of a node killed mid-batch.
+# a local run, zero duplicate simulations cluster-wide (owners answer
+# peers' repeat requests from their stores), and survival of a node killed
+# mid-batch.
 e2e-cluster:
 	$(GO) test -race -run 'TestE2ECluster' -v ./internal/service/
 

@@ -11,9 +11,10 @@
 //	pexp -fig 8 -server http://localhost:8080
 //
 // Cluster mode gangs several daemons into one logical service: each
-// simulation key has a single owning node on a consistent-hash ring, cache
-// entries flow between nodes on demand, and a non-owner proxies cold
-// simulations to the owner (computing locally if the owner is down):
+// simulation key has a single owning node on a consistent-hash ring, and a
+// non-owner proxies every simulation it has not stored to the owner, which
+// answers from its store or computes (the non-owner computes locally if the
+// owner is down):
 //
 //	psimd -addr :8080 -cluster -node-id a -peers b=http://h2:8080,c=http://h3:8080
 //	pexp -fig 8 -server http://h1:8080,http://h2:8080,http://h3:8080
@@ -21,7 +22,7 @@
 // Endpoints: POST /v1/sims, GET /v1/jobs/{id}, GET /v1/jobs/{id}/events
 // (SSE), DELETE /v1/jobs/{id}, GET /healthz, GET /metrics (Prometheus text),
 // GET /debug/flight (the span flight recorder, see -flight-cap); cluster mode
-// adds the peer protocol under /v1/cluster/* and /v1/cache/*. -debug-addr
+// adds the peer protocol under /v1/cluster/*. -debug-addr
 // serves net/http/pprof on a separate (private) listener.
 //
 // SIGINT/SIGTERM drains gracefully: admission stops, accepted jobs finish
@@ -101,7 +102,7 @@ func run() int {
 
 	if *clustered {
 		if cfg.Store == nil {
-			log.Printf("psimd: -cluster requires the result cache (cross-node fills land there); remove -no-cache or fix -cache-dir")
+			log.Printf("psimd: -cluster requires the result cache (the ring routes over its keys); remove -no-cache or fix -cache-dir")
 			return 1
 		}
 		seeds, err := cluster.ParsePeers(*peers)
@@ -140,9 +141,6 @@ func run() int {
 			node = cfg.Cluster.Self.ID
 		}
 		cfg.Flight = dtrace.NewRecorder(node, *flightCap)
-		if cfg.Cluster != nil {
-			cfg.Cluster.Flight = cfg.Flight
-		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

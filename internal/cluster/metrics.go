@@ -18,11 +18,10 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	counter("psimd_cluster_remote_hits_total", "Results served by a peer's cache instead of simulating here.", st.RemoteHits)
+	counter("psimd_cluster_remote_hits_total", "Results the owning peer served from its store instead of simulating.", st.RemoteHits)
 	counter("psimd_cluster_proxied_total", "Simulations executed remotely on their owning node.", st.ProxiedSims)
 	counter("psimd_cluster_failovers_total", "Remote attempts abandoned for local execution.", st.Failovers)
-	counter("psimd_cluster_entries_served_total", "Cache entries served to peers.", st.EntriesServed)
 
 	n.proxyLatency.WritePrometheus(w, "psimd_cluster_proxy_latency_seconds",
-		"Round-trip seconds of remote cache fetches and proxied simulations.", 1e9)
+		"Round-trip seconds of proxied simulations.", 1e9)
 }

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dtrace"
 	"repro/internal/telemetry"
 )
 
@@ -24,64 +23,51 @@ type Options struct {
 	// HeartbeatInterval between gossip rounds (default 1s; < 0 disables the
 	// background loop — tests drive HeartbeatOnce directly).
 	HeartbeatInterval time.Duration
-	// Flight, when non-nil, records spans for the cluster protocol's server
-	// side (cache entries served to peers) into the node's flight ring. Nil
-	// disables span recording for free.
-	Flight *dtrace.Recorder
 }
 
 // failThreshold is how many consecutive missed heartbeats rule a peer dead.
 // Proxy failures kill immediately regardless (ReportFailure).
 const failThreshold = 3
 
-// Hooks is how the owning subsystem (psimd's service layer) plugs its store
-// and lifecycle into the cluster protocol. Both hooks must be safe for
-// concurrent use; either may be nil, which disables the behavior it backs.
-type Hooks struct {
-	// FetchLocal returns the locally stored serialized entry for key, if
-	// present. Backs GET /v1/cache/{key}.
-	FetchLocal func(key string) ([]byte, bool)
-	// Draining reports whether the owning server has stopped accepting
-	// work; heartbeats carry it so peers route around a draining node.
-	Draining func() bool
-}
-
 // Node is one member's cluster runtime: membership + routing + the
-// heartbeat loop + the protocol's server side.
+// heartbeat loop + the control plane's server side.
 type Node struct {
 	opts Options
 	mem  *Membership
 
 	// Cluster traffic counters (see StatsView / WriteMetrics).
-	remoteHits    atomic.Uint64 // results obtained from a peer (fetch or proxy hit)
-	proxiedSims   atomic.Uint64 // sims executed remotely on their owner
-	failovers     atomic.Uint64 // remote attempts abandoned for local execution
-	entriesServed atomic.Uint64 // cache entries served to peers
+	remoteHits  atomic.Uint64 // results the owner served from its store
+	proxiedSims atomic.Uint64 // sims executed remotely on their owner
+	failovers   atomic.Uint64 // remote attempts abandoned for local execution
 
-	proxyLatency *telemetry.Histogram // ns per remote fetch/exec round-trip
+	proxyLatency *telemetry.Histogram // ns per proxied round-trip
 
 	loopCtx  context.Context
 	loopStop context.CancelFunc
 	wg       sync.WaitGroup
 	started  atomic.Bool
 
-	hooks Hooks
+	// ownerDraining reports whether the owning server has stopped accepting
+	// work; nil means never. Heartbeats carry it so peers route around a
+	// draining node.
+	ownerDraining func() bool
 }
 
-// NewNode builds a node from options and hooks; call Start to launch the
+// NewNode builds a node; draining (safe for concurrent use, may be nil)
+// reports the owning server's drain state. Call Start to launch the
 // heartbeat loop (tests may instead drive HeartbeatOnce manually).
-func NewNode(opts Options, hooks Hooks) *Node {
+func NewNode(opts Options, draining func() bool) *Node {
 	if opts.HeartbeatInterval == 0 {
 		opts.HeartbeatInterval = time.Second
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	return &Node{
-		opts:         opts,
-		mem:          NewMembership(opts.Self, opts.Seeds, DefaultVirtualNodes),
-		proxyLatency: telemetry.NewHistogram(telemetry.LatencyBounds...),
-		loopCtx:      ctx,
-		loopStop:     stop,
-		hooks:        hooks,
+		opts:          opts,
+		mem:           NewMembership(opts.Self, opts.Seeds, DefaultVirtualNodes),
+		proxyLatency:  telemetry.NewHistogram(telemetry.LatencyBounds...),
+		loopCtx:       ctx,
+		loopStop:      stop,
+		ownerDraining: draining,
 	}
 }
 
@@ -106,14 +92,14 @@ func (n *Node) Owner(key string) (info NodeInfo, self bool) {
 }
 
 // ReportFailure records first-hand evidence that peer id is unreachable
-// (a failed proxy or fetch): the peer leaves the ring immediately and the
+// (a failed proxied call): the peer leaves the ring immediately and the
 // heartbeat loop takes over probing for its return.
 func (n *Node) ReportFailure(id string) {
 	n.mem.MarkFailure(id, 1)
 }
 
-// ObserveRemote folds one remote round-trip (cache fetch or proxied
-// execution) into the proxy latency histogram.
+// ObserveRemote folds one proxied round-trip into the proxy latency
+// histogram.
 func (n *Node) ObserveRemote(d time.Duration) { n.proxyLatency.Observe(uint64(d)) }
 
 // CountRemoteHit / CountProxied / CountFailover tick the routing counters;
@@ -164,11 +150,7 @@ func (n *Node) Leave(ctx context.Context) {
 // included, so a returning node is noticed) receives our identity, draining
 // state, and peer view, and their response is merged back.
 func (n *Node) HeartbeatOnce(ctx context.Context) {
-	req := HeartbeatRequest{
-		From:     n.mem.Self(),
-		Draining: n.draining(),
-		Peers:    n.mem.Peers(),
-	}
+	req := n.heartbeat()
 	for _, p := range n.mem.Peers() {
 		hctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 		resp, err := Heartbeat(hctx, p.URL, req)
@@ -182,25 +164,34 @@ func (n *Node) HeartbeatOnce(ctx context.Context) {
 	}
 }
 
+// heartbeat is this node's side of a gossip exchange, sent as a request by
+// HeartbeatOnce and as the response by handleHeartbeat.
+func (n *Node) heartbeat() HeartbeatMessage {
+	return HeartbeatMessage{
+		From:     n.mem.Self(),
+		Draining: n.draining(),
+		Peers:    n.mem.Peers(),
+	}
+}
+
 func (n *Node) draining() bool {
 	if n.mem.Draining() {
 		return true
 	}
-	return n.hooks.Draining != nil && n.hooks.Draining()
+	return n.ownerDraining != nil && n.ownerDraining()
 }
 
-// Handler serves the cluster protocol: heartbeat, state, and the cache
-// entry fetch endpoint. The owning server mounts it alongside its own API.
+// Handler serves the cluster control plane: heartbeat and state. The owning
+// server mounts it alongside its own API.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathHeartbeat, n.handleHeartbeat)
 	mux.HandleFunc("GET "+PathState, n.handleState)
-	mux.HandleFunc("GET "+PathCache+"{key}", n.handleCacheGet)
 	return mux
 }
 
 func (n *Node) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
+	var req HeartbeatMessage
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
 		http.Error(w, "bad heartbeat: "+err.Error(), http.StatusBadRequest)
 		return
@@ -211,11 +202,7 @@ func (n *Node) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		n.mem.MarkAlive(req.From.ID, req.Draining)
 	}
 	n.mem.Merge(req.Peers)
-	writeJSON(w, HeartbeatResponse{
-		From:     n.mem.Self(),
-		Draining: n.draining(),
-		Peers:    n.mem.Peers(),
-	})
+	writeJSON(w, n.heartbeat())
 }
 
 func (n *Node) handleState(w http.ResponseWriter, r *http.Request) {
@@ -228,37 +215,6 @@ func (n *Node) handleState(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (n *Node) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	// PathValue unescapes %2F, so a key like "..%2F..%2Fetc" would name a
-	// file outside the store. Such a key can name no entry: a clean 404.
-	if !hexKey(key) {
-		http.Error(w, "not cached", http.StatusNotFound)
-		return
-	}
-	// Only traced fetches record a span: an orphan-free tree needs the
-	// requester's traceparent, and untraced peers should stay free.
-	if sc, ok := dtrace.Extract(r.Header); ok {
-		sp := n.opts.Flight.StartSpan(sc, "cache.serve")
-		sp.Annotate(shortKey(key))
-		defer sp.End()
-	}
-	if n.hooks.FetchLocal == nil {
-		http.Error(w, "no local store", http.StatusNotFound)
-		return
-	}
-	body, ok := n.hooks.FetchLocal(key)
-	if !ok {
-		http.Error(w, "not cached", http.StatusNotFound)
-		return
-	}
-	n.entriesServed.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(ChecksumHeader, Checksum(body))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
@@ -268,43 +224,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 // Stats snapshots the node's counters.
 func (n *Node) Stats() StatsView {
 	return StatsView{
-		RemoteHits:    n.remoteHits.Load(),
-		ProxiedSims:   n.proxiedSims.Load(),
-		Failovers:     n.failovers.Load(),
-		EntriesServed: n.entriesServed.Load(),
+		RemoteHits:  n.remoteHits.Load(),
+		ProxiedSims: n.proxiedSims.Load(),
+		Failovers:   n.failovers.Load(),
 	}
-}
-
-// FetchRemote retrieves (and checksum-verifies) key's entry from the peer at
-// base, accounting the round-trip.
-func (n *Node) FetchRemote(ctx context.Context, base, key string) ([]byte, bool, error) {
-	start := time.Now()
-	body, ok, err := FetchEntry(ctx, base, key)
-	n.ObserveRemote(time.Since(start))
-	return body, ok, err
-}
-
-// hexKey reports whether key is non-empty lowercase hex, the alphabet of
-// the content-addressed (SHA-256) keys the cache stores entries under.
-func hexKey(key string) bool {
-	if key == "" {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// shortKey truncates a content-addressed key to a span-annotation-sized
-// prefix (keys are digests; the prefix is enough to correlate).
-func shortKey(key string) string {
-	if len(key) > 16 {
-		return key[:16]
-	}
-	return key
 }
 
 // String renders a short identity for logs.

@@ -6,18 +6,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sync"
 	"testing"
 )
 
-// testNode is a cluster node mounted on a live httptest server, with an
-// in-memory entry store behind its hooks. The URL is only known after the
-// listener exists, so the handler is bound late through the mux indirection.
+// testNode is a cluster node mounted on a live httptest server. The URL is
+// only known after the listener exists, so the handler is bound late through
+// the mux indirection.
 type testNode struct {
 	*Node
-	srv   *httptest.Server
-	mu    sync.Mutex
-	store map[string][]byte
+	srv *httptest.Server
 }
 
 // startTestNodes builds n interconnected nodes named prefix0..prefixN-1,
@@ -28,7 +25,7 @@ func startTestNodes(t *testing.T, prefix string, n int) []*testNode {
 	nodes := make([]*testNode, n)
 	infos := make([]NodeInfo, n)
 	for i := range nodes {
-		tn := &testNode{store: map[string][]byte{}}
+		tn := &testNode{}
 		mux := http.NewServeMux()
 		mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 			tn.Handler().ServeHTTP(w, r)
@@ -39,20 +36,11 @@ func startTestNodes(t *testing.T, prefix string, n int) []*testNode {
 		nodes[i] = tn
 	}
 	for i, tn := range nodes {
-		tn := tn
-		hooks := Hooks{
-			FetchLocal: func(key string) ([]byte, bool) {
-				tn.mu.Lock()
-				defer tn.mu.Unlock()
-				b, ok := tn.store[key]
-				return b, ok
-			},
-		}
 		tn.Node = NewNode(Options{
 			Self:              infos[i],
 			Seeds:             infos,
 			HeartbeatInterval: -1,
-		}, hooks)
+		}, nil)
 		t.Cleanup(tn.Close)
 	}
 	return nodes
@@ -66,7 +54,7 @@ func TestHeartbeatGossip(t *testing.T) {
 
 	// A late joiner c announces itself to a only.
 	c := startTestNodes(t, "late", 1)[0]
-	req := HeartbeatRequest{From: c.Self(), Peers: c.Membership().Peers()}
+	req := HeartbeatMessage{From: c.Self(), Peers: c.Membership().Peers()}
 	resp, err := Heartbeat(context.Background(), a.srv.URL, req)
 	if err != nil {
 		t.Fatal(err)
@@ -108,27 +96,6 @@ func TestHeartbeatFailureThreshold(t *testing.T) {
 		t.Fatalf("dead peer still routable after threshold: %v", got)
 	}
 	_ = b
-}
-
-// TestCacheTransfer: GET serves stored entries with a checksum the fetcher
-// verifies, and answers an absent key with a clean miss.
-func TestCacheTransfer(t *testing.T) {
-	a := startTestNodes(t, "n", 1)[0]
-	entry := []byte(`{"result":42}`)
-	a.mu.Lock()
-	a.store["deadbeef"] = entry
-	a.mu.Unlock()
-
-	body, ok, err := FetchEntry(context.Background(), a.srv.URL, "deadbeef")
-	if err != nil || !ok || string(body) != string(entry) {
-		t.Fatalf("FetchEntry = %q, %v, %v", body, ok, err)
-	}
-	if a.Stats().EntriesServed != 1 {
-		t.Errorf("EntriesServed = %d, want 1", a.Stats().EntriesServed)
-	}
-	if _, ok, err := FetchEntry(context.Background(), a.srv.URL, "missing"); ok || err != nil {
-		t.Fatalf("missing key: ok=%v err=%v, want clean miss", ok, err)
-	}
 }
 
 func TestParsePeers(t *testing.T) {

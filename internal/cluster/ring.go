@@ -1,14 +1,13 @@
 // Package cluster turns N psimd nodes into one logical simulation service.
 // It provides the pieces the service layer composes: a consistent-hash ring
 // that assigns every content-addressed simulation key an owner node, a
-// gossip-light membership table driven by peer heartbeats, and an HTTP
-// transport for the cluster protocol (heartbeats and checksum-verified cache
-// entry fetches).
+// gossip-light membership table driven by peer heartbeats, and the HTTP
+// control plane those heartbeats travel on.
 //
-// The package deliberately knows nothing about simulations: cache entries
-// travel as opaque bytes, and the owning process wires its store in through
-// Hooks. That keeps the protocol reusable and the dependency arrow pointing
-// one way (service → cluster, never back).
+// The package deliberately knows nothing about simulations: the service
+// layer carries them to a key's owner on its own route, and hands the node
+// only a drain-state callback. That keeps the dependency arrow pointing one
+// way (service → cluster, never back).
 package cluster
 
 import (

@@ -19,9 +19,9 @@ import (
 // so a consistent-hash ring over those keys gives each one an owner node:
 // the single place it is computed and cached, which is what makes dedup
 // exactly-once *cluster-wide* rather than per-node. A non-owner serves a
-// request by checking its own store, then fetching the owner's cached entry
-// (checksum-verified), then asking the owner to compute (proxy) — and if the
-// owner is unreachable it fails over to computing locally, so a dead node
+// request from its own store, or else makes one call to the owner, which
+// answers from its store or computes (proxy) — and if the owner is
+// unreachable the non-owner fails over to computing locally, so a dead node
 // degrades throughput, never availability. Every route that computes here —
 // owned keys, failover, and the owner side of a proxy — ends in execUnit,
 // the same path a single-node daemon takes.
@@ -35,7 +35,7 @@ const (
 	simExecutedLocal simOutcome = iota
 	// simHitLocal was served by this node's store (disk or shared flight).
 	simHitLocal
-	// simHitRemote was served by a peer's cache with no new simulation.
+	// simHitRemote was served from the owner's store with no new simulation.
 	simHitRemote
 	// simExecutedRemote was computed by the key's owner, proxied on this
 	// job's behalf.
@@ -76,27 +76,18 @@ type clusterSimResponse struct {
 	Hit    bool       `json:"hit"`
 }
 
-// newClusterNode wires a cluster node to this server's store and drain
-// state. Cluster mode requires a store: the ring routes over cache keys, and
-// cross-node fill needs somewhere to land.
-func (s *Server) newClusterNode(opts cluster.Options) *cluster.Node {
-	return cluster.NewNode(opts, cluster.Hooks{
-		FetchLocal: s.cfg.Store.GetRaw,
-		Draining:   s.Draining,
-	})
-}
-
 // Cluster returns the server's cluster node (nil when not clustered).
 func (s *Server) Cluster() *cluster.Node { return s.cluster }
 
 // simulate satisfies one simulation of a job, routing through the cluster
-// when one is configured: local cache, then the key's owner (its cache,
-// then proxied execution), then local execution as the failover of last
+// when one is configured: local cache, then the key's owner (which answers
+// from its store or computes), then local execution as the failover of last
 // resort. Single-node servers go straight to local execution.
 func (s *Server) simulate(ctx context.Context, cfg sim.Config, u unit, opt sim.RunOpt) (sim.Result, simOutcome, error) {
 	if s.cluster != nil {
 		key := simcache.Key(cfg, u.spec, u.w, opt)
-		// The local island first: it may hold the entry from an earlier fill.
+		// The local island first: it may hold the entry from an earlier
+		// proxied call.
 		if res, ok := s.cfg.Store.GetCounted(key); ok {
 			s.m.cacheHits.Add(1)
 			if _, sp := dtrace.Start(ctx, "cache.lookup"); sp != nil {
@@ -126,43 +117,13 @@ func (s *Server) simulate(ctx context.Context, cfg sim.Config, u unit, opt sim.R
 	return res, simExecutedLocal, err
 }
 
-// remoteSimulate asks the owner for key: first a checksum-verified fetch of
-// its cached entry, then a proxied execution. handled is false when the
-// owner could not be reached (or answered unusably) and the caller should
-// fail over to local execution; a requester-side context error is returned
-// as handled, since retrying locally cannot outlive the caller's deadline.
+// remoteSimulate asks the owner for key in one proxied call; the owner
+// answers from its store (a remote hit) or computes. handled is false when
+// the owner could not be reached (or answered unusably) and the caller
+// should fail over to local execution; a requester-side context error is
+// returned as handled, since retrying locally cannot outlive the caller's
+// deadline.
 func (s *Server) remoteSimulate(ctx context.Context, owner cluster.NodeInfo, key string, cfg sim.Config, u unit, opt sim.RunOpt) (sim.Result, simOutcome, error, bool) {
-	// cache.fill wraps the cross-node entry fetch; the span's context rides
-	// the request header, so the owner's cache.serve span parents under it.
-	fctx, fillSpan := dtrace.Start(ctx, "cache.fill")
-	fillSpan.Annotate(owner.ID)
-	body, ok, err := s.cluster.FetchRemote(fctx, owner.URL, key)
-	if fillSpan != nil {
-		if err != nil {
-			fillSpan.Fail(err)
-		} else if !ok {
-			fillSpan.Annotate(owner.ID + " miss")
-		}
-		fillSpan.End()
-	}
-	if err == nil && ok {
-		var res sim.Result
-		if jerr := json.Unmarshal(body, &res); jerr == nil {
-			_ = s.cfg.Store.Put(key, res) // warm the local island for next time
-			s.cluster.CountRemoteHit()
-			s.m.cacheHits.Add(1)
-			return res, simHitRemote, nil, true
-		}
-		// Undecodable entry: fall through to a proxied execution.
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return sim.Result{}, simExecutedRemote, ctx.Err(), true
-		}
-		s.cluster.ReportFailure(owner.ID)
-		return sim.Result{}, 0, nil, false
-	}
-
 	req := clusterSimRequest{
 		Config: cfg,
 		Spec: SimSpec{
@@ -235,7 +196,8 @@ func (s *Server) proxyExec(ctx context.Context, base string, req clusterSimReque
 // handleClusterSim serves POST /v1/cluster/sim: the owner side of proxied
 // execution. It runs the simulation through the same store, single-flight,
 // and semaphore as local jobs, so proxied and local requests for one key
-// still cost one simulation.
+// still cost one simulation, and a stored key is answered (Hit) without
+// waiting for a simulation slot.
 func (s *Server) handleClusterSim(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		writeJSON(w, http.StatusServiceUnavailable, apiError{"draining"})

@@ -141,10 +141,10 @@ func runOne(t *testing.T, c *Client, req SimRequest) sim.Result {
 	return final.Results[0]
 }
 
-// TestClusterWarmCrossNodeHit is the acceptance check for cross-node cache
-// fill: a result simulated and cached on its owning node is served to a
-// client of a different node with zero additional simulations — a warm
-// remote hit, checksum-verified on the wire and counted in the metrics.
+// TestClusterWarmCrossNodeHit: a result simulated and cached on its owning
+// node is served to a client of a different node with zero additional
+// simulations — a warm remote hit, answered from the owner's store through
+// the proxied call and counted in the metrics.
 func TestClusterWarmCrossNodeHit(t *testing.T) {
 	nodes := startCluster(t, 2, fixedSim(telemetryFixture()), nil)
 	req := testRequest(1)
@@ -160,7 +160,7 @@ func TestClusterWarmCrossNodeHit(t *testing.T) {
 		t.Fatal("entry leaked to the non-owner before it ever asked")
 	}
 
-	// Warm: the other node's client gets the owner's cached bytes.
+	// Warm: the other node's client gets the owner's cached result.
 	second := runOne(t, nodes[other].c, req)
 	if got := totalExecs(nodes); got != 1 {
 		t.Fatalf("warm cross-node run re-simulated: %d total execs, want 1", got)
@@ -171,10 +171,8 @@ func TestClusterWarmCrossNodeHit(t *testing.T) {
 	if got := nodes[other].srv.Cluster().Stats().RemoteHits; got != 1 {
 		t.Errorf("non-owner RemoteHits = %d, want 1", got)
 	}
-	if got := nodes[owner].srv.Cluster().Stats().EntriesServed; got != 1 {
-		t.Errorf("owner EntriesServed = %d, want 1", got)
-	}
-	// The fill landed, so a third request on that node is a purely local hit.
+	// The result landed locally, so a third request on that node is a purely
+	// local hit.
 	if _, ok := nodes[other].store.Get(key); !ok {
 		t.Error("remote hit did not warm the local store")
 	}
@@ -270,20 +268,21 @@ func victimOwnedRequest(t *testing.T, nodes []*clusterNode, victim int, fromSeed
 	return SimRequest{}
 }
 
-// TestClusterCacheGetRejectsTraversal: the peer-facing cache endpoint only
-// answers keys from the cache's hex alphabet. A path-escaping key must not
-// reach the store, which would serve any JSON object the daemon can read
-// and delete any non-JSON file as a "corrupt entry".
+// TestClusterCacheGetRejectsTraversal guards the cache-entry route that
+// cluster mode no longer serves: peers reach a key's owner only through
+// POST /v1/cluster/sim. A path-escaping GET must not reach the store, which
+// would serve any JSON object the daemon can read and delete any non-JSON
+// file as a "corrupt entry".
 func TestClusterCacheGetRejectsTraversal(t *testing.T) {
 	nodes := startCluster(t, 1, nil, nil)
-	// GET /v1/cache/..%2Fvictim unescapes to key "../victim", which the
+	// GET /v1/cache/..%2Fvictim would unescape to key "../victim", which the
 	// store maps to victim.json in its directory's parent.
 	victim := filepath.Join(filepath.Dir(nodes[0].store.Dir()), "victim.json")
 	for _, planted := range []string{"not json at all", `{"secret":"s3cr3t"}`} {
 		if err := os.WriteFile(victim, []byte(planted), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Get(nodes[0].hs.URL + cluster.PathCache + "..%2Fvictim")
+		resp, err := http.Get(nodes[0].hs.URL + "/v1/cache/..%2Fvictim")
 		if err != nil {
 			t.Fatal(err)
 		}

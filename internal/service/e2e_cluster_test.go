@@ -33,8 +33,8 @@ func clusterRemoteHits(nodes []*clusterNode) uint64 {
 // TestE2ECluster: a figure produced against a 3-node cluster is byte-identical
 // to the locally simulated figure, every unit is executed exactly once across
 // the whole cluster (owner routing), and a repeat run replays entirely from
-// the distributed cache — including warm cross-node fills for units the
-// serving node does not own.
+// the distributed cache — units the serving node does not own come back as
+// remote hits, answered from the owner's store through the proxy.
 func TestE2ECluster(t *testing.T) {
 	nodes := startCluster(t, 3, nil, func(i int, cfg *Config) {
 		cfg.Workers = 4
@@ -79,8 +79,8 @@ func TestE2ECluster(t *testing.T) {
 
 	// A second run lands on the next endpoint in the rotation and must be
 	// served wholly from the distributed cache: zero additional executions
-	// anywhere, with the units this endpoint does not own arriving as
-	// checksum-verified cross-node fills.
+	// anywhere, with the units this endpoint does not own answered from
+	// their owners' stores.
 	second, err := experiments.Figure8(remote)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,6 @@ func TestE2EClusterTrace(t *testing.T) {
 		cfg.SimParallelism = 8
 		recs[i] = dtrace.NewRecorder(fmt.Sprintf("node%d", i), 0)
 		cfg.Flight = recs[i]
-		cfg.Cluster.Flight = recs[i]
 	})
 
 	ws, err := experiments.WorkloadsByName([]string{"milc", "soplex"})
@@ -281,7 +280,7 @@ func TestE2EClusterTrace(t *testing.T) {
 		}
 	}
 	if crossed == 0 {
-		t.Errorf("no trace covered 2+ daemon nodes — cross-node hops (cache.fill/proxy.exec) lost the traceparent")
+		t.Errorf("no trace covered 2+ daemon nodes — cross-node hops (proxy.exec) lost the traceparent")
 	}
 	t.Logf("stitched %d spans across %d traces; %d trace(s) crossed nodes", len(spans), len(traces), crossed)
 }

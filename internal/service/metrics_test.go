@@ -226,7 +226,7 @@ func TestMetricsExpositionClustered(t *testing.T) {
 	clusterFamilies := []string{
 		"psimd_cluster_peers", "psimd_cluster_ring_nodes",
 		"psimd_cluster_remote_hits_total", "psimd_cluster_proxied_total",
-		"psimd_cluster_failovers_total", "psimd_cluster_entries_served_total",
+		"psimd_cluster_failovers_total",
 		"psimd_cluster_proxy_latency_seconds",
 	}
 	if want := len(baseFamilies) + len(clusterFamilies); len(families) != want {
@@ -248,10 +248,10 @@ func TestMetricsExpositionClustered(t *testing.T) {
 		"psimd_cluster_proxied_total 1",
 		"psimd_cluster_ring_nodes 2",
 		`psimd_cluster_peers{state="alive"} 1`,
-		// A cold proxied request round-trips twice: the cache fetch that
-		// misses, then the proxied execution.
-		"psimd_cluster_proxy_latency_seconds_count 2",
-		`psimd_cluster_proxy_latency_seconds_bucket{le="+Inf"} 2`,
+		// A cold remote unit is one round trip: the proxied call, which
+		// the owner answers by computing.
+		"psimd_cluster_proxy_latency_seconds_count 1",
+		`psimd_cluster_proxy_latency_seconds_bucket{le="+Inf"} 1`,
 	} {
 		if !strings.Contains(body, wantLine) {
 			t.Errorf("clustered /metrics missing %q", wantLine)

@@ -34,12 +34,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/flight", s.handleFlight)
 	if s.cluster != nil {
-		// Peer-facing endpoints: membership gossip, the cross-node cache
-		// fetch, and owner-routed simulation.
+		// Peer-facing endpoints: membership gossip, state, and owner-routed
+		// simulation, which answers a cached key without simulating.
 		ch := s.cluster.Handler()
 		mux.Handle("POST "+cluster.PathHeartbeat, ch)
 		mux.Handle("GET "+cluster.PathState, ch)
-		mux.Handle("GET "+cluster.PathCache+"{key}", ch)
 		mux.HandleFunc("POST /v1/cluster/sim", s.handleClusterSim)
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -58,7 +58,7 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// Cluster, when non-nil, joins this daemon to a psimd cluster: a
 	// consistent-hash ring over simcache keys routes each simulation to an
-	// owner node, and peers serve each other's warm cache entries. Requires
+	// owner node, which answers peers from its store or computes. Requires
 	// Store (the ring routes over cache keys); ignored without one.
 	Cluster *cluster.Options
 	// Flight, when non-nil, is this daemon's span flight recorder: every
@@ -294,7 +294,7 @@ func New(cfg Config) *Server {
 		simFn:   sim.RunContext,
 	}
 	if cfg.Cluster != nil && cfg.Store != nil {
-		s.cluster = s.newClusterNode(*cfg.Cluster)
+		s.cluster = cluster.NewNode(*cfg.Cluster, s.Draining)
 	}
 	return s
 }
@@ -559,10 +559,10 @@ func (s *Server) runJob(j *jobState) {
 			if sp != nil {
 				sp.Annotate(u.w.Name + " " + u.spec.Base)
 			}
-			// simulate owns slot acquisition: routing decides whether this
-			// unit needs a local execution slot at all (a cluster peer may
-			// serve or compute it instead), and hit/executed accounting
-			// happens at the point the outcome is known.
+			// simulate routes the unit (a cluster peer may serve or compute
+			// it instead; only a local flight leader takes an execution
+			// slot), and hit/executed accounting happens at the point the
+			// outcome is known.
 			var outcome simOutcome
 			results[i], outcome, errs[i] = s.simulate(uctx, j.cfg, u, j.opt)
 			if sp != nil {
@@ -609,28 +609,30 @@ func (s *Server) runJob(j *jobState) {
 	}
 }
 
-// execUnit runs (or recalls) one simulation locally: it takes a slot on the
-// shared semaphore, then goes through the store's single-flight DoContext.
-// It is the terminal execution path of every route — local jobs, cluster
-// failover, and proxied owner requests all land here — and owns the
+// execUnit runs (or recalls) one simulation locally through the store's
+// single-flight DoContext. Only the flight's leader takes a slot on the
+// shared semaphore, inside run: store hits and waiters on another request's
+// flight never hold one, so a cached key is answered while every slot is
+// busy. It is the terminal execution path of every route — local jobs,
+// cluster failover, and proxied owner requests all land here — and owns the
 // hit/executed metric accounting for this daemon. Each executed simulation
 // (cache hits never execute) longer than one telemetry epoch carries a live
 // collector that /metrics samples while the run is in flight; a shorter run
 // closes its only epoch as it ends, so the gauges could never show it.
 func (s *Server) execUnit(ctx context.Context, cfg sim.Config, u unit, opt sim.RunOpt) (sim.Result, bool, error) {
-	select {
-	case s.simSem <- struct{}{}:
-	case <-ctx.Done():
-		return sim.Result{}, false, ctx.Err()
-	}
-	defer func() { <-s.simSem }()
-	if err := ctx.Err(); err != nil {
-		return sim.Result{}, false, err
-	}
 	// simEnd is set iff run executed on this goroutine (we were the flight
 	// leader); the store write then spans [simEnd, DoContext return].
 	var simEnd time.Time
 	run := func(ctx context.Context) (sim.Result, error) {
+		select {
+		case s.simSem <- struct{}{}:
+		case <-ctx.Done():
+			return sim.Result{}, ctx.Err()
+		}
+		defer func() { <-s.simSem }()
+		if err := ctx.Err(); err != nil {
+			return sim.Result{}, err
+		}
 		rctx, rs := dtrace.Start(ctx, "sim.run")
 		if opt.Instructions > sim.DefaultEpochInstructions {
 			_, ts := dtrace.Start(rctx, "telemetry.attach")

@@ -253,6 +253,103 @@ func TestCrossRequestSingleFlight(t *testing.T) {
 	}
 }
 
+// TestCachedKeyNeedsNoSlot: with the only simulation slot held by a running
+// simulation, a job for a key already in the store still completes, since
+// store hits never wait for a slot.
+func TestCachedKeyNeedsNoSlot(t *testing.T) {
+	store, err := simcache.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	defer close(gate)
+	_, _, c := startServer(t, Config{Store: store, Workers: 2, SimParallelism: 1}, blockingSim(started, gate))
+
+	cached := testRequest(1)
+	u, err := resolve(cached.Jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Result{Workload: "milc", IPC: 2}
+	if err := store.Put(simcache.Key(sim.DefaultConfig(), u.spec, u.w, cached.Opt), want); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	busy := testRequest(1)
+	busy.Opt.Seed = 2 // a different, uncached key
+	if _, err := c.Submit(ctx, busy); err != nil {
+		t.Fatal(err)
+	}
+	waitStarted(t, started) // the busy job holds the only slot
+
+	v, err := c.Submit(ctx, cached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Follow(ctx, v.ID, nil)
+	if err != nil {
+		t.Fatalf("cached job while the only slot is busy: %v", err)
+	}
+	if final.Status != StatusDone || len(final.Results) != 1 || final.Results[0].IPC != want.IPC {
+		t.Fatalf("cached job: status %s, results %+v", final.Status, final.Results)
+	}
+}
+
+// TestFlightWaiterHoldsNoSlot: two concurrent jobs for one uncached key run
+// one simulation, and only its leader holds a slot; the waiter on the
+// leader's flight does not.
+func TestFlightWaiterHoldsNoSlot(t *testing.T) {
+	store, err := simcache.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{}, 2)
+	gate := make(chan struct{})
+	s, hs, c := startServer(t, Config{Store: store, Workers: 2, SimParallelism: 2}, blockingSim(started, gate))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	ids := make([]string, 2)
+	for i := range ids {
+		v, err := c.Submit(ctx, testRequest(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = v.ID
+	}
+	waitStarted(t, started)
+	deadline := time.Now().Add(5 * time.Second)
+	for s.m.jobsRunning.Load() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/2 jobs running", s.m.jobsRunning.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Both jobs are running and the leader's flight stays blocked on gate,
+	// so the waiter reaches the flight well within this pause.
+	time.Sleep(50 * time.Millisecond)
+	body := scrapeMetrics(t, hs.URL)
+	close(gate)
+	if !strings.Contains(body, "\npsimd_sims_inflight 1\n") {
+		t.Errorf("while the leader runs, /metrics should read psimd_sims_inflight 1:\n%s", body)
+	}
+	for _, id := range ids {
+		final, err := c.Follow(ctx, id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.Status != StatusDone {
+			t.Fatalf("job %s: %s (%s)", id, final.Status, final.Error)
+		}
+	}
+	if st := store.Stats(); st.Misses != 1 || st.Shared != 1 {
+		t.Errorf("cache stats = %+v, want 1 miss and 1 shared flight", st)
+	}
+}
+
 // TestSSEEventOrdering: a subscriber observes queued, running, one progress
 // per simulation with monotonically increasing Done, then the terminal done —
 // with strictly sequential Seq — and a late subscriber replays the identical

@@ -200,7 +200,7 @@ func TestFlightEndpoint(t *testing.T) {
 
 // TestClusterTraceProxy follows one traced simulation through a proxied
 // cross-node execution: submitted to the non-owner, the unit must travel
-// cache.fill (miss) -> proxy.exec -> cluster.exec on the owner, and the
+// proxy.exec -> cluster.exec on the owner, and the
 // stitched spans from the client and both nodes must form one connected tree
 // covering all three parties.
 func TestClusterTraceProxy(t *testing.T) {
@@ -208,7 +208,6 @@ func TestClusterTraceProxy(t *testing.T) {
 	nodes := startCluster(t, 2, fixedSim(telemetryFixture()), func(i int, cfg *Config) {
 		recs[i] = dtrace.NewRecorder(fmt.Sprintf("node%d", i), 256)
 		cfg.Flight = recs[i]
-		cfg.Cluster.Flight = recs[i]
 	})
 	req := victimOwnedRequest(t, nodes, 1, 1)
 	client := dtrace.NewRecorder("pexp", 64)
@@ -228,7 +227,7 @@ func TestClusterTraceProxy(t *testing.T) {
 		t.Fatalf("trace covers nodes %v, want the client and both daemons", st.Nodes)
 	}
 	names := spanNames(spans, trace)
-	for _, want := range []string{"submit", "job.run", "sim", "cache.fill", "proxy.exec", "cluster.exec", "sim.run"} {
+	for _, want := range []string{"submit", "job.run", "sim", "proxy.exec", "cluster.exec", "sim.run"} {
 		if names[want] == 0 {
 			t.Fatalf("trace is missing a %q span (all: %v)", want, names)
 		}
@@ -242,15 +241,14 @@ func TestClusterTraceProxy(t *testing.T) {
 }
 
 // TestClusterTraceRemoteHit: once the owner has the entry cached, a second
-// traced request through the non-owner is served by cache.fill alone — the
-// owner's cache.serve span joins the requester's trace and no proxied
-// execution happens.
+// traced request through the non-owner is one proxied call — the owner's
+// cluster.exec span joins the requester's trace and answers from its store,
+// so no simulation runs.
 func TestClusterTraceRemoteHit(t *testing.T) {
 	recs := make([]*dtrace.Recorder, 2)
 	nodes := startCluster(t, 2, fixedSim(telemetryFixture()), func(i int, cfg *Config) {
 		recs[i] = dtrace.NewRecorder(fmt.Sprintf("node%d", i), 256)
 		cfg.Flight = recs[i]
-		cfg.Cluster.Flight = recs[i]
 	})
 	req := victimOwnedRequest(t, nodes, 1, 1)
 	// Warm the owner's cache with an untraced run on the owner itself.
@@ -266,10 +264,10 @@ func TestClusterTraceRemoteHit(t *testing.T) {
 		t.Fatalf("remote-hit trace is not connected: %+v", st)
 	}
 	names := spanNames(spans, trace)
-	if names["cache.fill"] != 1 || names["cache.serve"] != 1 {
-		t.Fatalf("remote hit should pair cache.fill with the owner's cache.serve, got %v", names)
+	if names["proxy.exec"] != 1 || names["cluster.exec"] != 1 {
+		t.Fatalf("remote hit should pair one proxy.exec with the owner's cluster.exec, got %v", names)
 	}
-	if names["proxy.exec"] != 0 || names["cluster.exec"] != 0 {
-		t.Fatalf("remote hit must not proxy an execution, got %v", names)
+	if names["sim.run"] != 0 {
+		t.Fatalf("remote hit must not run a simulation, got %v", names)
 	}
 }

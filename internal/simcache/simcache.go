@@ -97,7 +97,7 @@ type Stats struct {
 	// Misses executed the simulation.
 	Misses uint64
 	// Corrupt entries were found undecodable and discarded (each also
-	// counts toward Misses once recomputed via Do).
+	// counts toward Misses once recomputed via DoContext).
 	Corrupt uint64
 }
 
@@ -164,8 +164,8 @@ func (s *Store) path(key string) string {
 
 // Get loads the entry for key, reporting whether it exists and decodes
 // cleanly. Undecodable entries are removed and reported as a miss. Get does
-// not touch the hit/miss counters; it is the raw lookup used by Do and by
-// tests.
+// not touch the hit/miss counters; it is the raw lookup used by DoContext
+// and by tests.
 func (s *Store) Get(key string) (sim.Result, bool) {
 	b, err := os.ReadFile(s.path(key))
 	if err != nil {
@@ -183,33 +183,15 @@ func (s *Store) Get(key string) (sim.Result, bool) {
 }
 
 // GetCounted is Get plus hit accounting: a successful load increments the
-// hit counter, matching what Do would have recorded. It exists for callers
+// hit counter, matching what DoContext would have recorded. It exists for callers
 // that probe the cache directly (the cluster layer's local fast path) rather
-// than through Do.
+// than through DoContext.
 func (s *Store) GetCounted(key string) (sim.Result, bool) {
 	res, ok := s.Get(key)
 	if ok {
 		s.hits.Add(1)
 	}
 	return res, ok
-}
-
-// GetRaw loads the serialized entry for key, validating that it decodes as a
-// sim.Result (undecodable entries are removed, like Get). The raw bytes are
-// what the cross-node cache protocol ships: re-marshalling on every transfer
-// would burn CPU and could perturb byte-identical comparisons.
-func (s *Store) GetRaw(key string) ([]byte, bool) {
-	b, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return nil, false
-	}
-	var res sim.Result
-	if err := json.Unmarshal(b, &res); err != nil {
-		s.corrupt.Add(1)
-		os.Remove(s.path(key))
-		return nil, false
-	}
-	return b, true
 }
 
 // Put stores res under key atomically: the entry is written to a temp file
@@ -251,18 +233,12 @@ func errFirst(errs ...error) error {
 	return nil
 }
 
-// Do returns the cached result for key, or computes it with fn, stores it,
-// and returns it. Concurrent calls for the same key execute fn once; the
-// rest wait and share the outcome. hit reports whether the result was served
-// without running fn in this call (from disk or from another goroutine's
-// flight). Errors are never cached.
-func (s *Store) Do(key string, fn func() (sim.Result, error)) (res sim.Result, hit bool, err error) {
-	return s.DoContext(context.Background(), key,
-		func(context.Context) (sim.Result, error) { return fn() })
-}
-
-// DoContext is Do with cancellation. fn receives the context of the call
-// that actually executes it (the flight's owner); waiters sharing a flight
+// DoContext returns the cached result for key, or computes it with fn,
+// stores it, and returns it. Concurrent calls for the same key execute fn
+// once; the rest wait and share the outcome. hit reports whether the result
+// was served without running fn in this call (from disk or from another
+// goroutine's flight). fn receives the context of the call that actually
+// executes it (the flight's owner); waiters sharing a flight
 // stop waiting as soon as their own context is done. If the owner's context
 // is canceled while a waiter's is still live, the waiter takes over and
 // recomputes instead of inheriting a cancellation that is not its own — this

@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -195,10 +196,10 @@ func TestCorruptedEntryIsMiss(t *testing.T) {
 	if _, err := os.Stat(entry); !os.IsNotExist(err) {
 		t.Error("corrupted entry not removed")
 	}
-	// Do must recompute and repopulate.
-	res, hit, err := s.Do(key, func() (sim.Result, error) { return sampleResult(), nil })
+	// DoContext must recompute and repopulate.
+	res, hit, err := s.DoContext(context.Background(), key, func(context.Context) (sim.Result, error) { return sampleResult(), nil })
 	if err != nil || hit {
-		t.Fatalf("Do after corruption: hit=%v err=%v", hit, err)
+		t.Fatalf("DoContext after corruption: hit=%v err=%v", hit, err)
 	}
 	if res.Workload != "milc" {
 		t.Errorf("recomputed result = %+v", res)
@@ -216,7 +217,8 @@ func TestDoSingleFlight(t *testing.T) {
 	var executions atomic.Int64
 	release := make(chan struct{})
 	started := make(chan struct{})
-	fn := func() (sim.Result, error) {
+	ctx := context.Background()
+	fn := func(context.Context) (sim.Result, error) {
 		executions.Add(1)
 		close(started)
 		<-release
@@ -229,21 +231,21 @@ func TestDoSingleFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results[0], hits[0], _ = s.Do("k", fn)
+		results[0], hits[0], _ = s.DoContext(ctx, "k", fn)
 	}()
 	<-started // the flight is in progress; everyone else must join it
 	for i := 1; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], hits[i], _ = s.Do("k", func() (sim.Result, error) {
+			results[i], hits[i], _ = s.DoContext(ctx, "k", func(context.Context) (sim.Result, error) {
 				executions.Add(1)
 				return sampleResult(), nil
 			})
 		}(i)
 	}
 	// The flight stays blocked on release, and the store is empty on disk,
-	// so every waiter that enters Do before the close below must join the
+	// so every waiter that enters DoContext before the close below must join the
 	// flight; the sleep gives them ample time to get there.
 	time.Sleep(50 * time.Millisecond)
 	close(release)
@@ -263,9 +265,9 @@ func TestDoSingleFlight(t *testing.T) {
 	if st.Misses != 1 || st.Shared != waiters-1 {
 		t.Errorf("stats = %+v", st)
 	}
-	// A later Do is a plain disk hit.
-	if _, hit, _ := s.Do("k", fn); !hit {
-		t.Error("post-flight Do missed")
+	// A later DoContext is a plain disk hit.
+	if _, hit, _ := s.DoContext(ctx, "k", fn); !hit {
+		t.Error("post-flight DoContext missed")
 	}
 }
 
@@ -274,16 +276,17 @@ func TestDoErrorNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	boom := errors.New("boom")
-	if _, _, err := s.Do("k", func() (sim.Result, error) { return sim.Result{}, boom }); !errors.Is(err, boom) {
+	if _, _, err := s.DoContext(ctx, "k", func(context.Context) (sim.Result, error) { return sim.Result{}, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	var ran bool
-	if _, hit, err := s.Do("k", func() (sim.Result, error) { ran = true; return sampleResult(), nil }); err != nil || hit {
-		t.Fatalf("second Do: hit=%v err=%v", hit, err)
+	if _, hit, err := s.DoContext(ctx, "k", func(context.Context) (sim.Result, error) { ran = true; return sampleResult(), nil }); err != nil || hit {
+		t.Fatalf("second DoContext: hit=%v err=%v", hit, err)
 	}
 	if !ran {
-		t.Error("error was cached: second Do did not execute")
+		t.Error("error was cached: second DoContext did not execute")
 	}
 }
 

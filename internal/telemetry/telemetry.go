@@ -32,7 +32,8 @@ import (
 )
 
 // LatencyBounds are the service's latency buckets in nanoseconds, 1 ms..10 s:
-// from a cross-node cache fetch to a proxied simulation or a long queue wait.
+// from a proxied call the owner answers from its store to a proxied
+// simulation or a long queue wait.
 var LatencyBounds = []uint64{
 	1e6, 2.5e6, 5e6, 1e7, 2.5e7, 5e7, 1e8, 2.5e8, 5e8, 1e9, 2.5e9, 5e9, 1e10,
 }
