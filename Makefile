@@ -7,21 +7,24 @@ build:
 
 # test includes the deterministic allocation gates: per-access allocations
 # over whole runs (TestAllocsPerAccessGate), bytes per run when it recycles
-# its predecessor's cache, VM and core storage, single-core and a 4-core mix
-# (TestRunBytesBudget), construction cost per fresh system
-# (TestConstructionBudget) and the zero-allocation steady state
-# (TestSteadyStateZeroAllocs); and the recycle tests: FuzzCacheRecycle's and
-# FuzzVMRecycle's scripted twins (TestCacheRecycleScripts,
-# TestVMRecycleScripts), TestCoreRecycle, the released-storage panics
-# (TestAccessAfterReleasePanics, TestTranslateAfterReleasePanics) and the
-# bounded pool tables (TestPoolTableBounded, internal/slabpool).
+# its predecessor's cache, VM, core and prefetcher storage, five single-core
+# runs and a 4-core mix (TestRunBytesBudget), construction cost per fresh
+# system (TestConstructionBudget) and the zero-allocation steady state
+# (TestSteadyStateZeroAllocs); and the recycle tests: FuzzCacheRecycle's,
+# FuzzVMRecycle's and FuzzPrefetcherRecycle's scripted twins
+# (TestCacheRecycleScripts, TestVMRecycleScripts,
+# TestPrefetcherRecycleScripts: every prefetcher of the factory table at
+# 4KB and 2MB indexing, and the IPCP), TestCoreRecycle, the released-storage
+# panics (TestAccessAfterReleasePanics, TestTranslateAfterReleasePanics) and
+# the bounded pool tables (TestPoolTableBounded, internal/slabpool).
 test:
 	$(GO) test ./...
 
 # race is the tier the determinism and cache-concurrency tests are written
 # for: runBatch at Parallelism 8, single-flight cache fills, concurrent
-# writers to one cache directory, and cache, VM and core storage recycled
-# across goroutines running single-core jobs and 4-core mixes
+# writers to one cache directory, and cache, VM, core and prefetcher
+# storage (SPP, PPF, Pangloss, the 2MB-region vamp) recycled across
+# goroutines running single-core jobs and 4-core mixes
 # (TestRecycleConcurrent).
 race:
 	$(GO) test -race ./...
@@ -49,7 +52,11 @@ vet:
 # prefetch scripts on recycled storage against fresh storage, the vm recycle
 # seeds (FuzzVMRecycle) replay translate, walk, lookup, frame and flush
 # scripts on recycled allocator, page-table and TLB storage against fresh
-# storage, the spp seeds replay
+# storage, the prefetcher recycle seeds (FuzzPrefetcherRecycle, one per
+# factory base at 4KB and 2MB indexing and one for the IPCP) replay access,
+# train and feedback scripts on released tables, which must equal a fresh
+# instance's, and compare the candidates recycled and fresh instances
+# propose, the spp seeds replay
 # train/lookahead scripts against the map-backed pattern-table model
 # (FuzzSPPPatternTable) and access and global-history scripts against the
 # map-backed, timestamp-LRU signature-table model (FuzzSPPSignatureTable:
@@ -60,7 +67,7 @@ vet:
 # and saturation, tables past what a byte indexes), and the telemetry seeds
 # replay push scripts against the shared ring's slice model.
 fuzz-seeds:
-	$(GO) test -race -run=Fuzz ./internal/trace/ ./internal/service/ ./internal/vm/ ./internal/dtrace/ ./internal/prefetch/pangloss/ ./internal/prefetch/vamp/ ./internal/cache/ ./internal/prefetch/spp/ ./internal/prefetch/ppf/ ./internal/telemetry/
+	$(GO) test -race -run=Fuzz ./internal/trace/ ./internal/service/ ./internal/vm/ ./internal/dtrace/ ./internal/prefetch/pangloss/ ./internal/prefetch/vamp/ ./internal/cache/ ./internal/prefetch/spp/ ./internal/prefetch/ppf/ ./internal/telemetry/ ./internal/sim/
 
 # golden-update regenerates the checked-in figure snapshots, the
 # full-stats digest golden (TestGoldenStatsDigest) and the workload stream

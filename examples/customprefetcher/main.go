@@ -50,6 +50,10 @@ func (p *stridePrefetcher) Train(ctx prefetch.Context) {
 	p.last[region] = off
 }
 
+// Release drops the maps; built-in prefetchers hand their tables to the next
+// instance of the same shape instead (internal/slabpool).
+func (p *stridePrefetcher) Release() { p.last, p.delta = nil, nil }
+
 func (p *stridePrefetcher) Operate(ctx prefetch.Context, issue func(prefetch.Candidate)) {
 	p.Train(ctx)
 	region := ctx.Addr >> p.regionBits

@@ -268,6 +268,18 @@ func New(factory prefetch.Factory, v Variant, l2, llc *cache.Cache, oracle Oracl
 	return e
 }
 
+// Release releases the engine's prefetchers (prefetch.Prefetcher.Release),
+// handing their tables to the next engine. The engine must not run
+// afterwards; its Stats and selection counter stay readable.
+func (e *Engine) Release() {
+	if e.pA != nil {
+		e.pA.Release()
+	}
+	if e.pB != nil {
+		e.pB.Release()
+	}
+}
+
 // Variant returns the engine's configured variant.
 func (e *Engine) Variant() Variant { return e.variant }
 

@@ -14,6 +14,7 @@ package ampm
 import (
 	"repro/internal/mem"
 	"repro/internal/prefetch"
+	"repro/internal/slabpool"
 )
 
 // Block states in the access map.
@@ -49,11 +50,14 @@ type zone struct {
 type Prefetcher struct {
 	cfg        Config
 	regionBits uint
-	zones      []zone
+	// slab owns zones and maps; Release hands it to the next instance of
+	// the same shape.
+	slab  *slab
+	zones []zone
 	// maps holds the zones' access maps back to back: zone i's block states
 	// are maps[i*n : (i+1)*n], n = blocksPerZone. Zones come into use in
 	// index order (the victim scan takes the first invalid zone), so the
-	// slab grows, doubling, only as far as the zones a run has touched: a
+	// maps grow, doubling, only as far as the zones a run has touched: a
 	// 2MB-zone instance that sees a few zones never holds 64 of 32 KB each.
 	maps []uint8
 	tick uint64
@@ -61,8 +65,46 @@ type Prefetcher struct {
 
 // New creates an AMPM prefetcher tracking zones of 2^regionBits bytes.
 func New(cfg Config, regionBits uint) *Prefetcher {
-	p := &Prefetcher{cfg: cfg, regionBits: regionBits, zones: make([]zone, cfg.Zones)}
-	return p
+	s := slabs.Pool(slabKey(cfg, regionBits)).Get()
+	if s == nil {
+		s = &slab{zones: make([]zone, cfg.Zones)}
+	}
+	return &Prefetcher{cfg: cfg, regionBits: regionBits, slab: s, zones: s.zones, maps: s.maps}
+}
+
+// slab is an instance's tables: the zones and the access maps as far as an
+// instance grew them. A slab outlives its instance: Release resets it and
+// hands it to the next instance with the same zone count and zone size,
+// which grows the maps only past what its predecessors used.
+type slab struct {
+	zones []zone
+	maps  []uint8 // length zero; the capacity is all-init
+}
+
+// slabs pools tables by slabKey.
+var slabs slabpool.Table[slab]
+
+// slabKey is the shape of an instance's tables: the zone count and size.
+func slabKey(cfg Config, regionBits uint) uint64 {
+	return slabpool.Key4(cfg.Zones, int(regionBits), 0, 0)
+}
+
+// Release implements prefetch.Prefetcher: it resets the tables, touching
+// what the run used — the zones, which come into use in index order, as far
+// as the maps grew — and offers them to the next instance of the same shape.
+func (p *Prefetcher) Release() {
+	s := p.slab
+	if s == nil {
+		return
+	}
+	maps := p.maps
+	p.slab, p.zones, p.maps = nil, nil, nil
+	if pool := slabs.Pool(slabKey(p.cfg, p.regionBits)); pool != nil {
+		clear(s.zones[:len(maps)/p.blocksPerZone()])
+		clear(maps)
+		s.maps = maps[:0]
+		pool.Put(s)
+	}
 }
 
 // Factory adapts New to prefetch.Factory.
@@ -106,8 +148,9 @@ func (p *Prefetcher) zoneFor(a mem.Addr) []uint8 {
 		clear(m) // stateInit is 0
 		return m
 	}
-	// First use of zone vi, the next one past the slab's end: the window
-	// beyond len is fresh, so it is already all-init.
+	// First use of zone vi, the next one past the maps' end: the window
+	// beyond len is all-init, never written since it was allocated or since
+	// Release cleared it.
 	if end > cap(p.maps) {
 		grown := make([]uint8, len(p.maps), min(max(2*cap(p.maps), n), len(p.zones)*n))
 		copy(grown, p.maps)

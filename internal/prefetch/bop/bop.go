@@ -11,6 +11,7 @@ package bop
 import (
 	"repro/internal/mem"
 	"repro/internal/prefetch"
+	"repro/internal/slabpool"
 )
 
 // Config sizes BOP's structures.
@@ -57,7 +58,10 @@ func offsetList(limit int) []int {
 
 // Prefetcher is a BOP instance.
 type Prefetcher struct {
-	cfg     Config
+	cfg Config
+	// slab owns offsets, scores and rr; Release hands it to the next
+	// instance of the same shape.
+	slab    *slab
 	offsets []int
 	scores  []int
 
@@ -72,14 +76,50 @@ type Prefetcher struct {
 // New creates a BOP prefetcher. regionBits is ignored (no page-indexed
 // state).
 func New(cfg Config, _ uint) *Prefetcher {
-	offs := offsetList(cfg.NumOffsets)
+	s := slabs.Pool(slabKey(cfg)).Get()
+	if s == nil {
+		offs := offsetList(cfg.NumOffsets)
+		s = &slab{offsets: offs, scores: make([]int, len(offs)), rr: make([]mem.Addr, cfg.RREntries)}
+	}
 	return &Prefetcher{
 		cfg:        cfg,
-		offsets:    offs,
-		scores:     make([]int, len(offs)),
-		rr:         make([]mem.Addr, cfg.RREntries),
+		slab:       s,
+		offsets:    s.offsets,
+		scores:     s.scores,
+		rr:         s.rr,
 		best:       1,
 		prefetchOn: true,
+	}
+}
+
+// slab is an instance's tables: the offset list, its scores and the
+// recent-requests table. A slab outlives its instance: Release clears it and
+// hands it to the next instance with the same table sizes.
+type slab struct {
+	offsets []int
+	scores  []int
+	rr      []mem.Addr
+}
+
+// slabs pools tables by slabKey.
+var slabs slabpool.Table[slab]
+
+// slabKey is the shape of cfg's tables.
+func slabKey(cfg Config) uint64 { return slabpool.Key4(cfg.RREntries, cfg.NumOffsets, 0, 0) }
+
+// Release implements prefetch.Prefetcher: it clears the scores and the
+// recent-requests table, 2 KB at the default size, and offers the tables to
+// the next instance of the same shape.
+func (p *Prefetcher) Release() {
+	s := p.slab
+	if s == nil {
+		return
+	}
+	p.slab, p.offsets, p.scores, p.rr = nil, nil, nil, nil
+	if pool := slabs.Pool(slabKey(p.cfg)); pool != nil {
+		clear(s.scores)
+		clear(s.rr)
+		pool.Put(s)
 	}
 }
 

@@ -12,6 +12,7 @@ package ipcp
 
 import (
 	"repro/internal/mem"
+	"repro/internal/slabpool"
 )
 
 // Config sizes IPCP's structures.
@@ -90,7 +91,10 @@ type regionEntry struct {
 
 // Prefetcher is an IPCP instance.
 type Prefetcher struct {
-	cfg     Config
+	cfg Config
+	// slab owns ipt, cspt and regions; Release hands it to the next instance
+	// of the same shape.
+	slab    *slab
 	ipt     []ipEntry
 	cspt    []csptEntry
 	regions []regionEntry
@@ -99,11 +103,48 @@ type Prefetcher struct {
 
 // New creates an IPCP prefetcher.
 func New(cfg Config) *Prefetcher {
-	return &Prefetcher{
-		cfg:     cfg,
-		ipt:     make([]ipEntry, cfg.IPTableEntries),
-		cspt:    make([]csptEntry, cfg.CSPTEntries),
-		regions: make([]regionEntry, cfg.RegionTrack),
+	s := slabs.Pool(slabKey(cfg)).Get()
+	if s == nil {
+		s = &slab{
+			ipt:     make([]ipEntry, cfg.IPTableEntries),
+			cspt:    make([]csptEntry, cfg.CSPTEntries),
+			regions: make([]regionEntry, cfg.RegionTrack),
+		}
+	}
+	return &Prefetcher{cfg: cfg, slab: s, ipt: s.ipt, cspt: s.cspt, regions: s.regions}
+}
+
+// slab is an instance's tables. A slab outlives its instance: Release resets
+// it and hands it to the next instance with the same table sizes.
+type slab struct {
+	ipt     []ipEntry
+	cspt    []csptEntry
+	regions []regionEntry
+}
+
+// slabs pools tables by slabKey.
+var slabs slabpool.Table[slab]
+
+// slabKey is the shape of cfg's tables.
+func slabKey(cfg Config) uint64 {
+	return slabpool.Key4(cfg.IPTableEntries, cfg.CSPTEntries, cfg.RegionTrack, 0)
+}
+
+// Release clears the tables, which is cheaper than testing each entry for
+// use, and offers them to the next instance of the same shape. The
+// prefetcher must not run afterwards: Operate panics. Releasing twice is a
+// no-op.
+func (p *Prefetcher) Release() {
+	s := p.slab
+	if s == nil {
+		return
+	}
+	p.slab, p.ipt, p.cspt, p.regions = nil, nil, nil, nil
+	if pool := slabs.Pool(slabKey(p.cfg)); pool != nil {
+		clear(s.ipt)
+		clear(s.cspt)
+		clear(s.regions)
+		pool.Put(s)
 	}
 }
 

@@ -46,3 +46,6 @@ func (p *Prefetcher) Operate(ctx prefetch.Context, issue func(prefetch.Candidate
 
 // Train implements prefetch.Prefetcher. Next-line is stateless.
 func (p *Prefetcher) Train(prefetch.Context) {}
+
+// Release implements prefetch.Prefetcher. Next-line has no tables.
+func (p *Prefetcher) Release() {}

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/prefetch"
+	"repro/internal/slabpool"
 )
 
 // Config sizes the Pangloss tables.
@@ -72,6 +73,10 @@ type Prefetcher struct {
 	cfg        Config
 	regionBits uint
 
+	// slab owns the tables below; Release hands it to the next instance of
+	// the same shape.
+	slab *slab
+
 	// Delta cache: rows indexed by normalized previous delta
 	// (delta + MaxDelta), ways holding (successor delta, LFU count) pairs.
 	// Row MaxDelta — normalized delta zero — is the entry row: a page's
@@ -101,17 +106,74 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 	if bits.OnesCount(uint(cfg.PageSets)) != 1 {
 		panic(fmt.Sprintf("pangloss: PageSets %d is not a power of two", cfg.PageSets))
 	}
-	rows := 2*cfg.MaxDelta + 1
+	s := slabs.Pool(slabKey(cfg)).Get()
+	if s == nil {
+		rows, pages := 2*cfg.MaxDelta+1, cfg.PageSets*cfg.PageWays
+		s = &slab{
+			dNext:  make([]int32, rows*cfg.DeltaWays),
+			dCount: make([]uint32, rows*cfg.DeltaWays),
+			pTag:   make([]uint64, pages),
+			pOff:   make([]int32, pages),
+			pDelta: make([]int32, pages),
+			pLRU:   make([]uint64, pages),
+		}
+	}
 	return &Prefetcher{
 		cfg:        cfg,
 		regionBits: regionBits,
-		dNext:      make([]int32, rows*cfg.DeltaWays),
-		dCount:     make([]uint32, rows*cfg.DeltaWays),
-		pTag:       make([]uint64, cfg.PageSets*cfg.PageWays),
-		pOff:       make([]int32, cfg.PageSets*cfg.PageWays),
-		pDelta:     make([]int32, cfg.PageSets*cfg.PageWays),
-		pLRU:       make([]uint64, cfg.PageSets*cfg.PageWays),
+		slab:       s,
+		dNext:      s.dNext,
+		dCount:     s.dCount,
+		pTag:       s.pTag,
+		pOff:       s.pOff,
+		pDelta:     s.pDelta,
+		pLRU:       s.pLRU,
 		setMask:    uint64(cfg.PageSets - 1),
+	}
+}
+
+// slab is an instance's tables, the delta cache and the page cache. A slab
+// outlives its instance: Release resets it and hands it to the next instance
+// with the same table sizes.
+type slab struct {
+	dNext  []int32
+	dCount []uint32
+	pTag   []uint64
+	pOff   []int32
+	pDelta []int32
+	pLRU   []uint64
+}
+
+// slabs pools tables by slabKey.
+var slabs slabpool.Table[slab]
+
+// slabKey is the shape of cfg's tables.
+func slabKey(cfg Config) uint64 {
+	return slabpool.Key4(cfg.MaxDelta, cfg.DeltaWays, cfg.PageSets, cfg.PageWays)
+}
+
+// reset restores the construction state, clearing the tables whole: at
+// 22 KB that is cheaper than testing each entry for use.
+func (s *slab) reset() {
+	clear(s.dNext)
+	clear(s.dCount)
+	clear(s.pTag)
+	clear(s.pOff)
+	clear(s.pDelta)
+	clear(s.pLRU)
+}
+
+// Release implements prefetch.Prefetcher: it resets the tables and offers
+// them to the next instance of the same shape.
+func (p *Prefetcher) Release() {
+	s := p.slab
+	if s == nil {
+		return
+	}
+	p.slab, p.dNext, p.dCount, p.pTag, p.pOff, p.pDelta, p.pLRU = nil, nil, nil, nil, nil, nil, nil
+	if pool := slabs.Pool(slabKey(p.cfg)); pool != nil {
+		s.reset()
+		pool.Put(s)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/prefetch"
 	"repro/internal/prefetch/spp"
+	"repro/internal/slabpool"
 )
 
 // numFeatures is the number of perceptron feature tables.
@@ -98,11 +99,13 @@ func (r *record) features() (idx [numFeatures]int) {
 type Prefetcher struct {
 	cfg Config
 	spp *spp.Prefetcher
-	// w holds the feature weight tables back to back: feature i's table is
-	// w[i*TableEntries : (i+1)*TableEntries].
-	w   []int8
-	pft []record // issued prefetches
-	rjt []record // rejected candidates
+	// slab owns w, pft and rjt; Release hands it to the next instance of the
+	// same shape. w holds the feature weight tables back to back: feature
+	// i's table is w[i*TableEntries : (i+1)*TableEntries].
+	slab *slab
+	w    []int8
+	pft  []record // issued prefetches
+	rjt  []record // rejected candidates
 
 	// sink is the persistent candidate classifier Operate hands to the SPP
 	// proposer; the per-call trigger context and downstream issue function
@@ -122,15 +125,59 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 	if cfg.TableEntries > maxTableEntries {
 		panic(fmt.Sprintf("ppf: TableEntries %d above %d, the largest a record's feature index holds", cfg.TableEntries, maxTableEntries))
 	}
+	s := slabs.Pool(slabKey(cfg)).Get()
+	if s == nil {
+		s = &slab{
+			w:   make([]int8, numFeatures*cfg.TableEntries),
+			pft: make([]record, cfg.RecordEntries),
+			rjt: make([]record, cfg.RecordEntries),
+		}
+	}
 	p := &Prefetcher{
-		cfg: cfg,
-		spp: spp.New(cfg.SPP, regionBits),
-		w:   make([]int8, numFeatures*cfg.TableEntries),
-		pft: make([]record, cfg.RecordEntries),
-		rjt: make([]record, cfg.RecordEntries),
+		cfg:  cfg,
+		spp:  spp.New(cfg.SPP, regionBits),
+		slab: s,
+		w:    s.w,
+		pft:  s.pft,
+		rjt:  s.rjt,
 	}
 	p.sink = p.classify
 	return p
+}
+
+// slab is an instance's perceptron: the weight tables and the prefetch and
+// reject records, each record table a 24 KB allocation (one 48 KB array
+// would take the runtime's slower large-object path). A slab outlives its
+// instance: Release clears it and hands it to the next instance with the
+// same table sizes. The proposer's tables are the SPP's own slab.
+type slab struct {
+	w        []int8
+	pft, rjt []record
+}
+
+// slabs pools perceptrons by slabKey.
+var slabs slabpool.Table[slab]
+
+// slabKey is the shape of cfg's perceptron.
+func slabKey(cfg Config) uint64 { return slabpool.Key4(cfg.TableEntries, cfg.RecordEntries, 0, 0) }
+
+// Release implements prefetch.Prefetcher: it releases the SPP proposer,
+// clears the perceptron and offers it to the next instance of the same
+// shape. Weights and records are hashed, with no mark of use that is cheaper
+// to test than the array is to clear, so the whole perceptron is cleared.
+func (p *Prefetcher) Release() {
+	s := p.slab
+	if s == nil {
+		return
+	}
+	p.spp.Release()
+	p.slab, p.w, p.pft, p.rjt = nil, nil, nil, nil
+	if pool := slabs.Pool(slabKey(p.cfg)); pool != nil {
+		clear(s.w)
+		clear(s.pft)
+		clear(s.rjt)
+		pool.Put(s)
+	}
 }
 
 // Factory adapts New to prefetch.Factory.

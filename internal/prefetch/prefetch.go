@@ -72,11 +72,15 @@ func InGenLimit(t, c mem.Addr) bool {
 // Operate trains the prefetcher on the access and proposes candidates via
 // issue. Train updates internal state without proposing; the set-dueling
 // composite uses it to keep the unselected competitor trained on all accesses
-// (Section IV-B3).
+// (Section IV-B3). Release hands the prefetcher's tables to the next instance
+// of the same shape (internal/slabpool): the prefetcher must not run
+// afterwards, and Operate or Train on a released prefetcher panics.
+// Releasing twice is a no-op.
 type Prefetcher interface {
 	Name() string
 	Operate(ctx Context, issue func(Candidate))
 	Train(ctx Context)
+	Release()
 }
 
 // Note on batching: engines must dispatch each candidate through the issue

@@ -13,6 +13,7 @@ package sms
 import (
 	"repro/internal/mem"
 	"repro/internal/prefetch"
+	"repro/internal/slabpool"
 )
 
 // Config sizes SMS.
@@ -56,7 +57,10 @@ type phtEntry struct {
 
 // Prefetcher is an SMS instance.
 type Prefetcher struct {
-	cfg  Config
+	cfg Config
+	// slab owns agt and pht; Release hands it to the next instance of the
+	// same shape.
+	slab *slab
 	agt  []agtEntry
 	pht  []phtEntry
 	tick uint64
@@ -68,10 +72,39 @@ func New(cfg Config, _ uint) *Prefetcher {
 	if cfg.RegionBlocks > 64 {
 		panic("sms: RegionBlocks must fit a 64-bit pattern")
 	}
-	return &Prefetcher{
-		cfg: cfg,
-		agt: make([]agtEntry, cfg.AGTEntries),
-		pht: make([]phtEntry, cfg.PHTEntries),
+	s := slabs.Pool(slabKey(cfg)).Get()
+	if s == nil {
+		s = &slab{agt: make([]agtEntry, cfg.AGTEntries), pht: make([]phtEntry, cfg.PHTEntries)}
+	}
+	return &Prefetcher{cfg: cfg, slab: s, agt: s.agt, pht: s.pht}
+}
+
+// slab is an instance's tables. A slab outlives its instance: Release resets
+// it and hands it to the next instance with the same table sizes.
+type slab struct {
+	agt []agtEntry
+	pht []phtEntry
+}
+
+// slabs pools tables by slabKey.
+var slabs slabpool.Table[slab]
+
+// slabKey is the shape of cfg's tables.
+func slabKey(cfg Config) uint64 { return slabpool.Key4(cfg.AGTEntries, cfg.PHTEntries, 0, 0) }
+
+// Release implements prefetch.Prefetcher: it clears the tables, which is
+// cheaper than testing each entry for use, and offers them to the next
+// instance of the same shape.
+func (p *Prefetcher) Release() {
+	s := p.slab
+	if s == nil {
+		return
+	}
+	p.slab, p.agt, p.pht = nil, nil, nil
+	if pool := slabs.Pool(slabKey(p.cfg)); pool != nil {
+		clear(s.agt)
+		clear(s.pht)
+		pool.Put(s)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/prefetch"
 	"repro/internal/recency"
+	"repro/internal/slabpool"
 )
 
 // Config sizes SPP's structures and thresholds.
@@ -141,8 +142,11 @@ type Prefetcher struct {
 	// two, so the tables index with masks.
 	stMask, ptMask int
 
-	// The Signature Table is one allocation: STSets*STWays way words
-	// (stWays, set s at s*STWays) then one recency word per set (stOrder).
+	// slab owns the tables below; Release hands it to the next instance of
+	// the same shape. The Signature Table is one array: STSets*STWays way
+	// words (stWays, set s at s*STWays) then one recency word per set
+	// (stOrder).
+	slab            *slab
 	stWays, stOrder []uint64
 	pt              []ptEntry
 	ghr             []ghrEntry
@@ -171,24 +175,85 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 	if cfg.STWays < 1 || cfg.STWays > recency.MaxWays {
 		panic(fmt.Sprintf("spp: STWays %d out of range 1..%d, the recency order's limit", cfg.STWays, recency.MaxWays))
 	}
+	s := slabs.Pool(slabKey(cfg)).Get()
+	if s == nil {
+		s = newSlab(cfg)
+	}
 	n := cfg.STSets * cfg.STWays
-	st := make([]uint64, n+cfg.STSets)
-	p := &Prefetcher{
+	return &Prefetcher{
 		cfg:        cfg,
 		regionBits: regionBits,
 		sigMask:    uint16(1<<cfg.SigBits - 1),
 		stMask:     cfg.STSets - 1,
 		ptMask:     cfg.PTEntries - 1,
-		stWays:     st[:n:n],
-		stOrder:    st[n:],
-		pt:         make([]ptEntry, cfg.PTEntries),
-		ghr:        make([]ghrEntry, cfg.GHREntries),
+		slab:       s,
+		stWays:     s.st[:n:n],
+		stOrder:    s.st[n:],
+		pt:         s.pt,
+		ghr:        s.ghr,
+	}
+}
+
+// slab is an instance's tables: the Signature Table's way and recency words
+// in one array, the Pattern Table and the global history register. A slab
+// outlives its instance: Release resets it and hands it to the next instance
+// with the same table sizes.
+type slab struct {
+	st  []uint64
+	pt  []ptEntry
+	ghr []ghrEntry
+}
+
+// slabs pools tables by slabKey.
+var slabs slabpool.Table[slab]
+
+// slabKey is the shape of cfg's tables.
+func slabKey(cfg Config) uint64 {
+	return slabpool.Key4(cfg.STSets, cfg.STWays, cfg.PTEntries, cfg.GHREntries)
+}
+
+// newSlab allocates tables for cfg in their construction state: every way
+// never filled, each set's recency order at recency.Initial.
+func newSlab(cfg Config) *slab {
+	n := cfg.STSets * cfg.STWays
+	s := &slab{
+		st:  make([]uint64, n+cfg.STSets),
+		pt:  make([]ptEntry, cfg.PTEntries),
+		ghr: make([]ghrEntry, cfg.GHREntries),
 	}
 	initial := recency.Initial(cfg.STWays)
-	for s := range p.stOrder {
-		p.stOrder[s] = initial
+	for i := range s.st[n:] {
+		s.st[n+i] = initial
 	}
-	return p
+	return s
+}
+
+// reset restores the construction state. The tables are cleared whole:
+// 8.5 KB clears in about 0.2 µs, while testing each set and Pattern Table
+// entry for use took 1.3 µs even when nothing was used.
+func (s *slab) reset(ways int) {
+	n := len(s.st) / (ways + 1) * ways
+	clear(s.st[:n])
+	initial := recency.Initial(ways)
+	for i := range s.st[n:] {
+		s.st[n+i] = initial
+	}
+	clear(s.pt)
+	clear(s.ghr)
+}
+
+// Release implements prefetch.Prefetcher: it resets the tables and offers
+// them to the next instance of the same shape.
+func (p *Prefetcher) Release() {
+	s := p.slab
+	if s == nil {
+		return
+	}
+	p.slab, p.stWays, p.stOrder, p.pt, p.ghr = nil, nil, nil, nil, nil
+	if pool := slabs.Pool(slabKey(p.cfg)); pool != nil {
+		s.reset(p.cfg.STWays)
+		pool.Put(s)
+	}
 }
 
 // Factory adapts New to prefetch.Factory.

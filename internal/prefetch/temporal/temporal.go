@@ -13,6 +13,7 @@ package temporal
 import (
 	"repro/internal/mem"
 	"repro/internal/prefetch"
+	"repro/internal/slabpool"
 )
 
 // Config sizes the temporal prefetcher.
@@ -42,7 +43,10 @@ type indexEntry struct {
 
 // Prefetcher is a temporal prefetcher instance.
 type Prefetcher struct {
-	cfg   Config
+	cfg Config
+	// slab owns hist and index; Release hands it to the next instance of
+	// the same shape.
+	slab  *slab
 	hist  []mem.Addr // circular buffer of miss block addresses
 	head  uint64     // total misses recorded (next write position mod len)
 	index []indexEntry
@@ -51,11 +55,51 @@ type Prefetcher struct {
 // New creates a temporal prefetcher. regionBits is ignored: temporal
 // prefetching has no spatial page-indexed structures at all.
 func New(cfg Config, _ uint) *Prefetcher {
-	return &Prefetcher{
-		cfg:   cfg,
-		hist:  make([]mem.Addr, cfg.HistoryEntries),
-		index: make([]indexEntry, cfg.IndexEntries),
+	s := slabs.Pool(slabKey(cfg)).Get()
+	if s == nil {
+		s = &slab{hist: make([]mem.Addr, cfg.HistoryEntries), index: make([]indexEntry, cfg.IndexEntries)}
 	}
+	return &Prefetcher{cfg: cfg, slab: s, hist: s.hist, index: s.index}
+}
+
+// slab is an instance's tables. A slab outlives its instance: Release resets
+// it and hands it to the next instance with the same table sizes.
+type slab struct {
+	hist  []mem.Addr
+	index []indexEntry
+}
+
+// slabs pools tables by slabKey.
+var slabs slabpool.Table[slab]
+
+// slabKey is the shape of cfg's tables.
+func slabKey(cfg Config) uint64 { return slabpool.Key4(cfg.HistoryEntries, cfg.IndexEntries, 0, 0) }
+
+// Release implements prefetch.Prefetcher: it resets the tables, touching
+// what the run used — the history positions it recorded, the index entries
+// it validated — and offers them to the next instance of the same shape.
+func (p *Prefetcher) Release() {
+	s := p.slab
+	if s == nil {
+		return
+	}
+	p.slab, p.hist, p.index = nil, nil, nil
+	pool := slabs.Pool(slabKey(p.cfg))
+	if pool == nil {
+		return
+	}
+	// The index entries a run validated are the slots of the blocks it
+	// recorded, while the history has not wrapped.
+	used := s.hist[:min(p.head, uint64(len(s.hist)))]
+	if p.head <= uint64(len(s.hist)) {
+		for _, block := range used {
+			s.index[slotOf(block, len(s.index))] = indexEntry{}
+		}
+	} else {
+		clear(s.index)
+	}
+	clear(used)
+	pool.Put(s)
 }
 
 // Factory adapts New to prefetch.Factory.
@@ -74,8 +118,13 @@ func (p *Prefetcher) MetadataBytes() int {
 }
 
 func (p *Prefetcher) slot(block mem.Addr) *indexEntry {
+	return &p.index[slotOf(block, p.cfg.IndexEntries)]
+}
+
+// slotOf returns the index slot of block in an index of n entries.
+func slotOf(block mem.Addr, n int) int {
 	h := uint64(block) * 0x9e3779b97f4a7c15
-	return &p.index[h>>32%uint64(p.cfg.IndexEntries)]
+	return int(h >> 32 % uint64(n))
 }
 
 // Train implements prefetch.Prefetcher: record demand misses in program

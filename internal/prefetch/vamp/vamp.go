@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/prefetch"
+	"repro/internal/slabpool"
 )
 
 // Config sizes the access-map tracker.
@@ -65,9 +66,12 @@ func (c Config) Scale(k int) Config {
 type Prefetcher struct {
 	cfg        Config
 	regionBits uint
-	words      int      // bitmap words per region
-	tags       []uint64 // regionNumber<<1|1, 0 = invalid
-	bits       []uint64 // Regions × words access bitmaps
+	words      int // bitmap words per region
+	// slab owns tags and bits; Release hands it to the next instance of the
+	// same shape.
+	slab *slab
+	tags []uint64 // regionNumber<<1|1, 0 = invalid
+	bits []uint64 // Regions × words access bitmaps
 	// slotMask is Regions-1: Regions is a power of two.
 	slotMask uint64
 	// distMask has one bit per scanned distance: bit k-1 for k ≤ MaxDistance.
@@ -90,14 +94,63 @@ func New(cfg Config, regionBits uint) *Prefetcher {
 	}
 	blocks := 1 << (regionBits - mem.BlockBits)
 	words := (blocks + 63) / 64
+	s := slabs.Pool(slabKey(cfg, regionBits)).Get()
+	if s == nil {
+		s = &slab{tags: make([]uint64, cfg.Regions), bits: make([]uint64, cfg.Regions*words)}
+	}
 	return &Prefetcher{
 		cfg:        cfg,
 		regionBits: regionBits,
 		words:      words,
-		tags:       make([]uint64, cfg.Regions),
-		bits:       make([]uint64, cfg.Regions*words),
+		slab:       s,
+		tags:       s.tags,
+		bits:       s.bits,
 		slotMask:   uint64(cfg.Regions - 1),
 		distMask:   lowBits(uint(cfg.MaxDistance)),
+	}
+}
+
+// slab is an instance's region table: the tags and the access bitmaps. A
+// slab outlives its instance: Release resets it and hands it to the next
+// instance with the same region count and region size. A 2MB-region table
+// holds 512 bitmap words per region, half a megabyte at the default 128
+// regions, most of which a short run never touches.
+type slab struct {
+	tags []uint64
+	bits []uint64
+}
+
+// slabs pools region tables by slabKey.
+var slabs slabpool.Table[slab]
+
+// slabKey is the shape of a region table: the region count and size.
+func slabKey(cfg Config, regionBits uint) uint64 {
+	return slabpool.Key4(cfg.Regions, int(regionBits), 0, 0)
+}
+
+// reset restores the construction state, touching what a run used: only a
+// region with a tag has a bitmap that is not all zero (mark clears a slot's
+// bitmap when it changes the slot's tag).
+func (s *slab) reset(words int) {
+	for i, tag := range s.tags {
+		if tag != 0 {
+			clear(s.bits[i*words : (i+1)*words])
+			s.tags[i] = 0
+		}
+	}
+}
+
+// Release implements prefetch.Prefetcher: it resets the region table and
+// offers it to the next instance of the same shape.
+func (p *Prefetcher) Release() {
+	s := p.slab
+	if s == nil {
+		return
+	}
+	p.slab, p.tags, p.bits = nil, nil, nil
+	if pool := slabs.Pool(slabKey(p.cfg, p.regionBits)); pool != nil {
+		s.reset(p.words)
+		pool.Put(s)
 	}
 }
 

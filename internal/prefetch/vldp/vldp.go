@@ -11,6 +11,7 @@ package vldp
 import (
 	"repro/internal/mem"
 	"repro/internal/prefetch"
+	"repro/internal/slabpool"
 )
 
 // Config sizes VLDP's structures.
@@ -62,7 +63,10 @@ type Prefetcher struct {
 	cfg        Config
 	regionBits uint
 
-	dhb []dhbEntry
+	// slab owns dhb, dpt, opt and histBuf; Release hands it to the next
+	// instance of the same shape.
+	slab *slab
+	dhb  []dhbEntry
 	// dpt holds one table per history length 1..HistoryLen back to back:
 	// table level occupies dpt[level*DPTEntries : (level+1)*DPTEntries].
 	dpt  []dptEntry
@@ -77,22 +81,78 @@ type Prefetcher struct {
 
 // New creates a VLDP prefetcher indexing pages of 2^regionBits bytes.
 func New(cfg Config, regionBits uint) *Prefetcher {
-	p := &Prefetcher{
+	s := slabs.Pool(slabKey(cfg)).Get()
+	if s == nil {
+		s = newSlab(cfg)
+	}
+	return &Prefetcher{
 		cfg:        cfg,
 		regionBits: regionBits,
-		dhb:        make([]dhbEntry, cfg.DHBEntries),
-		dpt:        make([]dptEntry, cfg.HistoryLen*cfg.DPTEntries),
-		opt:        make([]optEntry, cfg.OPTEntries),
-		histBuf:    make([]int, 0, cfg.HistoryLen+1),
+		slab:       s,
+		dhb:        s.dhb,
+		dpt:        s.dpt,
+		opt:        s.opt,
+		histBuf:    s.hist[len(s.dhb)*cfg.HistoryLen : len(s.dhb)*cfg.HistoryLen],
 	}
-	// One slab backs every entry's delta history: entry i owns window i,
-	// capacity-capped so its appends never spill into the next window.
+}
+
+// slab is an instance's tables: the history buffer, the prediction tables,
+// and hist, which backs every history entry's deltas and then Operate's
+// scratch history. A slab outlives its instance: Release resets it and hands
+// it to the next instance with the same table sizes.
+type slab struct {
+	dhb  []dhbEntry
+	dpt  []dptEntry
+	opt  []optEntry
+	hist []int
+}
+
+// slabs pools tables by slabKey.
+var slabs slabpool.Table[slab]
+
+// slabKey is the shape of cfg's tables.
+func slabKey(cfg Config) uint64 {
+	return slabpool.Key4(cfg.DHBEntries, cfg.DPTEntries, cfg.OPTEntries, cfg.HistoryLen)
+}
+
+// newSlab allocates tables for cfg in their construction state.
+func newSlab(cfg Config) *slab {
 	h := cfg.HistoryLen
-	hist := make([]int, cfg.DHBEntries*h)
-	for i := range p.dhb {
-		p.dhb[i].deltas = hist[i*h : i*h : (i+1)*h]
+	s := &slab{
+		dhb:  make([]dhbEntry, cfg.DHBEntries),
+		dpt:  make([]dptEntry, h*cfg.DPTEntries),
+		opt:  make([]optEntry, cfg.OPTEntries),
+		hist: make([]int, cfg.DHBEntries*h+h+1),
 	}
-	return p
+	s.reset(h)
+	return s
+}
+
+// reset restores the construction state, each history entry empty over its
+// own window of hist, capacity-capped so its appends never spill into the
+// next window. The tables are cleared whole: at 9 KB that is cheaper than
+// testing each entry for use.
+func (s *slab) reset(h int) {
+	clear(s.hist)
+	for i := range s.dhb {
+		s.dhb[i] = dhbEntry{deltas: s.hist[i*h : i*h : (i+1)*h]}
+	}
+	clear(s.dpt)
+	clear(s.opt)
+}
+
+// Release implements prefetch.Prefetcher: it resets the tables and offers
+// them to the next instance of the same shape.
+func (p *Prefetcher) Release() {
+	s := p.slab
+	if s == nil {
+		return
+	}
+	p.slab, p.dhb, p.dpt, p.opt, p.histBuf = nil, nil, nil, nil, nil
+	if pool := slabs.Pool(slabKey(p.cfg)); pool != nil {
+		s.reset(p.cfg.HistoryLen)
+		pool.Put(s)
+	}
 }
 
 // Factory adapts New to prefetch.Factory.

@@ -50,19 +50,19 @@ func allocated(fn func()) uint64 {
 
 // TestRunBytesBudget pins the heap bytes a whole run allocates — construction,
 // a 20k-instruction warm-up and an 80k measured window — when it follows
-// another run: libquantum spp-PSA-SD, mcf ppf-PSA and a 4-core mix alternate,
-// and every run after the first of each recycles its predecessor's storage
-// (cache slabs, frame bitmap, page-table slabs, TLB arrays, the core's ROB
-// and trace batch) instead of allocating it anew: for one core, 578 KB of
-// cache storage and 166–262 KB of VM and core storage. What is left is
-// mostly the prefetchers' tables, allocated per run: 9.1 KB per SPP
-// instance (PSA-SD builds two) and 65 KB per PPF instance. The mix's
-// allocator covers its scaled physical memory, a bitmap of its own shape.
-// Byte counts
-// are deterministic with collection off and one processor (pinPool), so
-// each row allows 5% above its recorded value. TestAllocsPerAccessGate
-// counts objects only: storage that goes back to one allocation per
-// simulation keeps the object count and fails here.
+// another run: the rows alternate, and every run after the first of each
+// recycles its predecessor's storage (cache slabs, frame bitmap, page-table
+// slabs, TLB arrays, the core's ROB and trace batch, the prefetchers'
+// tables) instead of allocating it anew: for one core, 578 KB of cache
+// storage, 166–262 KB of VM and core storage and 18–513 KB of prefetcher
+// tables (two 9.1 KB SPPs for spp-PSA-SD, two 65 KB PPFs for ppf-PSA-SD,
+// one 513 KB 2MB-region vamp map). What is left is about 10 KB of per-run
+// objects per core. The mix's allocator covers its scaled physical memory,
+// a bitmap of its own shape. Byte counts are deterministic with collection
+// off and one processor (pinPool), so each row allows 5% above its recorded
+// value. TestAllocsPerAccessGate counts objects only: storage that goes
+// back to one allocation per simulation keeps the object count and fails
+// here.
 func TestRunBytesBudget(t *testing.T) {
 	pinPool(t)
 	opt := RunOpt{Warmup: 20_000, Instructions: 80_000, Seed: 1, Samples: 8}
@@ -81,13 +81,16 @@ func TestRunBytesBudget(t *testing.T) {
 		run  func()
 		kb   float64 // heap KB per run after the first
 	}{
-		{"libquantum/spp-PSA-SD", single("libquantum", PrefSpec{Base: "spp", Variant: core.PSASD}), 28.5},
-		{"mcf/ppf-PSA", single("mcf", PrefSpec{Base: "ppf", Variant: core.PSA}), 80},
+		{"libquantum/spp-PSA-SD", single("libquantum", PrefSpec{Base: "spp", Variant: core.PSASD}), 10.4},
+		{"mcf/ppf-PSA", single("mcf", PrefSpec{Base: "ppf", Variant: core.PSA}), 14.8},
+		{"lbm/ppf-PSA-SD", single("lbm", PrefSpec{Base: "ppf", Variant: core.PSASD}), 11.2},
+		{"pr.road/pangloss-PSA-SD", single("pr.road", PrefSpec{Base: "pangloss", Variant: core.PSASD}), 10.3},
+		{"milc/vamp-PSA-2MB", single("milc", PrefSpec{Base: "vamp", Variant: core.PSA2MB}), 12.1},
 		{"mix(4)/spp-PSA", func() {
 			if _, err := RunMulti(DefaultConfig(), PrefSpec{Base: "spp", Variant: core.PSA}, mix, opt); err != nil {
 				t.Fatal(err)
 			}
-		}, 72},
+		}, 36},
 	}
 	for _, row := range rows {
 		row.run() // first run: memoized generator tables, fresh storage
@@ -252,9 +255,11 @@ func TestProbesReadReleasedSystem(t *testing.T) {
 
 // TestRecycleConcurrent runs single-core jobs and a 4-core mix on 4
 // goroutines at once, with mixed geometries — the default machine, a smaller
-// L2 and a 3000-set LLC (the generic set-index path) — so storage released
-// by one goroutine's run is picked up by another's. Every result must equal
-// the serial reference. make race runs it under the race detector.
+// L2 and a 3000-set LLC (the generic set-index path) — and prefetchers of
+// four table shapes (SPP, PPF, Pangloss and the 2MB-region vamp), so storage
+// released by one goroutine's run is picked up by another's. Every result
+// must equal the serial reference. make race runs it under the race
+// detector.
 func TestRecycleConcurrent(t *testing.T) {
 	small := DefaultConfig()
 	small.L2.Sets = 256
@@ -262,7 +267,8 @@ func TestRecycleConcurrent(t *testing.T) {
 	odd.LLC.Sets = 3000
 	cfgs := []Config{DefaultConfig(), small, odd}
 	opt := RunOpt{Warmup: 2_000, Instructions: 8_000, Seed: 1, Samples: 2}
-	specs := []PrefSpec{{Base: "spp", Variant: core.PSASD}, {Base: "ppf", Variant: core.PSA}}
+	specs := []PrefSpec{{Base: "spp", Variant: core.PSASD}, {Base: "ppf", Variant: core.PSA},
+		{Base: "pangloss", Variant: core.PSASD}, {Base: "vamp", Variant: core.PSA2MB}}
 	names := []string{"libquantum", "mcf", "milc"}
 	mix := []trace.Workload{mustWorkload(t, "libquantum"), mustWorkload(t, "mcf"),
 		mustWorkload(t, "milc"), mustWorkload(t, "pr.road")}

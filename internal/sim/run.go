@@ -61,9 +61,9 @@ func Run(cfg Config, spec PrefSpec, w trace.Workload, opt RunOpt) (Result, error
 // canceled runs are partial and must not be cached.
 //
 // Once the Result is copied out, finished and canceled runs alike release
-// their caches' storage for the next simulation (cache.Release); a run that
-// panics skips the release, so its possibly half-mutated storage is dropped
-// rather than recycled.
+// their storage — caches, VM, core and prefetcher tables — for the next
+// simulation (system.release); a run that panics skips the release, so its
+// possibly half-mutated storage is dropped rather than recycled.
 //
 // The context may also carry an *Instrumentation (WithInstrumentation): the
 // run then additionally stops at every telemetry epoch boundary to sample the
@@ -219,7 +219,7 @@ func RunMulti(cfg Config, spec PrefSpec, mix []trace.Workload, opt RunOpt) (Mult
 
 // RunMultiContext is RunMulti with cancellation, checked at every shared-time
 // epoch boundary (a few thousand cycles), so canceled mixes stop promptly.
-// Like RunContext, it releases the caches' storage once the result is out.
+// Like RunContext, it releases the system's storage once the result is out.
 // Physical memory scales to at least 4 GiB per core before Validate runs.
 func RunMultiContext(ctx context.Context, cfg Config, spec PrefSpec, mix []trace.Workload, opt RunOpt) (MultiResult, error) {
 	cfg.PhysBytes = maxAddr(cfg.PhysBytes, mem.Addr(len(mix))*(8<<30)/2)

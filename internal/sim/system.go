@@ -8,6 +8,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/mem"
+	"repro/internal/prefetch"
 	"repro/internal/prefetch/ipcp"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -62,6 +63,15 @@ type system struct {
 func newSystem(cfg Config, spec PrefSpec, workloads []trace.Workload, seed uint64) (*system, error) {
 	if cfg.Replacement != cache.ReplLRU {
 		panic(fmt.Sprintf("sim: replacement policy %d, only LRU (0) is modelled", cfg.Replacement))
+	}
+	// The factory is resolved before any storage is drawn, so an unknown
+	// base errors with nothing to release.
+	var factory prefetch.Factory
+	if spec.Base != "" && spec.Base != "none" {
+		var err error
+		if factory, err = factoryFor(spec.Base, spec.Variant); err != nil {
+			return nil, err
+		}
 	}
 	s := &system{cfg: cfg, spec: spec}
 	s.alloc = vm.NewAllocator(cfg.PhysBytes, seed)
@@ -118,11 +128,7 @@ func newSystem(cfg Config, spec PrefSpec, workloads []trace.Workload, seed uint6
 		n.mmu.SetWalkArena(walkArena)
 		n.reader = w.New(seed + uint64(i)*997)
 
-		if spec.Base != "" && spec.Base != "none" {
-			factory, err := factoryFor(spec.Base, spec.Variant)
-			if err != nil {
-				return nil, err
-			}
+		if factory != nil {
 			n.engine = core.New(factory, spec.Variant, n.l2, s.llc, oracle, i)
 			// Virtual-side candidates (vamp) translate through the core's own
 			// TLBs: resident pages issue, everything else is dropped — VA
@@ -145,11 +151,12 @@ func newSystem(cfg Config, spec PrefSpec, workloads []trace.Workload, seed uint6
 }
 
 // release returns the system's fixed storage for the next simulation: every
-// cache's slab (cache.Release), each core's TLBs, page tables and ROB, and
+// cache's slab (cache.Release), each core's TLBs, page tables and ROB, its
+// prefetchers' tables (core.Engine.Release, ipcp.Prefetcher.Release), and
 // the allocator's frame bitmap. The system must not run afterwards; the
 // counters stay readable — cache Stats, TLB hits and misses, walks, mapped
-// bytes and the core's clock — which is all the result copy and the
-// collector's probes read.
+// bytes, the engine's Stats and the core's clock — which is all the result
+// copy and the collector's probes read.
 func (s *system) release() {
 	for _, n := range s.nodes {
 		n.l1i.Release()
@@ -159,6 +166,12 @@ func (s *system) release() {
 		n.space.Release()
 		n.codeSpace.Release()
 		n.cpu.Release()
+		if n.engine != nil {
+			n.engine.Release()
+		}
+		if n.l1pf != nil {
+			n.l1pf.Release()
+		}
 	}
 	s.llc.Release()
 	s.alloc.Release()

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -166,8 +167,11 @@ func (s *Store) path(key string) string {
 // cleanly. Undecodable entries are removed and reported as a miss. Get does
 // not touch the hit/miss counters; it is the raw lookup used by DoContext
 // and by tests.
-func (s *Store) Get(key string) (sim.Result, bool) {
-	b, err := os.ReadFile(s.path(key))
+func (s *Store) Get(key string) (sim.Result, bool) { return s.get(s.path(key)) }
+
+// get is Get on the entry path p.
+func (s *Store) get(p string) (sim.Result, bool) {
+	b, err := os.ReadFile(p)
 	if err != nil {
 		return sim.Result{}, false
 	}
@@ -176,7 +180,7 @@ func (s *Store) Get(key string) (sim.Result, bool) {
 		// Corrupted or truncated by a crashed writer predating atomic
 		// renames, or by bit rot: recover by treating it as a miss.
 		s.corrupt.Add(1)
-		os.Remove(s.path(key))
+		os.Remove(p)
 		return sim.Result{}, false
 	}
 	return res, true
@@ -198,16 +202,24 @@ func (s *Store) GetCounted(key string) (sim.Result, bool) {
 // in the same directory and renamed into place, so concurrent writers of the
 // same key race benignly (identical content) and readers never see a partial
 // entry.
-func (s *Store) Put(key string, res sim.Result) error {
-	p := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("simcache: %w", err)
-	}
+func (s *Store) Put(key string, res sim.Result) error { return s.put(key, s.path(key), res) }
+
+// put is Put to the entry path p. The shard directory is made only when
+// creating the temp file finds it missing: on a warm store every shard
+// exists, and a stat per entry would be wasted.
+func (s *Store) put(key, p string, res sim.Result) error {
 	b, err := json.Marshal(res)
 	if err != nil {
 		return fmt.Errorf("simcache: encode %s: %w", key, err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), "put-*")
+	dir := filepath.Dir(p)
+	tmp, err := os.CreateTemp(dir, "put-*")
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("simcache: %w", err)
+		}
+		tmp, err = os.CreateTemp(dir, "put-*")
+	}
 	if err != nil {
 		return fmt.Errorf("simcache: %w", err)
 	}
@@ -246,11 +258,12 @@ func errFirst(errs ...error) error {
 // first requester of a key may hit its deadline while others still want the
 // result. Errors (including cancellations) are never cached.
 func (s *Store) DoContext(ctx context.Context, key string, fn func(context.Context) (sim.Result, error)) (res sim.Result, hit bool, err error) {
+	p := s.path(key)
 	for {
 		if err := ctx.Err(); err != nil {
 			return sim.Result{}, false, err
 		}
-		if res, ok := s.Get(key); ok {
+		if res, ok := s.get(p); ok {
 			s.hits.Add(1)
 			return res, true, nil
 		}
@@ -280,7 +293,7 @@ func (s *Store) DoContext(ctx context.Context, key string, fn func(context.Conte
 		if c.err == nil {
 			// A failed Put (full disk, read-only dir) degrades to uncached
 			// operation; the computed result is still good.
-			_ = s.Put(key, c.res)
+			_ = s.put(key, p, c.res)
 		}
 		s.mu.Lock()
 		delete(s.inflight, key)

@@ -73,6 +73,41 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutRecreatesShardDir: Put makes a shard directory only when creating
+// its temp file finds it missing, so an entry still lands after the
+// directory was removed under a live store, and so does the next entry in
+// the recreated directory.
+func TestPutRecreatesShardDir(t *testing.T) {
+	s, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sampleResult()
+	key := Key(sim.DefaultConfig(), sim.PrefSpec{Base: "spp"}, testWorkload(t, "milc"), sim.DefaultRunOpt())
+	if err := s.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Join(s.Dir(), key[:2])
+	if err := os.RemoveAll(shard); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(key); ok {
+		t.Fatal("hit after the shard directory was removed")
+	}
+	if err := s.Put(key, want); err != nil {
+		t.Fatalf("Put after the shard directory was removed: %v", err)
+	}
+	other := key[:2] + "00" + key[4:]
+	if err := s.Put(other, want); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{key, other} {
+		if got, ok := s.Get(k); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("entry %s after the shard was recreated: ok %v, %+v", k[:8], ok, got)
+		}
+	}
+}
+
 func TestKeySensitivity(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	spec := sim.PrefSpec{Base: "spp", Variant: core.PSA}

@@ -1,6 +1,7 @@
 // Package slabpool recycles a simulation's fixed host storage — cache slabs,
 // the frame allocator's bitmap, page-table node slabs, TLB arrays, the core's
-// reorder buffer and trace batch — between simulations. A process runs
+// reorder buffer and trace batch, the prefetchers' tables — between
+// simulations. A process runs
 // simulation after simulation, and each one sizes its storage by a
 // configuration that repeats: a Table keeps one sync.Pool per storage shape,
 // so the storage is allocated once per shape and goroutine in flight instead
@@ -41,8 +42,11 @@ type Table[T any] struct {
 type Pool[T any] struct{ p sync.Pool }
 
 // Pool returns key's pool, claiming a free entry on first use, or nil when
-// every entry holds another key. key must not be zero.
+// every entry holds another key or key is zero, the key of no pool.
 func (t *Table[T]) Pool(key uint64) *Pool[T] {
+	if key == 0 {
+		return nil
+	}
 	for i := range t.entries {
 		e := &t.entries[i]
 		k := e.key.Load()
@@ -62,6 +66,21 @@ func (t *Table[T]) Pool(key uint64) *Pool[T] {
 // Key packs a two-number shape, such as a cache's sets and ways, into a
 // table key. Both must be positive and below 2^32.
 func Key(a, b int) uint64 { return uint64(a)<<32 | uint64(b) }
+
+// Key4 packs a shape of up to four numbers, such as a prefetcher's table
+// sizes, into a table key. It returns zero, the key of no pool, when a number
+// is negative or above 0xFFFF: storage of such a shape is allocated by its
+// user and dropped on release.
+func Key4(a, b, c, d int) uint64 {
+	var k uint64
+	for _, n := range [4]int{a, b, c, d} {
+		if n < 0 || n > 0xFFFF {
+			return 0
+		}
+		k = k<<16 | uint64(n)
+	}
+	return k
+}
 
 // Keys returns how many keys hold a pool, at most MaxKeys.
 func (t *Table[T]) Keys() int {

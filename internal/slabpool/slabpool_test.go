@@ -53,3 +53,29 @@ func TestPoolSkipsFiller(t *testing.T) {
 		t.Fatalf("a drained pool returned %v", *got)
 	}
 }
+
+// TestKey4: distinct in-range shapes get distinct keys, and a shape with a
+// number out of range gets zero, which has no pool.
+func TestKey4(t *testing.T) {
+	seen := map[uint64][4]int{}
+	for _, s := range [][4]int{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1},
+		{64, 4, 512, 8}, {128, 4, 1024, 8}, {0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF}} {
+		k := Key4(s[0], s[1], s[2], s[3])
+		if k == 0 {
+			t.Fatalf("Key4%v = 0, want a key", s)
+		}
+		if prev, ok := seen[k]; ok {
+			t.Fatalf("Key4%v and Key4%v share key %#x", s, prev, k)
+		}
+		seen[k] = s
+	}
+	for _, s := range [][4]int{{0, 0, 0, 0}, {1 << 16, 1, 1, 1}, {1, -1, 1, 1}, {1, 1, 1, 1 << 20}} {
+		if k := Key4(s[0], s[1], s[2], s[3]); k != 0 {
+			t.Errorf("Key4%v = %#x, want 0", s, k)
+		}
+	}
+	var tab Table[int]
+	if p := tab.Pool(0); p != nil || tab.Keys() != 0 {
+		t.Fatalf("key 0 got pool %p and claimed %d entries, want none", p, tab.Keys())
+	}
+}
