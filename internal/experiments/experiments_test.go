@@ -268,6 +268,13 @@ func TestShapeChecksPassAtTinyScale(t *testing.T) {
 	for _, e := range r2.Check() {
 		t.Errorf("fig2: %v", e)
 	}
+	r3, err := Figure3(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range r3.Check() {
+		t.Errorf("fig3: %v", e)
+	}
 	r5, err := Figure5(o)
 	if err != nil {
 		t.Fatal(err)

@@ -31,12 +31,22 @@ func goldenOptions(t *testing.T) Options {
 	return o
 }
 
-// TestGoldenFigures snapshot-tests Render() for Figure 2, Figure 8, the
-// crossing study, and Table 1 at a tiny fixed-seed scale, so a figure-shape
-// regression (changed metric derivation, broken aggregation, perturbed
-// simulation) fails CI instead of waiting for someone to eyeball results/.
+// goldenFigures are the experiments TestGoldenFigures pins: every figure
+// driver except the multi-core figs 14-15 (TestFigure14Runs and
+// TestFigure15Runs run them) and nonintensive (variantStudy per base over
+// all 90 workloads, which fig8 already pins at a fraction of the cost).
+var goldenFigures = []string{
+	"fig2", "fig3", "fig4", "fig5", "fig8", "fig9", "fig10", "fig11",
+	"fig12", "fig13", "crossing", "ablation", "extensions", "table1",
+}
+
+// TestGoldenFigures snapshot-tests Render() for every figure of
+// goldenFigures at a tiny fixed-seed scale, so a figure-shape regression
+// (changed metric derivation, broken aggregation, perturbed simulation)
+// fails CI instead of waiting for someone to eyeball results/. The
+// extensions golden also pins the TLB prefetcher path.
 func TestGoldenFigures(t *testing.T) {
-	for _, name := range []string{"fig2", "fig8", "crossing", "table1"} {
+	for _, name := range goldenFigures {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			r, err := Run(name, goldenOptions(t))
