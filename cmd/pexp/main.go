@@ -34,7 +34,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -46,15 +45,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/simcache"
 )
-
-// defaultCacheDir places the result cache under the OS user cache directory,
-// falling back to a dot directory in the working tree.
-func defaultCacheDir() string {
-	if dir, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(dir, "psat-repro", "simcache")
-	}
-	return ".simcache"
-}
 
 // writeHeapProfile snapshots live-heap allocations into path (-memprofile).
 func writeHeapProfile(path string) {
@@ -130,7 +120,7 @@ func run() int {
 		base       = flag.String("base", "", "prefetcher for per-prefetcher studies (fig8): spp, vldp, ppf, bop, sms, ampm, temporal, pangloss, vamp")
 		htmlOut    = flag.String("html", "", "also write an HTML report (with SVG charts) to this file")
 		noCache    = flag.Bool("no-cache", false, "disable the simulation result cache")
-		cacheDir   = flag.String("cache-dir", defaultCacheDir(), "simulation result cache directory")
+		cacheDir   = flag.String("cache-dir", simcache.DefaultDir(), "simulation result cache directory")
 		quiet      = flag.Bool("quiet", false, "suppress live progress reporting")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")

@@ -16,7 +16,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"syscall"
@@ -73,14 +72,6 @@ func replayWorkload(path string, thpFrac float64) (trace.Workload, error) {
 	}, nil
 }
 
-// defaultCacheDir matches pexp's default, so the two commands share entries.
-func defaultCacheDir() string {
-	if dir, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(dir, "psat-repro", "simcache")
-	}
-	return ".simcache"
-}
-
 // writeHeapProfile snapshots live-heap allocations into path (-memprofile).
 func writeHeapProfile(path string) {
 	f, err := os.Create(path)
@@ -111,7 +102,7 @@ func run() int {
 		listWs      = flag.Bool("workloads", false, "list workloads and exit")
 		printConfig = flag.Bool("print-config", false, "print the Table I configuration and exit")
 		noCache     = flag.Bool("no-cache", false, "disable the simulation result cache")
-		cacheDir    = flag.String("cache-dir", defaultCacheDir(), "simulation result cache directory")
+		cacheDir    = flag.String("cache-dir", simcache.DefaultDir(), "simulation result cache directory")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 

@@ -40,7 +40,6 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
@@ -52,20 +51,12 @@ import (
 	"repro/internal/simcache"
 )
 
-// defaultCacheDir matches pexp/psim, so the daemon shares their entries.
-func defaultCacheDir() string {
-	if dir, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(dir, "psat-repro", "simcache")
-	}
-	return ".simcache"
-}
-
 func main() { os.Exit(run()) }
 
 func run() int {
 	var (
 		addr     = flag.String("addr", "localhost:8080", "listen address")
-		cacheDir = flag.String("cache-dir", defaultCacheDir(), "simulation result cache directory")
+		cacheDir = flag.String("cache-dir", simcache.DefaultDir(), "simulation result cache directory")
 		noCache  = flag.Bool("no-cache", false, "disable the result cache (every sim executes)")
 		workers  = flag.Int("workers", 4, "jobs making progress concurrently")
 		par      = flag.Int("par", runtime.NumCPU(), "concurrent simulations across all jobs")

@@ -39,8 +39,6 @@ func newStride(regionBits uint) *stridePrefetcher {
 	}
 }
 
-func (p *stridePrefetcher) Name() string { return "example-stride" }
-
 func (p *stridePrefetcher) Train(ctx prefetch.Context) {
 	region := ctx.Addr >> p.regionBits
 	off := int((ctx.Addr >> mem.BlockBits) & (1<<(p.regionBits-mem.BlockBits) - 1))

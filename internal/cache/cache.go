@@ -490,9 +490,6 @@ func (c *Cache) MSHRBusy(at mem.Cycle) int {
 	return busy
 }
 
-// Name returns the configured cache name.
-func (c *Cache) Name() string { return c.cfg.Name }
-
 // Sets returns the number of sets (used for set-dueling leader mapping).
 func (c *Cache) Sets() int { return c.cfg.Sets }
 

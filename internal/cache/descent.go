@@ -6,9 +6,9 @@ import (
 	"repro/internal/mem"
 )
 
-// Descent is the entry to one core's memory-hierarchy slice: the precomputed
-// level array (top first) over which every demand access and page-walk
-// reference descends. New links each level's devirtualized next-level pointer
+// Descent is the entry to one core's memory-hierarchy slice: the chain of
+// levels (top first) down which every demand access and page-walk reference
+// descends. New links each level's devirtualized next-level pointer
 // whenever the next Port is itself a *Cache, so the chain Descent validates
 // here runs core→L1→L2→LLC→DRAM entirely through direct calls — the only
 // interface dispatch left on a miss is the final hop into DRAM. Descent
@@ -16,8 +16,7 @@ import (
 // is a concrete method — callers holding a *Descent (the core's memory
 // system) reach the top cache without any interface dispatch.
 type Descent struct {
-	top    *Cache
-	levels []*Cache
+	top *Cache
 }
 
 // NewDescent assembles the descent over levels (top first), validating that
@@ -34,13 +33,10 @@ func NewDescent(levels ...*Cache) *Descent {
 				levels[i].cfg.Name, levels[i+1].cfg.Name))
 		}
 	}
-	return &Descent{top: levels[0], levels: levels}
+	return &Descent{top: levels[0]}
 }
 
 // Access implements mem.Port: descend from the top level.
 func (d *Descent) Access(req *mem.Request, at mem.Cycle) mem.Cycle {
 	return d.top.access(req, at, true)
 }
-
-// Levels returns the precomputed level array, top first.
-func (d *Descent) Levels() []*Cache { return d.levels }

@@ -20,9 +20,11 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/progress"
 	"repro/internal/sim"
 	"repro/internal/simcache"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -175,6 +177,63 @@ func runBatch(o Options, jobs []Job) ([]sim.Result, error) {
 		return nil, err
 	}
 	return results, nil
+}
+
+// grid holds the results of running every spec of a list on every workload
+// of another: one job per (workload, spec), indexed by their positions.
+type grid struct {
+	ws      []trace.Workload
+	specs   int
+	results []sim.Result // workload-major: results[w*specs+s]
+}
+
+// runGrid runs specs on every workload of ws as one workload-major batch. It
+// is the only way an experiment simulates a single-core job.
+func runGrid(o Options, ws []trace.Workload, specs ...sim.PrefSpec) (grid, error) {
+	jobs := make([]Job, 0, len(ws)*len(specs))
+	for _, w := range ws {
+		for _, s := range specs {
+			jobs = append(jobs, Job{Workload: w, Spec: s})
+		}
+	}
+	rs, err := runBatch(o, jobs)
+	return grid{ws: ws, specs: len(specs), results: rs}, err
+}
+
+// result returns workload w's result under spec s.
+func (g grid) result(w, s int) *sim.Result { return &g.results[w*g.specs+s] }
+
+// ipcs returns spec s's IPC on every workload, in workload order.
+func (g grid) ipcs(s int) []float64 {
+	out := make([]float64, len(g.ws))
+	for w := range out {
+		out[w] = g.result(w, s).IPC
+	}
+	return out
+}
+
+// speedups maps each workload's name to spec s's percent speedup over spec
+// base.
+func (g grid) speedups(base, s int) map[string]float64 {
+	out := make(map[string]float64, len(g.ws))
+	for w, wl := range g.ws {
+		out[wl.Name] = speedupPct(g.result(w, base).IPC, g.result(w, s).IPC)
+	}
+	return out
+}
+
+// geomeanSpeedup is spec s's geomean percent speedup over spec base.
+func (g grid) geomeanSpeedup(base, s int) float64 {
+	return stats.GeomeanSpeedup(g.ipcs(base), g.ipcs(s))
+}
+
+// variantSpecs returns base's spec under each variant, in order.
+func variantSpecs(base string, variants ...core.Variant) []sim.PrefSpec {
+	out := make([]sim.PrefSpec, len(variants))
+	for i, v := range variants {
+		out[i] = sim.PrefSpec{Base: base, Variant: v}
+	}
+	return out
 }
 
 // runOne executes (or recalls) a single simulation, reporting whether it was

@@ -188,6 +188,30 @@ func TestFigure14Runs(t *testing.T) {
 	}
 }
 
+func TestFigure15Runs(t *testing.T) {
+	o := tinyOptions(t)
+	o.Warmup = 20_000
+	o.Instructions = 60_000
+	r, err := Figure15(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Cores != 8 {
+		t.Errorf("cores = %d", r.Cores)
+	}
+	if len(r.Schemes) != 8 { // 4 prefetchers × {PSA, PSA-SD}
+		t.Errorf("schemes = %v", r.Schemes)
+	}
+	for _, s := range r.Schemes {
+		if len(r.Speedups[s]) != o.Mixes {
+			t.Errorf("%s: %d mixes", s, len(r.Speedups[s]))
+		}
+	}
+	if !strings.Contains(r.Render(), "Figure 15") {
+		t.Error("render missing title")
+	}
+}
+
 func TestMixesDeterministic(t *testing.T) {
 	o := tinyOptions(t)
 	a := mixesFor(o, 4, 5)

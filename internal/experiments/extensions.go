@@ -38,23 +38,12 @@ func Ablation(o Options) (*AblationResult, error) {
 	res := &AblationResult{Geomean: map[string]float64{}}
 	for _, cc := range configs {
 		po := o
-		po.Config = o.Config
 		cc.mod(&po.Config)
-		var jobs []Job
-		for _, w := range po.workloads() {
-			jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: "spp", Variant: core.Original}})
-			jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: "spp", Variant: core.PSA}})
-		}
-		rs, err := runBatch(po, jobs)
+		g, err := runGrid(po, po.workloads(), variantSpecs("spp", core.Original, core.PSA)...)
 		if err != nil {
 			return nil, err
 		}
-		var bases, vars []float64
-		for i := 0; i < len(rs); i += 2 {
-			bases = append(bases, rs[i].IPC)
-			vars = append(vars, rs[i+1].IPC)
-		}
-		res.Geomean[cc.name] = stats.GeomeanSpeedup(bases, vars)
+		res.Geomean[cc.name] = g.geomeanSpeedup(0, 1)
 		res.Order = append(res.Order, cc.name)
 	}
 	return res, nil
@@ -107,55 +96,41 @@ func Extensions(o Options) (*ExtensionsResult, error) {
 	variantFor := map[string]core.Variant{
 		"sms": core.PSA, "ampm": core.PSA2MB, "temporal": core.PSA,
 	}
-	var jobs []Job
-	for _, w := range o.workloads() {
-		jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: "none"}})
-		for _, base := range extended {
-			jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: base, Variant: core.Original}})
-			jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: base, Variant: variantFor[base]}})
-		}
+	// Spec 0 is the no-prefetch baseline; base i's original and
+	// page-size-aware versions are specs 2i+1 and 2i+2.
+	specs := []sim.PrefSpec{{Base: "none"}}
+	for _, base := range extended {
+		specs = append(specs, variantSpecs(base, core.Original, variantFor[base])...)
 	}
-	rs, err := runBatch(o, jobs)
+	g, err := runGrid(o, o.workloads(), specs...)
 	if err != nil {
 		return nil, err
 	}
-	ipc := map[string]float64{}
-	for i, r := range rs {
-		ipc[jobs[i].Workload.Name+"/"+jobs[i].Spec.String()] = r.IPC
-	}
-	for _, base := range extended {
-		var none, orig, psa []float64
-		for _, w := range o.workloads() {
-			none = append(none, ipc[w.Name+"/no-prefetch"])
-			orig = append(orig, ipc[w.Name+"/"+sim.PrefSpec{Base: base, Variant: core.Original}.String()])
-			psa = append(psa, ipc[w.Name+"/"+sim.PrefSpec{Base: base, Variant: variantFor[base]}.String()])
-		}
-		res.PSAGeomean[base] = stats.GeomeanSpeedup(orig, psa)
-		res.SpeedupOverNone[base] = stats.Geomean(ratios(none, orig))
+	for i, base := range extended {
+		res.PSAGeomean[base] = g.geomeanSpeedup(2*i+1, 2*i+2)
+		res.SpeedupOverNone[base] = stats.Geomean(ratios(g.ipcs(0), g.ipcs(2*i+1)))
 	}
 
-	// TLB prefetcher: demand-walk reduction on the 4KB-heavy subset.
+	// TLB prefetcher: demand-walk reduction on the 4KB-heavy subset, one
+	// batch without it and one with it.
 	walkWs, err := WorkloadsByName([]string{"soplex", "gcc", "omnetpp"})
 	if err != nil {
 		return nil, err
 	}
-	var withW, withoutW uint64
-	for _, w := range walkWs {
-		base, err := sim.Run(o.Config, sim.PrefSpec{Base: "none"}, w, o.runOpt())
+	withTLBPF := o
+	withTLBPF.Config.MMU.TLBPrefetch = true
+	var walks [2]uint64
+	for i, po := range []Options{o, withTLBPF} {
+		g, err := runGrid(po, walkWs, sim.PrefSpec{Base: "none"})
 		if err != nil {
 			return nil, err
 		}
-		cfg := o.Config
-		cfg.MMU.TLBPrefetch = true
-		pref, err := sim.Run(cfg, sim.PrefSpec{Base: "none"}, w, o.runOpt())
-		if err != nil {
-			return nil, err
+		for w := range walkWs {
+			walks[i] += g.result(w, 0).Walks
 		}
-		withoutW += base.Walks
-		withW += pref.Walks
 	}
-	if withoutW > 0 {
-		res.TLBPrefetchWalkReduction = 1 - float64(withW)/float64(withoutW)
+	if walks[0] > 0 {
+		res.TLBPrefetchWalkReduction = 1 - float64(walks[1])/float64(walks[0])
 	}
 	return res, nil
 }

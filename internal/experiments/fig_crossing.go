@@ -3,10 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/core"
-	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // ---------------------------------------------------------------------------
@@ -44,11 +40,6 @@ type CrossingResult struct {
 // TLB-residency gate.
 func crossingFamilies() []string { return []string{"pangloss", "vamp"} }
 
-// crossingVariants maps the engine variants the study sweeps to their column
-// names; Original is the per-family baseline and the zero point of the
-// crossing axis.
-var crossingVariants = []core.Variant{core.Original, core.PSA, core.PSA2MB, core.PSASD}
-
 // Crossing runs both families through the Original/PSA/PSA-2MB/PSA-SD sweep
 // across the workload set.
 func Crossing(o Options) (*CrossingResult, error) {
@@ -61,37 +52,26 @@ func Crossing(o Options) (*CrossingResult, error) {
 		VASharePct:      map[string]map[string]float64{},
 		UntranslatedPct: map[string]map[string]float64{},
 	}
-	for _, w := range o.workloads() {
+	ws := o.workloads()
+	for _, w := range ws {
 		res.Order = append(res.Order, w.Name)
 	}
 	for _, base := range res.Families {
-		var jobs []Job
-		for _, w := range o.workloads() {
-			for _, v := range crossingVariants {
-				jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: base, Variant: v}})
-			}
-		}
-		rs, err := runBatch(o, jobs)
+		g, err := runGrid(o, ws, variantSpecs(base, sweepVariants...)...)
 		if err != nil {
 			return nil, err
-		}
-		type key struct {
-			w string
-			v core.Variant
-		}
-		byKey := map[key]sim.Result{}
-		for i, r := range rs {
-			byKey[key{jobs[i].Workload.Name, jobs[i].Spec.Variant}] = r
 		}
 		res.Speedup[base] = map[string]map[string]float64{}
 		res.Geomean[base] = map[string]float64{}
 		res.CrossedPKI[base] = map[string]float64{}
 		res.VASharePct[base] = map[string]float64{}
 		res.UntranslatedPct[base] = map[string]float64{}
-		for _, v := range crossingVariants {
+		// Original, the per-family baseline, is the zero point of the
+		// crossing axis.
+		for s, v := range sweepVariants {
 			var crossed, issued, va, untr, kiloInstr float64
-			for _, w := range res.Order {
-				r := byKey[key{w, v}]
+			for w := range ws {
+				r := g.result(w, s)
 				crossed += float64(r.Engine.CrossedPage4K)
 				issued += float64(r.Engine.Issued)
 				va += float64(r.Engine.VAIssued)
@@ -108,19 +88,11 @@ func Crossing(o Options) (*CrossingResult, error) {
 			if va+untr > 0 {
 				res.UntranslatedPct[base][name] = untr / (va + untr) * 100
 			}
-			if v == core.Original {
+			if s == 0 {
 				continue
 			}
-			per := map[string]float64{}
-			var bases, vars []float64
-			for _, w := range res.Order {
-				b, r := byKey[key{w, core.Original}], byKey[key{w, v}]
-				per[w] = speedupPct(b.IPC, r.IPC)
-				bases = append(bases, b.IPC)
-				vars = append(vars, r.IPC)
-			}
-			res.Speedup[base][name] = per
-			res.Geomean[base][name] = stats.GeomeanSpeedup(bases, vars)
+			res.Speedup[base][name] = g.speedups(0, s)
+			res.Geomean[base][name] = g.geomeanSpeedup(0, s)
 		}
 	}
 	return res, nil

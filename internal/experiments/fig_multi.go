@@ -68,118 +68,68 @@ func multicore(o Options, cores int) (*MultiResult, error) {
 	cfg.DRAM.Channels = 2
 	opt := o.runOpt()
 
-	// Isolation IPCs per (workload, spec) are shared across mixes: compute
-	// them once on the multi-core-spec machine.
-	type schemeDef struct {
-		name string
-		spec sim.PrefSpec
-	}
-	var schemes []schemeDef
-	var baselines []schemeDef
+	// Every base prefetcher runs as spec 3b (original, the baseline) and
+	// specs 3b+1 and 3b+2 (PSA, PSA-SD).
+	variants := []core.Variant{core.Original, core.PSA, core.PSASD}
+	var specs []sim.PrefSpec
 	for _, base := range sim.BaseNames() {
-		baselines = append(baselines, schemeDef{base + "-original", sim.PrefSpec{Base: base, Variant: core.Original}})
-		schemes = append(schemes,
-			schemeDef{strings.ToUpper(base) + "-PSA", sim.PrefSpec{Base: base, Variant: core.PSA}},
-			schemeDef{strings.ToUpper(base) + "-PSA-SD", sim.PrefSpec{Base: base, Variant: core.PSASD}},
-		)
+		specs = append(specs, variantSpecs(base, variants...)...)
 	}
 
-	// Gather the distinct workloads appearing in any mix.
-	distinct := map[string]trace.Workload{}
+	// Isolation IPCs per (workload, spec) are shared across mixes: compute
+	// them once on the multi-core-spec machine, over the distinct workloads
+	// of all mixes in order of first appearance.
+	var distinct []trace.Workload
+	index := map[string]int{} // workload name → position in distinct
 	for _, mix := range mixes {
 		for _, w := range mix {
-			distinct[w.Name] = w
-		}
-	}
-
-	iso := map[string]float64{} // "spec/workload" → isolation IPC
-	var isoMu sync.Mutex
-	var isoJobs []Job
-	for _, s := range append(append([]schemeDef{}, baselines...), schemes...) {
-		for _, w := range distinct {
-			isoJobs = append(isoJobs, Job{Workload: w, Spec: s.spec})
+			if _, ok := index[w.Name]; !ok {
+				index[w.Name] = len(distinct)
+				distinct = append(distinct, w)
+			}
 		}
 	}
 	po := o
 	po.Config = cfg
-	isoRes, err := runBatch(po, isoJobs)
+	iso, err := runGrid(po, distinct, specs...)
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range isoRes {
-		isoMu.Lock()
-		iso[isoJobs[i].Spec.String()+"/"+isoJobs[i].Workload.Name] = r.IPC
-		isoMu.Unlock()
-	}
 
-	// Weighted speedup of one (mix, spec). Mix runs always simulate locally
-	// (a Remote runner only covers single-core batches), but they honour the
-	// batch context at epoch boundaries.
-	ws := func(mix []trace.Workload, spec sim.PrefSpec) (float64, error) {
-		res, err := sim.RunMultiContext(o.ctx(), cfg, spec, mix, opt)
-		if err != nil {
-			return 0, err
-		}
-		isoIPC := make([]float64, len(mix))
-		for i, w := range mix {
-			isoIPC[i] = iso[spec.String()+"/"+w.Name]
-		}
-		return stats.WeightedSpeedup(res.IPC, isoIPC), nil
-	}
-
-	out := &MultiResult{
-		Cores:    cores,
-		Summary:  map[string]stats.Summary{},
-		Speedups: map[string][]float64{},
-	}
-	type mixJob struct {
-		mixIdx int
-		scheme int // -1.. baseline index encoded separately
-		name   string
-		spec   sim.PrefSpec
-	}
-	// For each mix: baseline WS per base prefetcher, then scheme WS.
+	// Weighted speedup of every (spec, mix). Mix runs always simulate
+	// locally (a Remote runner only covers single-core batches), but they
+	// honour the batch context at epoch boundaries.
+	ws := make([][]float64, len(specs)) // ws[spec][mix]
+	errs := make([]error, len(specs)*len(mixes))
 	par := o.Parallelism
 	if par <= 0 {
 		par = 1
 	}
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	wsVals := map[string][]float64{} // name → per-mix WS
-	record := func(name string, idx int, v float64) {
-		mu.Lock()
-		defer mu.Unlock()
-		if wsVals[name] == nil {
-			wsVals[name] = make([]float64, len(mixes))
-		}
-		wsVals[name][idx] = v
+	tr := progress.New(o.Progress, o.Label+" mixes", len(errs))
+	for s := range specs {
+		ws[s] = make([]float64, len(mixes))
 	}
-	nRuns := len(mixes) * (len(baselines) + len(schemes))
-	tr := progress.New(o.Progress, o.Label+" mixes", nRuns)
-	var errs []error // every failed run's error, joined below
-	runMix := func(name string, spec sim.PrefSpec, idx int) {
-		defer wg.Done()
-		sem <- struct{}{}
-		defer func() { <-sem }()
-		v, err := ws(mixes[idx], spec)
-		tr.Step(false)
-		if err != nil {
-			mu.Lock()
-			errs = append(errs, fmt.Errorf("mix %d, %s: %w", idx, name, err))
-			mu.Unlock()
-			return
-		}
-		record(name, idx, v)
-	}
-	for idx := range mixes {
-		for _, b := range baselines {
+	for m, mix := range mixes {
+		for s, spec := range specs {
 			wg.Add(1)
-			go runMix(b.name, b.spec, idx)
-		}
-		for _, s := range schemes {
-			wg.Add(1)
-			go runMix(s.name, s.spec, idx)
+			go func() {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				res, err := sim.RunMultiContext(o.ctx(), cfg, spec, mix, opt)
+				tr.Step(false)
+				if err != nil {
+					errs[m*len(specs)+s] = fmt.Errorf("mix %d, %s: %w", m, spec, err)
+					return
+				}
+				isoIPC := make([]float64, len(mix))
+				for c, w := range mix {
+					isoIPC[c] = iso.result(index[w.Name], s).IPC
+				}
+				ws[s][m] = stats.WeightedSpeedup(res.IPC, isoIPC)
+			}()
 		}
 	}
 	wg.Wait()
@@ -188,19 +138,24 @@ func multicore(o Options, cores int) (*MultiResult, error) {
 		return nil, err
 	}
 
-	for _, s := range schemes {
-		base := strings.ToLower(strings.SplitN(s.name, "-", 2)[0]) + "-original"
-		var pct []float64
-		for idx := range mixes {
-			b := wsVals[base][idx]
-			if b <= 0 {
-				continue
+	out := &MultiResult{
+		Cores:    cores,
+		Summary:  map[string]stats.Summary{},
+		Speedups: map[string][]float64{},
+	}
+	for b, base := range sim.BaseNames() {
+		for k := 1; k < len(variants); k++ {
+			name := strings.ToUpper(base) + "-" + variants[k].String()
+			var pct []float64
+			for m := range mixes {
+				if baseline := ws[b*len(variants)][m]; baseline > 0 {
+					pct = append(pct, (ws[b*len(variants)+k][m]/baseline-1)*100)
+				}
 			}
-			pct = append(pct, (wsVals[s.name][idx]/b-1)*100)
+			out.Schemes = append(out.Schemes, name)
+			out.Speedups[name] = pct
+			out.Summary[name] = stats.Summarize(pct)
 		}
-		out.Schemes = append(out.Schemes, s.name)
-		out.Speedups[s.name] = pct
-		out.Summary[s.name] = stats.Summarize(pct)
 	}
 	return out, nil
 }

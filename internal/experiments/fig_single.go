@@ -28,21 +28,17 @@ func Figure2(o Options) (*Fig2Result, error) {
 		PerPrefetcher: map[string]stats.Summary{},
 		PerWorkload:   map[string]map[string]float64{},
 	}
+	ws := o.workloads()
 	for _, base := range sim.BaseNames() {
-		var jobs []Job
-		for _, w := range o.workloads() {
-			jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: base, Variant: core.Original}})
-		}
-		rs, err := runBatch(o, jobs)
+		g, err := runGrid(o, ws, sim.PrefSpec{Base: base, Variant: core.Original})
 		if err != nil {
 			return nil, err
 		}
-		var ps []float64
+		ps := make([]float64, len(ws))
 		perW := map[string]float64{}
-		for i, r := range rs {
-			p := r.Engine.DiscardProbability()
-			ps = append(ps, p)
-			perW[jobs[i].Workload.Name] = p
+		for i, w := range ws {
+			ps[i] = g.result(i, 0).Engine.DiscardProbability()
+			perW[w.Name] = ps[i]
 		}
 		res.PerPrefetcher[base] = stats.Summarize(ps)
 		res.PerWorkload[base] = perW
@@ -81,17 +77,13 @@ func Figure3(o Options) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var jobs []Job
-	for _, w := range ws {
-		jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: "none"}})
-	}
-	rs, err := runBatch(o, jobs)
+	g, err := runGrid(o, ws, sim.PrefSpec{Base: "none"})
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig3Result{Series: map[string][]float64{}, Order: nineBenchmarks}
-	for i, r := range rs {
-		res.Series[jobs[i].Workload.Name] = r.Frac2MOverTime
+	for i, w := range ws {
+		res.Series[w.Name] = g.result(i, 0).Frac2MOverTime
 	}
 	return res, nil
 }
@@ -125,45 +117,28 @@ type MagicResult struct {
 	Order   []string
 }
 
-func magicStudy(o Options, figure int, variants map[string]core.Variant, order []string) (*MagicResult, error) {
+// magicStudy runs SPP under each variant, named in order by names, against
+// a no-prefetch baseline on the nine benchmarks.
+func magicStudy(o Options, figure int, names []string, variants ...core.Variant) (*MagicResult, error) {
 	ws, err := WorkloadsByName(nineBenchmarks)
 	if err != nil {
 		return nil, err
 	}
-	var jobs []Job
-	for _, w := range ws {
-		jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: "none"}})
-		for _, v := range variants {
-			jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: "spp", Variant: v}})
-		}
-	}
-	rs, err := runBatch(o, jobs)
+	specs := append([]sim.PrefSpec{{Base: "none"}}, variantSpecs("spp", variants...)...)
+	g, err := runGrid(o, ws, specs...)
 	if err != nil {
 		return nil, err
 	}
-	byKey := map[string]sim.Result{}
-	for i, r := range rs {
-		byKey[jobs[i].Workload.Name+"/"+jobs[i].Spec.String()] = r
-	}
 	res := &MagicResult{
 		Figure:   figure,
-		Variants: order,
+		Variants: names,
 		Speedup:  map[string]map[string]float64{},
 		Geomean:  map[string]float64{},
 		Order:    nineBenchmarks,
 	}
-	for name, v := range variants {
-		per := map[string]float64{}
-		var bases, vars []float64
-		for _, w := range ws {
-			base := byKey[w.Name+"/no-prefetch"]
-			variant := byKey[w.Name+"/"+sim.PrefSpec{Base: "spp", Variant: v}.String()]
-			per[w.Name] = speedupPct(base.IPC, variant.IPC)
-			bases = append(bases, base.IPC)
-			vars = append(vars, variant.IPC)
-		}
-		res.Speedup[name] = per
-		res.Geomean[name] = stats.GeomeanSpeedup(bases, vars)
+	for i, name := range names {
+		res.Speedup[name] = g.speedups(0, i+1)
+		res.Geomean[name] = g.geomeanSpeedup(0, i+1)
 	}
 	return res, nil
 }
@@ -171,19 +146,14 @@ func magicStudy(o Options, figure int, variants map[string]core.Variant, order [
 // Figure4 compares SPP original with the oracle page-size-aware SPP
 // (SPP-PSA-Magic) over a no-prefetch baseline.
 func Figure4(o Options) (*MagicResult, error) {
-	return magicStudy(o, 4, map[string]core.Variant{
-		"SPP":           core.Original,
-		"SPP-PSA-Magic": core.PSAMagic,
-	}, []string{"SPP", "SPP-PSA-Magic"})
+	return magicStudy(o, 4, []string{"SPP", "SPP-PSA-Magic"},
+		core.Original, core.PSAMagic)
 }
 
 // Figure5 adds the 2MB-indexed oracle variant (SPP-PSA-Magic-2MB).
 func Figure5(o Options) (*MagicResult, error) {
-	return magicStudy(o, 5, map[string]core.Variant{
-		"SPP":               core.Original,
-		"SPP-PSA-Magic":     core.PSAMagic,
-		"SPP-PSA-Magic-2MB": core.PSAMagic2MB,
-	}, []string{"SPP", "SPP-PSA-Magic", "SPP-PSA-Magic-2MB"})
+	return magicStudy(o, 5, []string{"SPP", "SPP-PSA-Magic", "SPP-PSA-Magic-2MB"},
+		core.Original, core.PSAMagic, core.PSAMagic2MB)
 }
 
 // Render implements Renderer.
@@ -228,27 +198,17 @@ type Fig8Result struct {
 // across the full workload set.
 func Figure8(o Options) (*Fig8Result, error) { return variantStudy(o, "spp") }
 
+// sweepVariants are the variants Figures 8-9 and the crossing study run
+// per base prefetcher; Original, first, is the baseline of the others.
+var sweepVariants = []core.Variant{core.Original, core.PSA, core.PSA2MB, core.PSASD}
+
 // variantStudy runs the PSA/PSA-2MB/PSA-SD comparison for one base
 // prefetcher.
 func variantStudy(o Options, base string) (*Fig8Result, error) {
-	variants := []core.Variant{core.Original, core.PSA, core.PSA2MB, core.PSASD}
-	var jobs []Job
-	for _, w := range o.workloads() {
-		for _, v := range variants {
-			jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: base, Variant: v}})
-		}
-	}
-	rs, err := runBatch(o, jobs)
+	ws := o.workloads()
+	g, err := runGrid(o, ws, variantSpecs(base, sweepVariants...)...)
 	if err != nil {
 		return nil, err
-	}
-	ipc := map[string]map[core.Variant]float64{}
-	for i, r := range rs {
-		w := jobs[i].Workload.Name
-		if ipc[w] == nil {
-			ipc[w] = map[core.Variant]float64{}
-		}
-		ipc[w][jobs[i].Spec.Variant] = r.IPC
 	}
 	res := &Fig8Result{
 		Base:     base,
@@ -256,19 +216,12 @@ func variantStudy(o Options, base string) (*Fig8Result, error) {
 		Speedup:  map[string]map[string]float64{},
 		Geomean:  map[string]float64{},
 	}
-	for _, w := range o.workloads() {
+	for _, w := range ws {
 		res.Order = append(res.Order, w.Name)
 	}
-	for _, v := range []core.Variant{core.PSA, core.PSA2MB, core.PSASD} {
-		per := map[string]float64{}
-		var bases, vars []float64
-		for _, w := range res.Order {
-			per[w] = speedupPct(ipc[w][core.Original], ipc[w][v])
-			bases = append(bases, ipc[w][core.Original])
-			vars = append(vars, ipc[w][v])
-		}
-		res.Speedup[v.String()] = per
-		res.Geomean[v.String()] = stats.GeomeanSpeedup(bases, vars)
+	for s, v := range sweepVariants[1:] {
+		res.Speedup[v.String()] = g.speedups(0, s+1)
+		res.Geomean[v.String()] = g.geomeanSpeedup(0, s+1)
 	}
 	return res, nil
 }
@@ -303,40 +256,24 @@ type Fig9Result struct {
 // and BOP across benchmark suites.
 func Figure9(o Options) (*Fig9Result, error) {
 	res := &Fig9Result{Geomean: map[string]map[string]map[string]float64{}}
-	variants := []core.Variant{core.Original, core.PSA, core.PSA2MB, core.PSASD}
+	ws := o.workloads()
 	for _, base := range sim.BaseNames() {
-		var jobs []Job
-		for _, w := range o.workloads() {
-			for _, v := range variants {
-				jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: base, Variant: v}})
-			}
-		}
-		rs, err := runBatch(o, jobs)
+		g, err := runGrid(o, ws, variantSpecs(base, sweepVariants...)...)
 		if err != nil {
 			return nil, err
 		}
-		type key struct {
-			w string
-			v core.Variant
-		}
-		ipc := map[key]float64{}
-		for i, r := range rs {
-			ipc[key{jobs[i].Workload.Name, jobs[i].Spec.Variant}] = r.IPC
-		}
 		res.Geomean[base] = map[string]map[string]float64{}
-		for _, v := range []core.Variant{core.PSA, core.PSA2MB, core.PSASD} {
+		orig := g.ipcs(0)
+		for s, v := range sweepVariants[1:] {
+			ipcs := g.ipcs(s + 1)
 			per := map[string]float64{}
-			bySuite := map[string][][2]float64{}
-			for _, w := range o.workloads() {
-				pair := [2]float64{ipc[key{w.Name, core.Original}], ipc[key{w.Name, v}]}
-				bySuite[suiteOf(w)] = append(bySuite[suiteOf(w)], pair)
-				bySuite["ALL"] = append(bySuite["ALL"], pair)
-			}
-			for suite, pairs := range bySuite {
+			for _, suite := range suiteOrder() {
 				var bases, vars []float64
-				for _, p := range pairs {
-					bases = append(bases, p[0])
-					vars = append(vars, p[1])
+				for i, w := range ws {
+					if suite == "ALL" || suiteOf(w) == suite {
+						bases = append(bases, orig[i])
+						vars = append(vars, ipcs[i])
+					}
 				}
 				per[suite] = stats.GeomeanSpeedup(bases, vars)
 			}
@@ -393,28 +330,15 @@ func Figure10(o Options) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	variants := map[string]core.Variant{"PSA": core.PSA, "PSA-SD": core.PSASD}
-	var jobs []Job
-	for _, w := range ws {
-		jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: "spp", Variant: core.Original}})
-		for _, v := range variants {
-			jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: "spp", Variant: v}})
-		}
-	}
-	rs, err := runBatch(o, jobs)
+	g, err := runGrid(o, ws, variantSpecs("spp", core.Original, core.PSA, core.PSASD)...)
 	if err != nil {
 		return nil, err
 	}
-	byKey := map[string]sim.Result{}
-	for i, r := range rs {
-		byKey[jobs[i].Workload.Name+"/"+jobs[i].Spec.String()] = r
-	}
 	res := &Fig10Result{Rows: map[string]map[string]Fig10Row{}, Order: representative10}
-	for vn, v := range variants {
+	for s, vn := range []string{"PSA", "PSA-SD"} {
 		rows := map[string]Fig10Row{}
-		for _, w := range ws {
-			base := byKey[w.Name+"/"+sim.PrefSpec{Base: "spp", Variant: core.Original}.String()]
-			varr := byKey[w.Name+"/"+sim.PrefSpec{Base: "spp", Variant: v}.String()]
+		for i, w := range ws {
+			base, varr := g.result(i, 0), g.result(i, s+1)
 			row := Fig10Row{SpeedupPct: speedupPct(base.IPC, varr.IPC)}
 			if l := base.L2.AvgDemandLatency(); l > 0 {
 				row.L2LatReductionPct = (1 - varr.L2.AvgDemandLatency()/l) * 100
@@ -465,42 +389,17 @@ type Fig11Result struct {
 
 // Figure11 evaluates the alternative selection-logic implementations.
 func Figure11(o Options) (*Fig11Result, error) {
-	schemes := map[string]core.Variant{
-		"SD-Standard":  core.SDStandard,
-		"SD-Page-Size": core.SDPageSize,
-		"SD-Proposed":  core.PSASD,
-		"ISO-Storage":  core.ISOStorage,
-	}
 	order := []string{"SD-Standard", "SD-Page-Size", "SD-Proposed", "ISO-Storage"}
 	res := &Fig11Result{Geomean: map[string]map[string]float64{}, Schemes: order}
 	for _, base := range []string{"spp", "vldp", "ppf"} {
-		var jobs []Job
-		for _, w := range o.workloads() {
-			jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: base, Variant: core.Original}})
-			for _, v := range schemes {
-				jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: base, Variant: v}})
-			}
-		}
-		rs, err := runBatch(o, jobs)
+		g, err := runGrid(o, o.workloads(), variantSpecs(base, core.Original,
+			core.SDStandard, core.SDPageSize, core.PSASD, core.ISOStorage)...)
 		if err != nil {
 			return nil, err
 		}
-		type key struct {
-			w string
-			v core.Variant
-		}
-		ipc := map[key]float64{}
-		for i, r := range rs {
-			ipc[key{jobs[i].Workload.Name, jobs[i].Spec.Variant}] = r.IPC
-		}
 		res.Geomean[base] = map[string]float64{}
-		for name, v := range schemes {
-			var bases, vars []float64
-			for _, w := range o.workloads() {
-				bases = append(bases, ipc[key{w.Name, core.Original}])
-				vars = append(vars, ipc[key{w.Name, v}])
-			}
-			res.Geomean[base][name] = stats.GeomeanSpeedup(bases, vars)
+		for s, name := range order {
+			res.Geomean[base][name] = g.geomeanSpeedup(0, s+1)
 		}
 	}
 	return res, nil
@@ -571,7 +470,6 @@ func Figure12(o Options) (*Fig12Result, error) {
 		}
 		return pts
 	}
-	variants := map[string]core.Variant{"PSA": core.PSA, "PSA-SD": core.PSASD}
 	for _, sweep := range []string{"L2 MSHR", "LLC size", "DRAM rate"} {
 		res.Sweeps[sweep] = map[string]map[string]map[string]float64{}
 		for _, pt := range mkPoints(sweep) {
@@ -580,35 +478,14 @@ func Figure12(o Options) (*Fig12Result, error) {
 			po := o
 			po.Config = pt.cfg
 			for _, base := range sim.BaseNames() {
-				var jobs []Job
-				for _, w := range po.workloads() {
-					jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: base, Variant: core.Original}})
-					for _, v := range variants {
-						jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: base, Variant: v}})
-					}
-				}
-				rs, err := runBatch(po, jobs)
+				g, err := runGrid(po, po.workloads(), variantSpecs(base, core.Original, core.PSA, core.PSASD)...)
 				if err != nil {
 					return nil, err
 				}
-				type key struct {
-					w string
-					v core.Variant
+				res.Sweeps[sweep][pt.name][base] = map[string]float64{
+					"PSA":    g.geomeanSpeedup(0, 1),
+					"PSA-SD": g.geomeanSpeedup(0, 2),
 				}
-				ipc := map[key]float64{}
-				for i, r := range rs {
-					ipc[key{jobs[i].Workload.Name, jobs[i].Spec.Variant}] = r.IPC
-				}
-				per := map[string]float64{}
-				for vn, v := range variants {
-					var bases, vars []float64
-					for _, w := range po.workloads() {
-						bases = append(bases, ipc[key{w.Name, core.Original}])
-						vars = append(vars, ipc[key{w.Name, v}])
-					}
-					per[vn] = stats.GeomeanSpeedup(bases, vars)
-				}
-				res.Sweeps[sweep][pt.name][base] = per
 			}
 		}
 	}
@@ -668,29 +545,17 @@ func Figure13(o Options) (*Fig13Result, error) {
 		{"BOP-PSA", sim.PrefSpec{Base: "bop", Variant: core.PSA}},
 		{"BOP-PSA-SD", sim.PrefSpec{Base: "bop", Variant: core.PSASD}},
 	}
-	var jobs []Job
-	for _, w := range o.workloads() {
-		jobs = append(jobs, Job{Workload: w, Spec: sim.PrefSpec{Base: "none"}})
-		for _, s := range specs {
-			jobs = append(jobs, Job{Workload: w, Spec: s.spec})
-		}
+	all := []sim.PrefSpec{{Base: "none"}}
+	for _, s := range specs {
+		all = append(all, s.spec)
 	}
-	rs, err := runBatch(o, jobs)
+	g, err := runGrid(o, o.workloads(), all...)
 	if err != nil {
 		return nil, err
 	}
-	byKey := map[string]float64{}
-	for i, r := range rs {
-		byKey[jobs[i].Workload.Name+"/"+jobs[i].Spec.String()] = r.IPC
-	}
 	res := &Fig13Result{Speedup: map[string]float64{}}
-	for _, s := range specs {
-		var bases, vars []float64
-		for _, w := range o.workloads() {
-			bases = append(bases, byKey[w.Name+"/no-prefetch"])
-			vars = append(vars, byKey[w.Name+"/"+s.spec.String()])
-		}
-		res.Speedup[s.name] = stats.Geomean(ratios(bases, vars))
+	for i, s := range specs {
+		res.Speedup[s.name] = stats.Geomean(ratios(g.ipcs(0), g.ipcs(i+1)))
 		res.Order = append(res.Order, s.name)
 	}
 	return res, nil

@@ -31,10 +31,10 @@ func goldenOptions(t *testing.T) Options {
 	return o
 }
 
-// goldenFigures are the experiments TestGoldenFigures pins: every figure
-// driver except the multi-core figs 14-15 (TestFigure14Runs and
-// TestFigure15Runs run them) and nonintensive (variantStudy per base over
-// all 90 workloads, which fig8 already pins at a fraction of the cost).
+// goldenFigures are the experiments TestGoldenFigures pins: every one except
+// the multi-core figs 14-15 (TestFigure14Runs and TestFigure15Runs run them)
+// and nonintensive (variantStudy per base over all 90 workloads, which fig8
+// already pins at a fraction of the cost).
 var goldenFigures = []string{
 	"fig2", "fig3", "fig4", "fig5", "fig8", "fig9", "fig10", "fig11",
 	"fig12", "fig13", "crossing", "ablation", "extensions", "table1",

@@ -112,9 +112,6 @@ func Factory(cfg Config) prefetch.Factory {
 	return func(regionBits uint) prefetch.Prefetcher { return New(cfg, regionBits) }
 }
 
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "ampm" }
-
 func (p *Prefetcher) blocksPerZone() int { return 1 << (p.regionBits - mem.BlockBits) }
 
 // zoneFor returns the access map of a's zone, claiming the LRU zone (reset

@@ -128,9 +128,6 @@ func Factory(cfg Config) prefetch.Factory {
 	return func(regionBits uint) prefetch.Prefetcher { return New(cfg, regionBits) }
 }
 
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "bop" }
-
 // BestOffset exposes the adopted offset (for tests and diagnostics).
 func (p *Prefetcher) BestOffset() int { return p.best }
 

@@ -27,9 +27,6 @@ func Factory(degree int) prefetch.Factory {
 	return func(uint) prefetch.Prefetcher { return New(degree) }
 }
 
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "nextline" }
-
 // Operate implements prefetch.Prefetcher.
 func (p *Prefetcher) Operate(ctx prefetch.Context, issue func(prefetch.Candidate)) {
 	if !ctx.Type.IsDemand() {

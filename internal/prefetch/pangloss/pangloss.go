@@ -182,9 +182,6 @@ func Factory(cfg Config) prefetch.Factory {
 	return func(regionBits uint) prefetch.Prefetcher { return New(cfg, regionBits) }
 }
 
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "pangloss" }
-
 // pageSet returns the index of way 0 of the page's set.
 func (p *Prefetcher) pageSet(pageNum uint64) int {
 	return int(pageNum*0x9e3779b97f4a7c15&p.setMask) * p.cfg.PageWays

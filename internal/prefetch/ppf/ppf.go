@@ -185,9 +185,6 @@ func Factory(cfg Config) prefetch.Factory {
 	return func(regionBits uint) prefetch.Prefetcher { return New(cfg, regionBits) }
 }
 
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "ppf" }
-
 // hash maps x to one of entries slots, a power of two.
 func hash(x uint64, entries int) int {
 	x *= 0x9e3779b97f4a7c15

@@ -77,7 +77,6 @@ func InGenLimit(t, c mem.Addr) bool {
 // afterwards, and Operate or Train on a released prefetcher panics.
 // Releasing twice is a no-op.
 type Prefetcher interface {
-	Name() string
 	Operate(ctx Context, issue func(Candidate))
 	Train(ctx Context)
 	Release()

@@ -113,9 +113,6 @@ func Factory(cfg Config) prefetch.Factory {
 	return func(regionBits uint) prefetch.Prefetcher { return New(cfg, regionBits) }
 }
 
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "sms" }
-
 func (p *Prefetcher) regionOf(a mem.Addr) (region mem.Addr, off int) {
 	blk := mem.BlockNumber(a)
 	return blk / mem.Addr(p.cfg.RegionBlocks), int(blk % mem.Addr(p.cfg.RegionBlocks))

@@ -261,9 +261,6 @@ func Factory(cfg Config) prefetch.Factory {
 	return func(regionBits uint) prefetch.Prefetcher { return New(cfg, regionBits) }
 }
 
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "spp" }
-
 // blocksPerRegion returns the number of blocks in one indexing region.
 func (p *Prefetcher) blocksPerRegion() int { return 1 << (p.regionBits - mem.BlockBits) }
 

@@ -107,9 +107,6 @@ func Factory(cfg Config) prefetch.Factory {
 	return func(regionBits uint) prefetch.Prefetcher { return New(cfg, regionBits) }
 }
 
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "temporal" }
-
 // MetadataBytes returns the storage the configured tables require — the
 // paper's "orders of magnitude more metadata" comparison point (full 8-byte
 // addresses per history entry versus a spatial prefetcher's 7-bit deltas).

@@ -159,9 +159,6 @@ func Factory(cfg Config) prefetch.Factory {
 	return func(regionBits uint) prefetch.Prefetcher { return New(cfg, regionBits) }
 }
 
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "vamp" }
-
 func (p *Prefetcher) slot(region uint64) int {
 	return int(region * 0x9e3779b97f4a7c15 & p.slotMask)
 }

@@ -160,9 +160,6 @@ func Factory(cfg Config) prefetch.Factory {
 	return func(regionBits uint) prefetch.Prefetcher { return New(cfg, regionBits) }
 }
 
-// Name implements prefetch.Prefetcher.
-func (p *Prefetcher) Name() string { return "vldp" }
-
 func (p *Prefetcher) blocksPerRegion() int       { return 1 << (p.regionBits - mem.BlockBits) }
 func (p *Prefetcher) region(a mem.Addr) mem.Addr { return a >> p.regionBits }
 func (p *Prefetcher) offset(a mem.Addr) int {

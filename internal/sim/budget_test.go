@@ -13,15 +13,17 @@ import (
 // TestConstructionBudget pins what assembling one simulated system costs on
 // the host: heap objects and bytes per newSystem, measured over repeated
 // builds after one warm-up build (trace generators memoize tables on first
-// use). Both are deterministic for a given configuration, so each row
-// allows 5% above its recorded value; a structure that goes back to
-// per-entry allocation, or a slab pre-sized beyond what a run uses, fails
-// here before it shows up in the benchmark. This is the cost of a fresh
-// construction: each cache's, TLB's, page table's and core's storage, the
-// allocator's frame bitmap and the prefetchers' tables are allocated, with
-// the slab header the pools recycle (one object per cache, TLB, page
-// table, core, allocator and prefetcher), and the pools' per-processor
-// tables are rebuilt after a collection. TestRunBytesBudget pins the recycled case.
+// use). Both are deterministic for a given configuration with one processor
+// and collection off (pinProcs); otherwise a collection among the builds
+// makes the pools rebuild their per-processor tables, and the count moves
+// by about one object per system between runs. Each row allows 5% above
+// its recorded value; a structure that goes back to per-entry allocation,
+// or a slab pre-sized beyond what a run uses, fails here before it shows up
+// in the benchmark. This is the cost of a fresh construction: each cache's,
+// TLB's, page table's and core's storage, the allocator's frame bitmap and
+// the prefetchers' tables are allocated, with the slab header the pools
+// recycle (one object per cache, TLB, page table, core, allocator and
+// prefetcher). TestRunBytesBudget pins the recycled case.
 func TestConstructionBudget(t *testing.T) {
 	rows := []struct {
 		workload string
@@ -33,6 +35,7 @@ func TestConstructionBudget(t *testing.T) {
 		{"mcf", PrefSpec{Base: "ppf", Variant: core.PSA}, 95.5, 814},
 		{"soplex", PrefSpec{Base: "vldp", Variant: core.Original}, 91, 755},
 	}
+	pinProcs(t)
 	const builds = 20
 	for _, row := range rows {
 		w, err := trace.ByName(row.workload)
@@ -47,7 +50,7 @@ func TestConstructionBudget(t *testing.T) {
 		build()
 		// Builds never release, and two collections empty the pools of
 		// what earlier tests' runs released: every build here allocates
-		// its storage fresh.
+		// its storage fresh. Collection is off, so these are the only ones.
 		runtime.GC()
 		runtime.GC()
 		var before, after runtime.MemStats

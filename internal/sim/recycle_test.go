@@ -31,6 +31,14 @@ func pinPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a quarter of its Puts at random")
 	}
+	pinProcs(t)
+}
+
+// pinProcs runs the rest of the test with one processor and collection off,
+// restoring both on cleanup, so that no collection lands inside a
+// measurement and sync.Pool sizes its per-processor tables alike every time.
+func pinProcs(t *testing.T) {
+	t.Helper()
 	procs := runtime.GOMAXPROCS(1)
 	gc := debug.SetGCPercent(-1)
 	t.Cleanup(func() {

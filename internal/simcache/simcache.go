@@ -129,6 +129,17 @@ type Store struct {
 	hits, shared, misses, corrupt atomic.Uint64
 }
 
+// DefaultDir is the store every command opens unless told otherwise: under
+// the OS user cache directory, falling back to a dot directory in the
+// working tree. Sharing it is what lets pexp, psim and psimd reuse each
+// other's entries.
+func DefaultDir() string {
+	if dir, err := os.UserCacheDir(); err == nil {
+		return filepath.Join(dir, "psat-repro", "simcache")
+	}
+	return ".simcache"
+}
+
 // New opens (creating if needed) a store rooted at dir.
 func New(dir string) (*Store, error) {
 	if dir == "" {

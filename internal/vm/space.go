@@ -65,13 +65,10 @@ func (as *AddressSpace) Release() { as.pt.Release() }
 // PageTable exposes the underlying page table (for the walker).
 func (as *AddressSpace) PageTable() *PageTable { return as.pt }
 
-// Allocator exposes the underlying allocator (for page-usage statistics).
-func (as *AddressSpace) Allocator() *Allocator { return as.alloc }
-
 // mapNew installs a mapping for the page containing v, which must be
 // unmapped, consulting the THP policy on the first touch of each 2MB virtual
-// region. Split out of ensureMapped so the translate fast paths probe the
-// page table exactly once on the hot (already-mapped) path.
+// region. Translate calls it only after its own lookup misses, so the hot
+// (already-mapped) path probes the page table exactly once.
 func (as *AddressSpace) mapNew(v mem.Addr) {
 	if gp, ok := as.policy.(GigaPolicy); ok {
 		gregion := mem.PageBase(v, mem.Page1G)
@@ -98,14 +95,6 @@ func (as *AddressSpace) mapNew(v mem.Addr) {
 	}
 	as.pt.Map(mem.PageBase(v, mem.Page4K),
 		PTE{Frame: as.alloc.Alloc4K(), Size: mem.Page4K, Valid: true})
-}
-
-// ensureMapped installs a mapping for the page containing v if absent.
-func (as *AddressSpace) ensureMapped(v mem.Addr) {
-	if _, ok := as.pt.Lookup(v); ok {
-		return
-	}
-	as.mapNew(v)
 }
 
 // Translate returns the translation for v, demand-populating the mapping.
