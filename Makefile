@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz-seeds golden-update staticcheck e2e e2e-cluster serve check
+.PHONY: build test race vet fuzz-seeds golden-update staticcheck e2e e2e-cluster serve check results results-update
 
 build:
 	$(GO) build ./...
@@ -102,6 +102,19 @@ e2e:
 # mid-batch.
 e2e-cluster:
 	$(GO) test -race -run 'TestE2ECluster' -v ./internal/service/
+
+# results regenerates every file under results/ with the commands in
+# results/README.md (the ablation and extensions on its named 8-workload
+# subset) and diffs each against the committed copy, ignoring the
+# "[… took …]" timing line; a stale file or a failing -check fails it. It
+# takes minutes, so it is in neither check nor CI: run it, and
+# results-update to commit the new outputs, after a change to simulated
+# behaviour.
+results:
+	bash results/regenerate.sh
+
+results-update:
+	bash results/regenerate.sh update
 
 # serve runs the simulation daemon on localhost:8080.
 serve:

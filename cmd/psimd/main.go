@@ -1,8 +1,8 @@
 // Command psimd is the simulation service daemon: it accepts batches of
 // simulations over HTTP/JSON, runs them on a bounded worker pool backed by
-// the shared content-addressed result cache, and streams per-job progress
-// and results over SSE. Two clients asking for the same simulation cost one
-// run (cross-request single-flight plus the disk cache).
+// the shared content-addressed result cache, and streams each job's current
+// view over SSE. Two clients asking for the same simulation cost one run
+// (cross-request single-flight plus the disk cache).
 //
 // Usage:
 //

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -199,5 +200,33 @@ func TestOptionsRunOptStable(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Errorf("runOpt depends on non-simulation options: %s vs %s", a, b)
+	}
+}
+
+// TestTelemetryFilePerJob: the ablation runs each spec on each workload under
+// four machine configurations, and every simulated job writes its own
+// telemetry series: one file per cache miss, none overwritten.
+func TestTelemetryFilePerJob(t *testing.T) {
+	o := tinyOptions(t)
+	o.Workloads = o.Workloads[1:3]
+	o.Warmup = 5_000
+	o.Instructions = 20_000
+	store, err := simcache.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Cache = store
+	o.TelemetryDir = t.TempDir()
+	if _, err := Run("ablation", o); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(o.TelemetryDir, "ablation", "*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.Stats()
+	// Two specs on two workloads: more jobs than (workload, spec) pairs.
+	if st.Misses <= 4 || uint64(len(files)) != st.Misses {
+		t.Errorf("%d simulated jobs wrote %d telemetry files, want one each", st.Misses, len(files))
 	}
 }

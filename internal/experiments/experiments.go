@@ -141,42 +141,51 @@ func runBatch(o Options, jobs []Job) ([]sim.Result, error) {
 		return results, err
 	}
 	results := make([]sim.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	par := o.Parallelism
-	if par <= 0 {
-		par = 1
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j Job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// A panicking simulation (a broken prefetcher, a corrupt trace)
-			// must fail its own job, not the whole process: the recovery
-			// converts it into this job's error, joined with the rest below.
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("experiments: job %s/%s panicked: %v\n%s",
-						j.Workload.Name, j.Spec, r, debug.Stack())
-				}
-			}()
-			if errs[i] = ctx.Err(); errs[i] != nil {
-				return // canceled while queued: don't start the simulation
-			}
-			var hit bool
-			results[i], hit, errs[i] = runOne(ctx, o, j)
-			tr.Step(hit)
-		}(i, j)
-	}
-	wg.Wait()
-	tr.Finish()
-	if err := errors.Join(errs...); err != nil {
+	err := runBounded(o, tr, len(jobs),
+		func(i int) string { return jobs[i].Workload.Name + "/" + jobs[i].Spec.String() },
+		func(i int) (hit bool, err error) {
+			results[i], hit, err = runOne(ctx, o, jobs[i])
+			return hit, err
+		})
+	if err != nil {
 		return nil, err
 	}
 	return results, nil
+}
+
+// runBounded is the one local batch loop: it runs job(i) for every i < n with
+// at most o.Parallelism in flight, steps tr once per job that ran, and
+// returns every job's error, joined. A job whose turn comes after the batch
+// context is done does not start. A panicking job — a broken prefetcher, a
+// corrupt trace — fails alone, with name(i) in its error, instead of ending
+// the process.
+func runBounded(o Options, tr *progress.Tracker, n int, name func(i int) string, job func(i int) (hit bool, err error)) error {
+	ctx := o.ctx()
+	errs := make([]error, n)
+	sem := make(chan struct{}, max(o.Parallelism, 1))
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = fmt.Errorf("experiments: job %s panicked: %v\n%s", name(i), r, debug.Stack())
+				}
+			}()
+			if errs[i] = ctx.Err(); errs[i] != nil {
+				return
+			}
+			hit, err := job(i)
+			errs[i] = err
+			tr.Step(hit)
+		}()
+	}
+	wg.Wait()
+	tr.Finish()
+	return errors.Join(errs...)
 }
 
 // grid holds the results of running every spec of a list on every workload
@@ -264,13 +273,17 @@ func runOne(ctx context.Context, o Options, j Job) (sim.Result, bool, error) {
 }
 
 // writeJobTelemetry writes one job's epoch series under
-// TelemetryDir/<experiment>/<workload>__<spec>.jsonl.
+// TelemetryDir/<experiment>/<workload>__<spec>__<key>.jsonl, where key is the
+// first 12 hex digits of the job's simcache.Key: experiments such as the
+// ablation run one spec on one workload under several machine
+// configurations, and each run gets its own file.
 func writeJobTelemetry(o Options, j Job, c *telemetry.Collector) error {
 	dir := filepath.Join(o.TelemetryDir, sanitizeName(o.Label))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	name := sanitizeName(j.Workload.Name) + "__" + sanitizeName(j.Spec.String()) + ".jsonl"
+	key := simcache.Key(o.Config, j.Spec, j.Workload, o.runOpt())[:12]
+	name := sanitizeName(j.Workload.Name) + "__" + sanitizeName(j.Spec.String()) + "__" + key + ".jsonl"
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
 		return err

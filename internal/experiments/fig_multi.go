@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/progress"
@@ -100,41 +98,25 @@ func multicore(o Options, cores int) (*MultiResult, error) {
 	// locally (a Remote runner only covers single-core batches), but they
 	// honour the batch context at epoch boundaries.
 	ws := make([][]float64, len(specs)) // ws[spec][mix]
-	errs := make([]error, len(specs)*len(mixes))
-	par := o.Parallelism
-	if par <= 0 {
-		par = 1
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	tr := progress.New(o.Progress, o.Label+" mixes", len(errs))
 	for s := range specs {
 		ws[s] = make([]float64, len(mixes))
 	}
-	for m, mix := range mixes {
-		for s, spec := range specs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				res, err := sim.RunMultiContext(o.ctx(), cfg, spec, mix, opt)
-				tr.Step(false)
-				if err != nil {
-					errs[m*len(specs)+s] = fmt.Errorf("mix %d, %s: %w", m, spec, err)
-					return
-				}
-				isoIPC := make([]float64, len(mix))
-				for c, w := range mix {
-					isoIPC[c] = iso.result(index[w.Name], s).IPC
-				}
-				ws[s][m] = stats.WeightedSpeedup(res.IPC, isoIPC)
-			}()
+	mixName := func(i int) string { return fmt.Sprintf("mix %d, %s", i/len(specs), specs[i%len(specs)]) }
+	tr := progress.New(o.Progress, o.Label+" mixes", len(specs)*len(mixes))
+	err = runBounded(o, tr, len(specs)*len(mixes), mixName, func(i int) (bool, error) {
+		m, s := i/len(specs), i%len(specs)
+		res, err := sim.RunMultiContext(o.ctx(), cfg, specs[s], mixes[m], opt)
+		if err != nil {
+			return false, fmt.Errorf("%s: %w", mixName(i), err)
 		}
-	}
-	wg.Wait()
-	tr.Finish()
-	if err := errors.Join(errs...); err != nil {
+		isoIPC := make([]float64, len(mixes[m]))
+		for c, w := range mixes[m] {
+			isoIPC[c] = iso.result(index[w.Name], s).IPC
+		}
+		ws[s][m] = stats.WeightedSpeedup(res.IPC, isoIPC)
+		return false, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 

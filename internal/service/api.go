@@ -6,7 +6,7 @@ import "repro/internal/sim"
 //
 //	POST   /v1/sims             submit a batch of simulations → 202 + JobView
 //	GET    /v1/jobs/{id}        job status (+ results once done)
-//	GET    /v1/jobs/{id}/events SSE stream of the job's lifecycle
+//	GET    /v1/jobs/{id}/events SSE stream of the job's view as it changes
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /healthz             liveness (503 while draining)
 //	GET    /metrics             Prometheus text exposition
@@ -81,7 +81,8 @@ type JobTelemetry struct {
 	CrossPageRate float64 `json:"pf_cross4k_rate"`
 }
 
-// JobView is the externally visible state of a job.
+// JobView is the externally visible state of a job. It is also the SSE
+// frame of GET /v1/jobs/{id}/events, sent without Results.
 type JobView struct {
 	ID     string    `json:"id"`
 	Status JobStatus `json:"status"`
@@ -98,28 +99,4 @@ type JobView struct {
 	Telemetry *JobTelemetry `json:"telemetry,omitempty"`
 	// Results, in submission order, present once Status is "done".
 	Results []sim.Result `json:"results,omitempty"`
-}
-
-// Event is one SSE frame of a job's event stream: the SSE "event:" field
-// carries Type, "id:" carries Seq, and "data:" carries this struct as JSON.
-// Every stream replays the job's full history from Seq 1, so late or
-// reconnecting subscribers converge on the same sequence.
-type Event struct {
-	Seq      int       `json:"seq"`
-	Type     string    `json:"type"` // queued, running, progress, done, failed, canceled
-	Job      string    `json:"job"`
-	Status   JobStatus `json:"status"`
-	Done     int       `json:"done"`
-	Total    int       `json:"total"`
-	Hits     int       `json:"hits"`
-	Executed int       `json:"executed"`
-	Error    string    `json:"error,omitempty"`
-	// Telemetry aggregates completed simulations' headline metrics so far;
-	// nil until the first completion.
-	Telemetry *JobTelemetry `json:"telemetry,omitempty"`
-}
-
-// Terminal reports whether this event ends the stream.
-func (e Event) Terminal() bool {
-	return e.Type == "done" || e.Type == "failed" || e.Type == "canceled"
 }

@@ -30,8 +30,8 @@ import (
 // harness doubles as the daemon's traffic generator.
 //
 // RunBatch is the only call that spans endpoints: it rotates batches across
-// them and fails a batch over to the next one (see RunBatch). Submit, Job,
-// Cancel, Events, Follow and Flight address the first endpoint.
+// them and fails a batch over to the next one (see RunBatch). Flight
+// addresses the first endpoint.
 type Client struct {
 	// HTTPClient defaults to a client without timeout (jobs are
 	// long-running; cancellation comes from the context).
@@ -71,8 +71,8 @@ func NewClient(endpoints ...string) *Client {
 // Endpoints returns the daemons' base URLs in rotation order.
 func (c *Client) Endpoints() []string { return slices.Clone(c.endpoints) }
 
-// first is the endpoint the single-job calls address ("" when there is
-// none, which fails each request before any I/O).
+// first is the endpoint Flight addresses ("" when there is none, which
+// fails the request before any I/O).
 func (c *Client) first() string {
 	if len(c.endpoints) == 0 {
 		return ""
@@ -96,7 +96,7 @@ type httpStatusError struct {
 
 func (e *httpStatusError) Error() string { return e.msg }
 
-// errStreamEnded marks an event stream that closed without a terminal event —
+// errStreamEnded marks an event stream that closed without a terminal view —
 // the serving daemon died mid-job, so the work is retryable elsewhere.
 var errStreamEnded = errors.New("psimd: event stream ended before job finished")
 
@@ -156,20 +156,9 @@ func decodeError(resp *http.Response) error {
 	return &httpStatusError{resp.StatusCode, fmt.Sprintf("psimd: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))}
 }
 
-// Submit posts one batch to the first endpoint, once: retrying is
-// RunBatch's job.
-func (c *Client) Submit(ctx context.Context, req SimRequest) (JobView, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return JobView{}, err
-	}
-	v, _, err := c.submit(ctx, c.first(), body)
-	return v, err
-}
-
-// submit performs one POST /v1/sims to base. retryAfter is non-zero when
-// the daemon rejected with explicit backpressure advice (429 with a
-// Retry-After hint).
+// submit performs one POST /v1/sims to base, once: retrying is RunBatch's
+// job. retryAfter is non-zero when the daemon rejected with explicit
+// backpressure advice (429 with a Retry-After hint).
 func (c *Client) submit(ctx context.Context, base string, body []byte) (v JobView, retryAfter time.Duration, err error) {
 	// Each attempt is its own span; its context rides the traceparent header,
 	// so the daemon's job spans parent under the attempt that landed.
@@ -206,11 +195,7 @@ func (c *Client) submit(ctx context.Context, base string, body []byte) (v JobVie
 	return v, 0, nil
 }
 
-// Job fetches a job's current view (including results once done).
-func (c *Client) Job(ctx context.Context, id string) (JobView, error) {
-	return c.job(ctx, c.first(), id)
-}
-
+// job fetches a job's current view (including results once done).
 func (c *Client) job(ctx context.Context, base, id string) (JobView, error) {
 	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id, nil)
 	if err != nil {
@@ -231,11 +216,7 @@ func (c *Client) job(ctx context.Context, base, id string) (JobView, error) {
 	return v, nil
 }
 
-// Cancel requests cancellation of a queued or running job.
-func (c *Client) Cancel(ctx context.Context, id string) error {
-	return c.cancel(ctx, c.first(), id)
-}
-
+// cancel requests cancellation of a queued or running job.
 func (c *Client) cancel(ctx context.Context, base, id string) error {
 	hr, err := http.NewRequestWithContext(ctx, http.MethodDelete, base+"/v1/jobs/"+id, nil)
 	if err != nil {
@@ -275,14 +256,10 @@ func (c *Client) Flight(ctx context.Context, trace string) ([]dtrace.SpanData, e
 	return dtrace.ReadJSONL(resp.Body)
 }
 
-// Events subscribes to a job's SSE stream, invoking fn for every event until
+// events subscribes to a job's SSE stream, invoking fn for every view until
 // the terminal one (after which it returns nil) or until ctx/stream failure.
-// Every subscription replays the job's history from seq 1.
-func (c *Client) Events(ctx context.Context, id string, fn func(Event)) error {
-	return c.events(ctx, c.first(), id, fn)
-}
-
-func (c *Client) events(ctx context.Context, base, id string, fn func(Event)) error {
+// The first view is the job's state when the subscription starts.
+func (c *Client) events(ctx context.Context, base, id string, fn func(JobView)) error {
 	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		return err
@@ -305,13 +282,13 @@ func (c *Client) events(ctx context.Context, base, id string, fn func(Event)) er
 		case strings.HasPrefix(line, "data: "):
 			data = []byte(strings.TrimPrefix(line, "data: "))
 		case line == "" && len(data) > 0:
-			var e Event
-			if err := json.Unmarshal(data, &e); err != nil {
+			var v JobView
+			if err := json.Unmarshal(data, &v); err != nil {
 				return fmt.Errorf("psimd: bad event: %w", err)
 			}
 			data = nil
-			fn(e)
-			if e.Terminal() {
+			fn(v)
+			if v.Status.Terminal() {
 				return nil
 			}
 		}
@@ -322,17 +299,13 @@ func (c *Client) events(ctx context.Context, base, id string, fn func(Event)) er
 	return errStreamEnded
 }
 
-// Follow streams a job to completion and returns the final view (with
-// results for a done job). fn, which may be nil, observes each event in
-// order. A stream that fails before the terminal event is an error, unless
+// follow streams a job to completion and returns the final view (with
+// results for a done job). fn, which may be nil, observes each streamed view
+// in order. A stream that fails before the terminal view is an error, unless
 // the job turns out to have finished meanwhile.
-func (c *Client) Follow(ctx context.Context, id string, fn func(Event)) (JobView, error) {
-	return c.follow(ctx, c.first(), id, fn)
-}
-
-func (c *Client) follow(ctx context.Context, base, id string, fn func(Event)) (JobView, error) {
+func (c *Client) follow(ctx context.Context, base, id string, fn func(JobView)) (JobView, error) {
 	if fn == nil {
-		fn = func(Event) {}
+		fn = func(JobView) {}
 	}
 	if err := c.events(ctx, base, id, fn); err != nil {
 		if ctx.Err() != nil {
@@ -377,7 +350,7 @@ type batchProgress struct {
 }
 
 // RunBatch implements experiments.BatchRunner: it ships the batch to a
-// daemon, mirrors its progress events into the local tracker, and returns
+// daemon, mirrors its streamed progress into the local tracker, and returns
 // results in job order. Only catalogue workloads can run remotely — a
 // trace-file replay's identity is its contents, which the daemon does not
 // have.
@@ -457,15 +430,15 @@ func (c *Client) runOn(ctx context.Context, base string, body []byte, njobs int,
 	if err != nil {
 		return nil, retryAfter, err
 	}
-	step := func(e Event) {
-		if tr == nil || e.Done <= bp.done {
+	step := func(v JobView) {
+		if tr == nil || v.Done <= bp.done {
 			return
 		}
-		hits := e.Hits - bp.hits
-		for i := 0; i < e.Done-bp.done; i++ {
+		hits := v.Hits - bp.hits
+		for i := 0; i < v.Done-bp.done; i++ {
 			tr.Step(i < hits)
 		}
-		bp.done, bp.hits = e.Done, e.Hits
+		bp.done, bp.hits = v.Done, v.Hits
 	}
 	final, err := c.follow(ctx, base, sub.ID, step)
 	if err != nil {

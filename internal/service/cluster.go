@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"time"
@@ -21,10 +22,11 @@ import (
 // exactly-once *cluster-wide* rather than per-node. A non-owner serves a
 // request from its own store, or else makes one call to the owner, which
 // answers from its store or computes (proxy) — and if the owner is
-// unreachable the non-owner fails over to computing locally, so a dead node
-// degrades throughput, never availability. Every route that computes here —
-// owned keys, failover, and the owner side of a proxy — ends in execUnit,
-// the same path a single-node daemon takes.
+// unreachable or draining the non-owner fails over to computing locally, so a
+// dead node degrades throughput, never availability. An owner that answers
+// with an error is alive: its error is the unit's. Every route that computes
+// here — owned keys, failover, and the owner side of a proxy — ends in
+// execUnit, the same path a single-node daemon takes.
 
 // simOutcome says how one simulation of a job was satisfied; it drives the
 // job's hit/executed counters and the daemon's metrics.
@@ -100,9 +102,9 @@ func (s *Server) simulate(ctx context.Context, cfg sim.Config, u unit, opt sim.R
 			if res, outcome, err, handled := s.remoteSimulate(ctx, owner, key, cfg, u, opt); handled {
 				return res, outcome, err
 			}
-			// The owner is unreachable: this node computes — availability
-			// over strict ownership. The heartbeat loop re-forms the ring
-			// around the failure for subsequent keys.
+			// The owner is unreachable or draining: this node computes —
+			// availability over strict ownership. The heartbeat loop
+			// re-forms the ring around the failure for subsequent keys.
 			s.cluster.CountFailover()
 			if _, sp := dtrace.Start(ctx, "failover"); sp != nil {
 				sp.Annotate(owner.ID)
@@ -119,10 +121,12 @@ func (s *Server) simulate(ctx context.Context, cfg sim.Config, u unit, opt sim.R
 
 // remoteSimulate asks the owner for key in one proxied call; the owner
 // answers from its store (a remote hit) or computes. handled is false when
-// the owner could not be reached (or answered unusably) and the caller
-// should fail over to local execution; a requester-side context error is
-// returned as handled, since retrying locally cannot outlive the caller's
-// deadline.
+// the owner could not be reached, answered unusably, or is draining (503):
+// the owner is then reported failed and the caller fails over to local
+// execution. Any other error status is the owner's answer — a failed
+// simulation, a rejected request — and is returned as the unit's error
+// without touching the ring. A requester-side context error is returned as
+// handled too, since retrying locally cannot outlive the caller's deadline.
 func (s *Server) remoteSimulate(ctx context.Context, owner cluster.NodeInfo, key string, cfg sim.Config, u unit, opt sim.RunOpt) (sim.Result, simOutcome, error, bool) {
 	req := clusterSimRequest{
 		Config: cfg,
@@ -149,6 +153,10 @@ func (s *Server) remoteSimulate(ctx context.Context, owner cluster.NodeInfo, key
 	if err != nil {
 		if ctx.Err() != nil {
 			return sim.Result{}, simExecutedRemote, ctx.Err(), true
+		}
+		var he *httpStatusError
+		if errors.As(err, &he) && he.status != http.StatusServiceUnavailable {
+			return sim.Result{}, simExecutedRemote, err, true
 		}
 		s.cluster.ReportFailure(owner.ID)
 		return sim.Result{}, 0, nil, false
@@ -210,6 +218,10 @@ func (s *Server) handleClusterSim(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Opt.Instructions == 0 {
 		writeJSON(w, http.StatusBadRequest, apiError{"opt.Instructions must be positive"})
+		return
+	}
+	if err := req.Opt.Validate(); err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
 		return
 	}
 	if err := req.Config.Validate(); err != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -124,11 +125,11 @@ func runOne(t *testing.T, c *Client, req SimRequest) sim.Result {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	v, err := c.Submit(ctx, req)
+	v, err := submitJob(ctx, c, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Follow(ctx, v.ID, nil)
+	final, err := c.follow(ctx, c.first(), v.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +251,48 @@ func TestClusterFailover(t *testing.T) {
 	}
 	if got := nodes[other].srv.Cluster().Membership().Ring().Len(); got != 1 {
 		t.Errorf("dead owner still on ring (len %d), want 1", got)
+	}
+}
+
+// TestClusterOwnerErrorIsNotFailure: an owner that answers the proxied call
+// with an error — here its simulation fails — is alive. The requester keeps
+// it on the ring, does not recompute the unit locally, and fails the job with
+// the owner's message.
+func TestClusterOwnerErrorIsNotFailure(t *testing.T) {
+	failing := func(ctx context.Context, cfg sim.Config, spec sim.PrefSpec, w trace.Workload, opt sim.RunOpt) (sim.Result, error) {
+		return sim.Result{}, errors.New("injected owner failure")
+	}
+	nodes := startCluster(t, 2, failing, nil)
+	req := testRequest(1)
+	_, owner := keyAndOwner(t, nodes, req)
+	other := 1 - owner
+
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	c := nodes[other].c
+	v, err := submitJob(ctx, c, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.follow(ctx, c.first(), v.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != StatusFailed || !strings.Contains(final.Error, "injected owner failure") {
+		t.Errorf("job %s (%q), want failed with the owner's message", final.Status, final.Error)
+	}
+	if got := nodes[owner].execs.Load(); got != 1 {
+		t.Errorf("owner ran the unit %d times, want 1", got)
+	}
+	if got := nodes[other].execs.Load(); got != 0 {
+		t.Errorf("requester recomputed the unit %d times, want 0", got)
+	}
+	st := nodes[other].srv.Cluster().Stats()
+	if st.Failovers != 0 {
+		t.Errorf("Failovers = %d, want 0", st.Failovers)
+	}
+	if got := nodes[other].srv.Cluster().Membership().Ring().Len(); got != 2 {
+		t.Errorf("requester's ring has %d members, want 2: the owner answered", got)
 	}
 }
 

@@ -163,11 +163,11 @@ func TestMetricsExposition(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	v, err := c.Submit(ctx, testRequest(2))
+	v, err := submitJob(ctx, c, testRequest(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Follow(ctx, v.ID, nil); err != nil {
+	if _, err := c.follow(ctx, c.first(), v.ID, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -260,22 +260,18 @@ func TestMetricsExpositionClustered(t *testing.T) {
 }
 
 // TestJobTelemetrySnapshot: completed simulations fold into the job's
-// telemetry aggregate, which both the job view and SSE events carry.
+// telemetry aggregate, which the job view carries, streamed or fetched.
 func TestJobTelemetrySnapshot(t *testing.T) {
 	_, _, c := startServer(t, Config{Workers: 1}, fixedSim(telemetryFixture()))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	v, err := c.Submit(ctx, testRequest(2))
+	v, err := submitJob(ctx, c, testRequest(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var progressed []*JobTelemetry
-	final, err := c.Follow(ctx, v.ID, func(e Event) {
-		if e.Type == "progress" {
-			progressed = append(progressed, e.Telemetry)
-		}
-	})
+	var streamed []JobView
+	final, err := c.follow(ctx, c.first(), v.ID, func(v JobView) { streamed = append(streamed, v) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,14 +306,15 @@ func TestJobTelemetrySnapshot(t *testing.T) {
 	if tel.PrefIssued != 100 || tel.PrefCross4K != 20 {
 		t.Errorf("aggregate prefetches = %d/%d, want 100/20", tel.PrefIssued, tel.PrefCross4K)
 	}
-	if len(progressed) != 2 {
-		t.Fatalf("saw %d progress events, want 2", len(progressed))
+	// Every streamed view carries the aggregate of exactly its Done
+	// simulations, each of which retired 1000 instructions.
+	for _, sv := range streamed {
+		if got := sv.Telemetry; (sv.Done == 0) != (got == nil) || got != nil && got.Instructions != uint64(sv.Done)*1000 {
+			t.Errorf("view with Done %d carries telemetry %+v, want %d instructions", sv.Done, got, sv.Done*1000)
+		}
 	}
-	if progressed[0] == nil || progressed[0].Instructions != 1000 {
-		t.Errorf("first progress snapshot = %+v, want 1000 instructions", progressed[0])
-	}
-	if progressed[1] == nil || progressed[1].Instructions != 2000 {
-		t.Errorf("second progress snapshot = %+v, want 2000 instructions", progressed[1])
+	if last := streamed[len(streamed)-1]; last.Telemetry == nil || *last.Telemetry != *tel {
+		t.Errorf("terminal streamed telemetry = %+v, want the done view's %+v", last.Telemetry, tel)
 	}
 }
 
@@ -343,11 +340,11 @@ func TestLiveCollectorOnlyForMultiEpochRuns(t *testing.T) {
 	} {
 		req := testRequest(1)
 		req.Opt = opt
-		v, err := c.Submit(ctx, req)
+		v, err := submitJob(ctx, c, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Follow(ctx, v.ID, nil); err != nil {
+		if _, err := c.follow(ctx, c.first(), v.ID, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -106,11 +106,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.view())
 }
 
-// handleEvents streams a job's lifecycle as Server-Sent Events. The stream
-// replays the job's full history (every stream starts at seq 1), follows
-// live updates, and ends after the terminal event — so a subscriber that
-// connects at any point observes the same ordered sequence:
-// queued, running, progress×N, then done/failed/canceled.
+// handleEvents streams a job as Server-Sent Events: the current JobView,
+// without Results, at once and again each time the job changes ("event:" is
+// the status, "id:" the job's version), ending after a terminal view. Views
+// are not queued per subscriber, so one frame may cover several changes and
+// a subscriber that connects late starts from the current state.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
@@ -128,25 +128,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	idx := 0
 	for {
 		j.mu.Lock()
-		for idx < len(j.events) {
-			e := j.events[idx]
-			idx++
-			j.mu.Unlock()
-			data, _ := json.Marshal(e)
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data)
-			fl.Flush()
-			if e.Terminal() {
-				return
-			}
-			j.mu.Lock()
-		}
-		ch := j.changed
+		v, version, changed := j.viewLocked(), j.version, j.changed
 		j.mu.Unlock()
+		v.Results = nil
+		data, _ := json.Marshal(v)
+		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", version, v.Status, data)
+		fl.Flush()
+		if v.Status.Terminal() {
+			return
+		}
 		select {
-		case <-ch:
+		case <-changed:
 		case <-r.Context().Done():
 			return
 		}

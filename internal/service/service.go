@@ -1,7 +1,7 @@
 // Package service implements psimd, a long-running simulation daemon: an
 // HTTP/JSON API that accepts batches of simulations, runs them on a bounded
 // worker pool backed by the shared content-addressed result cache
-// (internal/simcache), and streams per-job progress and results over SSE.
+// (internal/simcache), and streams each job's current view over SSE.
 //
 // The production behaviors are part of the design rather than bolted on:
 //
@@ -110,7 +110,7 @@ type unit struct {
 
 // telAccum sums the headline counters of a job's completed simulations
 // (cache hits included — a recalled Result carries the same stats), from
-// which snapshot derives the JobTelemetry rates for SSE events.
+// which snapshot derives the JobView's JobTelemetry rates.
 type telAccum struct {
 	sims          int
 	instr, cycles uint64
@@ -169,10 +169,9 @@ func (a *telAccum) snapshot() *JobTelemetry {
 	return t
 }
 
-// jobState is a job's full server-side state. The events slice is
-// append-only; changed is closed and replaced on every append, which lets
-// any number of SSE subscribers replay history and then follow live without
-// per-subscriber registration.
+// jobState is a job's full server-side state. Every change bumps version and
+// closes and replaces changed, which lets any number of SSE subscribers
+// follow the current view without per-subscriber registration.
 type jobState struct {
 	id      string
 	cfg     sim.Config
@@ -197,7 +196,7 @@ type jobState struct {
 	tel      telAccum
 	results  []sim.Result
 	errMsg   string
-	events   []Event
+	version  uint64
 	changed  chan struct{}
 }
 
@@ -205,6 +204,12 @@ type jobState struct {
 func (j *jobState) view() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.viewLocked()
+}
+
+// viewLocked renders the externally visible state, with Results once done.
+// Callers hold j.mu.
+func (j *jobState) viewLocked() JobView {
 	v := JobView{
 		ID: j.id, Status: j.status, Total: len(j.units),
 		Done: j.done, Hits: j.hits, Executed: j.executed, Error: j.errMsg,
@@ -216,20 +221,15 @@ func (j *jobState) view() JobView {
 	return v
 }
 
-// emitLocked appends a lifecycle event and wakes subscribers. Callers hold
-// j.mu.
-func (j *jobState) emitLocked(typ string) {
-	j.events = append(j.events, Event{
-		Seq: len(j.events) + 1, Type: typ, Job: j.id, Status: j.status,
-		Done: j.done, Total: len(j.units), Hits: j.hits, Executed: j.executed,
-		Error: j.errMsg, Telemetry: j.tel.snapshot(),
-	})
+// changedLocked bumps the version and wakes subscribers. Callers hold j.mu.
+func (j *jobState) changedLocked() {
+	j.version++
 	close(j.changed)
 	j.changed = make(chan struct{})
 }
 
-// step records one finished simulation, folds its result into the job's
-// telemetry aggregate, and emits a progress event carrying the snapshot.
+// step records one finished simulation and folds its result into the job's
+// telemetry aggregate.
 func (j *jobState) step(hit bool, res sim.Result) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -240,7 +240,7 @@ func (j *jobState) step(hit bool, res sim.Result) {
 		j.executed++
 	}
 	j.tel.add(res)
-	j.emitLocked("progress")
+	j.changedLocked()
 }
 
 // Server runs jobs and serves the API. Create with New, start the worker
@@ -365,11 +365,6 @@ func (s *Server) submit(req SimRequest, tsc dtrace.SpanContext) (*jobState, erro
 	}
 	s.nextID++
 	j.id = fmt.Sprintf("j%d", s.nextID)
-	// The queued event must precede the enqueue: a worker may pick the job
-	// up (and emit "running") the instant it lands in the channel.
-	j.mu.Lock()
-	j.emitLocked("queued")
-	j.mu.Unlock()
 	select {
 	case s.queue <- j:
 	default:
@@ -386,12 +381,13 @@ func (s *Server) submit(req SimRequest, tsc dtrace.SpanContext) (*jobState, erro
 }
 
 // validateSimRequest checks a submit body's static invariants, validates its
-// machine configuration (sim.Config.Validate) and resolves every job spec
-// against the workload catalogue; maxBatch bounds the batch size. It is the
-// pure half of submit — no server state — so the fuzz harness can drive it
-// with arbitrary decoded requests. Base is deliberately
-// not validated here: an unknown prefetcher fails the job at run time, which
-// keeps the submit path independent of the prefetcher registry.
+// run options and machine configuration (sim.RunOpt.Validate,
+// sim.Config.Validate) and resolves every job spec against the workload
+// catalogue; maxBatch bounds the batch size. It is the pure half of submit —
+// no server state — so the fuzz harness can drive it with arbitrary decoded
+// requests. Base is deliberately not validated here: an unknown prefetcher
+// fails the job at run time, which keeps the submit path independent of the
+// prefetcher registry.
 func validateSimRequest(req SimRequest, maxBatch int) ([]unit, error) {
 	if len(req.Jobs) == 0 {
 		return nil, fmt.Errorf("service: empty batch")
@@ -401,6 +397,9 @@ func validateSimRequest(req SimRequest, maxBatch int) ([]unit, error) {
 	}
 	if req.Opt.Instructions == 0 {
 		return nil, fmt.Errorf("service: opt.Instructions must be positive")
+	}
+	if err := req.Opt.Validate(); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	if req.Config != nil {
 		// A bad machine is the client's error: answer it at submit rather
@@ -464,12 +463,24 @@ func (s *Server) cancelJob(id string) bool {
 		j.cancel()
 	} else if j.status == StatusQueued {
 		// Terminate now; the worker that eventually pops it skips it.
-		j.status = StatusCanceled
-		j.errMsg = "canceled"
-		j.emitLocked("canceled")
-		s.m.jobsCanceled.Add(1)
+		s.finishLocked(j, StatusCanceled, "canceled")
 	}
 	return true
+}
+
+// finishLocked moves j to a terminal status, counts it, and wakes its
+// subscribers. Callers hold j.mu.
+func (s *Server) finishLocked(j *jobState, status JobStatus, errMsg string) {
+	j.status, j.errMsg = status, errMsg
+	j.changedLocked()
+	switch status {
+	case StatusDone:
+		s.m.jobsDone.Add(1)
+	case StatusFailed:
+		s.m.jobsFailed.Add(1)
+	default:
+		s.m.jobsCanceled.Add(1)
+	}
 }
 
 // gcLocked evicts the oldest terminal jobs beyond the retention cap so the
@@ -527,7 +538,7 @@ func (s *Server) runJob(j *jobState) {
 	}
 	j.status = StatusRunning
 	j.cancel = cancel
-	j.emitLocked("running")
+	j.changedLocked()
 	j.mu.Unlock()
 
 	s.m.queueWait.Observe(uint64(time.Since(j.enqueuedAt)))
@@ -593,19 +604,11 @@ func (s *Server) runJob(j *jobState) {
 	switch {
 	case err == nil:
 		j.results = results
-		j.status = StatusDone
-		j.emitLocked("done")
-		s.m.jobsDone.Add(1)
+		s.finishLocked(j, StatusDone, "")
 	case j.wantStop || s.baseCtx.Err() != nil:
-		j.status = StatusCanceled
-		j.errMsg = "canceled"
-		j.emitLocked("canceled")
-		s.m.jobsCanceled.Add(1)
+		s.finishLocked(j, StatusCanceled, "canceled")
 	default:
-		j.status = StatusFailed
-		j.errMsg = err.Error()
-		j.emitLocked("failed")
-		s.m.jobsFailed.Add(1)
+		s.finishLocked(j, StatusFailed, err.Error())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -43,6 +44,16 @@ func testRequest(n int) SimRequest {
 		jobs[i] = SimSpec{Workload: "milc", Base: "spp", Variant: "psa-sd"}
 	}
 	return SimRequest{Jobs: jobs, Opt: sim.RunOpt{Warmup: 1, Instructions: 1, Seed: 1, Samples: 1}}
+}
+
+// submitJob posts req once to the client's first endpoint.
+func submitJob(ctx context.Context, c *Client, req SimRequest) (JobView, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return JobView{}, err
+	}
+	v, _, err := c.submit(ctx, c.first(), body)
+	return v, err
 }
 
 // rawSubmit posts without the client's 429-retry loop, so tests can observe
@@ -117,7 +128,7 @@ func TestQueueBackpressure(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for _, id := range []string{"j1", "j2"} {
-		v, err := c.Follow(ctx, id, nil)
+		v, err := c.follow(ctx, c.first(), id, nil)
 		if err != nil {
 			t.Fatalf("follow %s: %v", id, err)
 		}
@@ -142,11 +153,11 @@ func TestDeadlineCancellation(t *testing.T) {
 	req.TimeoutMS = 50
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	v, err := c.Submit(ctx, req)
+	v, err := submitJob(ctx, c, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Follow(ctx, v.ID, nil)
+	final, err := c.follow(ctx, c.first(), v.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,15 +178,15 @@ func TestCancelRunningJob(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	v, err := c.Submit(ctx, testRequest(1))
+	v, err := submitJob(ctx, c, testRequest(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitStarted(t, started)
-	if err := c.Cancel(ctx, v.ID); err != nil {
+	if err := c.cancel(ctx, c.first(), v.ID); err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Follow(ctx, v.ID, nil)
+	final, err := c.follow(ctx, c.first(), v.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +223,12 @@ func TestCrossRequestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := c.Submit(ctx, testRequest(1))
+			v, err := submitJob(ctx, c, testRequest(1))
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			views[i], errs[i] = c.Follow(ctx, v.ID, nil)
+			views[i], errs[i] = c.follow(ctx, c.first(), v.ID, nil)
 		}(i)
 	}
 	// Hold the gate until every job is running, so the requests genuinely
@@ -280,16 +291,16 @@ func TestCachedKeyNeedsNoSlot(t *testing.T) {
 	defer cancel()
 	busy := testRequest(1)
 	busy.Opt.Seed = 2 // a different, uncached key
-	if _, err := c.Submit(ctx, busy); err != nil {
+	if _, err := submitJob(ctx, c, busy); err != nil {
 		t.Fatal(err)
 	}
 	waitStarted(t, started) // the busy job holds the only slot
 
-	v, err := c.Submit(ctx, cached)
+	v, err := submitJob(ctx, c, cached)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Follow(ctx, v.ID, nil)
+	final, err := c.follow(ctx, c.first(), v.ID, nil)
 	if err != nil {
 		t.Fatalf("cached job while the only slot is busy: %v", err)
 	}
@@ -314,7 +325,7 @@ func TestFlightWaiterHoldsNoSlot(t *testing.T) {
 	defer cancel()
 	ids := make([]string, 2)
 	for i := range ids {
-		v, err := c.Submit(ctx, testRequest(1))
+		v, err := submitJob(ctx, c, testRequest(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +348,7 @@ func TestFlightWaiterHoldsNoSlot(t *testing.T) {
 		t.Errorf("while the leader runs, /metrics should read psimd_sims_inflight 1:\n%s", body)
 	}
 	for _, id := range ids {
-		final, err := c.Follow(ctx, id, nil)
+		final, err := c.follow(ctx, c.first(), id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,59 +361,97 @@ func TestFlightWaiterHoldsNoSlot(t *testing.T) {
 	}
 }
 
-// TestSSEEventOrdering: a subscriber observes queued, running, one progress
-// per simulation with monotonically increasing Done, then the terminal done —
-// with strictly sequential Seq — and a late subscriber replays the identical
-// history.
-func TestSSEEventOrdering(t *testing.T) {
+// TestSSEStreamsJobView: a live subscriber sees views whose Done never
+// decreases and that end in a done view with Done == Total; a subscriber that
+// connects after completion gets exactly one frame, the terminal view; and a
+// canceled job's stream ends with status canceled.
+func TestSSEStreamsJobView(t *testing.T) {
 	const batch = 3
-	quick := func(ctx context.Context, cfg sim.Config, spec sim.PrefSpec, w trace.Workload, opt sim.RunOpt) (sim.Result, error) {
-		return sim.Result{Workload: w.Name, Spec: spec.String(), IPC: 1}, nil
-	}
-	_, _, c := startServer(t, Config{Workers: 1, SimParallelism: 1}, quick)
+	gate := make(chan struct{})
+	_, hs, c := startServer(t, Config{Workers: 1, SimParallelism: 1}, blockingSim(nil, gate))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	v, err := c.Submit(ctx, testRequest(batch))
+	v, err := submitJob(ctx, c, testRequest(batch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var live []Event
-	if _, err := c.Follow(ctx, v.ID, func(e Event) { live = append(live, e) }); err != nil {
+	// One frame at most per change plus the first: running, each step, done.
+	views := make(chan JobView, batch+3)
+	followed := make(chan error, 1)
+	go func() {
+		_, err := c.follow(ctx, c.first(), v.ID, func(v JobView) { views <- v })
+		close(views)
+		followed <- err
+	}()
+	// The first frame is the job's state at subscription, before any
+	// simulation may finish; then the gate releases one simulation at a time.
+	live := []JobView{<-views}
+	for i := 0; i < batch; i++ {
+		gate <- struct{}{}
+	}
+	for v := range views {
+		live = append(live, v)
+	}
+	if err := <-followed; err != nil {
 		t.Fatal(err)
 	}
-	checkSequence := func(events []Event) {
-		t.Helper()
-		want := []string{"queued", "running", "progress", "progress", "progress", "done"}
-		if len(events) != len(want) {
-			t.Fatalf("got %d events, want %d: %+v", len(events), len(want), events)
-		}
-		lastDone := 0
-		for i, e := range events {
-			if e.Type != want[i] {
-				t.Errorf("event %d type = %s, want %s", i, e.Type, want[i])
-			}
-			if e.Seq != i+1 {
-				t.Errorf("event %d seq = %d, want %d", i, e.Seq, i+1)
-			}
-			if e.Done < lastDone {
-				t.Errorf("event %d Done went backwards: %d after %d", i, e.Done, lastDone)
-			}
-			lastDone = e.Done
-		}
-		final := events[len(events)-1]
-		if final.Done != batch || final.Status != StatusDone {
-			t.Errorf("terminal event = %+v, want Done=%d status=done", final, batch)
+	if live[0].Done != 0 || live[0].Status.Terminal() {
+		t.Errorf("first live view = %+v, want a job with nothing done", live[0])
+	}
+	for i := 1; i < len(live); i++ {
+		if live[i].Done < live[i-1].Done {
+			t.Errorf("view %d Done went backwards: %d after %d", i, live[i].Done, live[i-1].Done)
 		}
 	}
-	checkSequence(live)
+	last := live[len(live)-1]
+	if last.Status != StatusDone || last.Done != last.Total || last.Total != batch || last.Results != nil {
+		t.Errorf("last live view = %+v, want done with Done == Total == %d and no results", last, batch)
+	}
 
-	// A subscriber connecting after completion replays the same sequence.
-	var replay []Event
-	if err := c.Events(ctx, v.ID, func(e Event) { replay = append(replay, e) }); err != nil {
+	// A subscriber connecting after completion gets one frame: the terminal
+	// view, named by its status.
+	resp, err := http.Get(hs.URL + "/v1/jobs/" + v.ID + "/events")
+	if err != nil {
 		t.Fatal(err)
 	}
-	checkSequence(replay)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := strings.Split(strings.TrimSuffix(string(body), "\n\n"), "\n\n")
+	if len(frames) != 1 || !strings.Contains(frames[0], "\nevent: done\ndata: ") {
+		t.Fatalf("late subscriber got %d frames, want one done frame:\n%s", len(frames), body)
+	}
+	var late JobView
+	if err := json.Unmarshal([]byte(frames[0][strings.Index(frames[0], "data: ")+len("data: "):]), &late); err != nil {
+		t.Fatal(err)
+	}
+	if late.Status != StatusDone || late.Done != batch || late.Results != nil {
+		t.Errorf("late frame = %+v, want the done view without results", late)
+	}
+
+	// A canceled job's stream ends with its canceled view.
+	v, err = submitJob(ctx, c, testRequest(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []JobView
+	final, err := c.follow(ctx, c.first(), v.ID, func(v JobView) {
+		if len(seen) == 0 {
+			if err := c.cancel(ctx, c.first(), v.ID); err != nil {
+				t.Error(err)
+			}
+		}
+		seen = append(seen, v)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end := seen[len(seen)-1]; end.Status != StatusCanceled || final.Status != StatusCanceled {
+		t.Errorf("canceled job's stream ended with %s (job %s), want canceled", end.Status, final.Status)
+	}
 }
 
 // TestGracefulDrain: draining stops admission (503 on submit and /healthz)
@@ -448,7 +497,7 @@ func TestGracefulDrain(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for _, id := range []string{"j1", "j2"} {
-		v, err := c.Job(ctx, id)
+		v, err := c.job(ctx, c.first(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,7 +516,7 @@ func TestDrainTimeoutForceCancels(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	v, err := c.Submit(ctx, testRequest(1))
+	v, err := submitJob(ctx, c, testRequest(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +524,7 @@ func TestDrainTimeoutForceCancels(t *testing.T) {
 	if err := s.Drain(50 * time.Millisecond); err == nil {
 		t.Error("drain of a stuck job returned nil, want timeout error")
 	}
-	final, err := c.Job(ctx, v.ID)
+	final, err := c.job(ctx, c.first(), v.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,6 +547,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown workload", func() SimRequest { r := testRequest(1); r.Jobs[0].Workload = "nope"; return r }()},
 		{"unknown variant", func() SimRequest { r := testRequest(1); r.Jobs[0].Variant = "nope"; return r }()},
 		{"unknown l1", func() SimRequest { r := testRequest(1); r.Jobs[0].L1 = "nope"; return r }()},
+		// Accepted, this would panic the job goroutine in the run loop's
+		// Frac2M preallocation.
+		{"samples out of range", func() SimRequest { r := testRequest(1); r.Opt.Samples = 1 << 50; return r }()},
 	}
 	for _, tc := range cases {
 		if resp := rawSubmit(t, hs.URL, tc.req); resp.StatusCode != http.StatusBadRequest {
@@ -545,11 +597,11 @@ func TestSubmitRejectsInvalidConfig(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	v, err := c.Submit(ctx, testRequest(1))
+	v, err := submitJob(ctx, c, testRequest(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err = c.Follow(ctx, v.ID, nil)
+	v, err = c.follow(ctx, c.first(), v.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

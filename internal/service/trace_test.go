@@ -20,11 +20,11 @@ func runTraced(t *testing.T, c *Client, rec *dtrace.Recorder, req SimRequest) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	ctx = dtrace.NewContext(ctx, rec, dtrace.SpanContext{})
-	v, err := c.Submit(ctx, req)
+	v, err := submitJob(ctx, c, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Follow(ctx, v.ID, nil)
+	final, err := c.follow(ctx, c.first(), v.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -16,6 +17,21 @@ type RunOpt struct {
 	Instructions uint64 // measured instructions
 	Seed         uint64
 	Samples      int // Frac2M samples taken across the measured window (Fig. 3)
+}
+
+// maxSamples bounds RunOpt.Samples: a run preallocates Samples+1 Frac2M
+// entries, so the value must not let one psimd request size an allocation.
+// It is 64× DefaultRunOpt's 16; the figures take 8.
+const maxSamples = 1 << 10
+
+// Validate reports a RunOpt outside its bounds as a *ConfigError naming the
+// field ("RunOpt.Samples"), or nil. RunContext calls it, and psimd rejects a
+// bad value at submit.
+func (o RunOpt) Validate() error {
+	if o.Samples < 0 || o.Samples > maxSamples {
+		return &ConfigError{Field: "RunOpt.Samples", Value: o.Samples, Rule: fmt.Sprintf("must be 0..%d", maxSamples)}
+	}
+	return nil
 }
 
 // DefaultRunOpt returns a laptop-scale default: 250K warmup, 1M measured.
@@ -49,7 +65,7 @@ type Result struct {
 }
 
 // Run simulates one workload on a single-core machine with the given
-// prefetching spec. A cfg that fails Validate is rejected with its
+// prefetching spec. A cfg or opt that fails Validate is rejected with its
 // *ConfigError values before anything is built.
 func Run(cfg Config, spec PrefSpec, w trace.Workload, opt RunOpt) (Result, error) {
 	return RunContext(context.Background(), cfg, spec, w, opt)
@@ -72,6 +88,9 @@ func Run(cfg Config, spec PrefSpec, w trace.Workload, opt RunOpt) (Result, error
 // identical results.
 func RunContext(ctx context.Context, cfg Config, spec PrefSpec, w trace.Workload, opt RunOpt) (Result, error) {
 	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	if err := opt.Validate(); err != nil {
 		return Result{}, err
 	}
 	sys, err := newSystem(cfg, spec, []trace.Workload{w}, opt.Seed)

@@ -34,9 +34,10 @@ const (
 	maxBanksPerChan     = 64      // 8
 )
 
-// ConfigError is one rule a Config breaks: Field names the setting as it is
-// spelled in Go and JSON ("L2.Ways"), Value is the offending value, Rule what
-// the setting must satisfy. Match it with errors.As.
+// ConfigError is one rule a Config or RunOpt breaks: Field names the setting
+// as it is spelled in Go and JSON ("L2.Ways", "RunOpt.Samples"), Value is the
+// offending value, Rule what the setting must satisfy. Match it with
+// errors.As.
 type ConfigError struct {
 	Field string
 	Value any

@@ -222,3 +222,23 @@ func TestValidateAllocatesNothing(t *testing.T) {
 		t.Fatalf("a passing Validate allocates %v objects", a)
 	}
 }
+
+// TestRunRejectsSamplesOutOfRange: RunOpt.Samples sizes the run's Frac2M
+// preallocation, so a value past maxSamples is a typed error before anything
+// is built rather than a makeslice panic, and the bound itself runs.
+func TestRunRejectsSamplesOutOfRange(t *testing.T) {
+	w, err := trace.ByName("libquantum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, samples := range []int{1 << 50, maxSamples + 1, -1} {
+		_, err := Run(DefaultConfig(), PrefSpec{Base: "spp"}, w, RunOpt{Instructions: 5000, Seed: 1, Samples: samples})
+		if configErrorFor(err, "RunOpt.Samples") == nil {
+			t.Errorf("Samples %d: Run = %v, want a RunOpt.Samples *ConfigError", samples, err)
+		}
+	}
+	res, err := Run(DefaultConfig(), PrefSpec{Base: "spp"}, w, RunOpt{Instructions: 5000, Seed: 1, Samples: maxSamples})
+	if err != nil || len(res.Frac2MOverTime) == 0 {
+		t.Fatalf("Samples at the bound: %d samples, %v", len(res.Frac2MOverTime), err)
+	}
+}
